@@ -1,21 +1,12 @@
 """Largest-scaled-copy placement of rectilinear polygons, exact arithmetic."""
 
-from .coverage import covers_box, find_hole, union_area
-from .decompose import (FrameTooSmall, RectCover, cover_complement,
-                        cover_interior, default_scale_cap, padded_frame)
-from .dyncover import (MalformedTrace, TraceProblem, area_after_each,
-                       first_uncover, trace_problem)
-from .forbidden import (CoordSets, CoverUpdate, LinearForm, LinearRect,
-                        RankRect, SweepPlan, build_sweep, coordinate_functions,
-                        critical_values, diff_snapshots, forbidden_rect,
-                        rank_snapshot, read_trace, replay_updates, write_trace)
 from .geometry import (AxisRect, DegenerateEdge, NonPositiveScale,
                        NonRectilinear, OrthoPolygon, Placement, Point,
                        PolygonError, Rational, SelfIntersecting,
-                       TooFewVertices, bbox, load_polygon, normalize_center,
-                       polygon_area, polygon_from_obj, polygon_to_obj, rat,
-                       rat_str, save_polygon, transform, validate_polygon)
-from .hardness import (GenParams, HardInstance, NonBinaryVector, OutOfUniverse,
+                       TooFewVertices, load_polygon, normalize_center,
+                       polygon_from_obj, polygon_to_obj, rat, rat_str,
+                       save_polygon, transform, validate_polygon)
+from .hardness import (HardInstance, NonBinaryVector, OutOfUniverse,
                        brute_solve, gen_average, gen_foursum, gen_ov)
 from .solver import (PlacementResult, SolveStats, contains_fixed, max_scale,
                      max_scale_baseline, max_scale_x, verify_containment)

@@ -4,6 +4,9 @@ Two coordinate kinds share one sweep: real rectangles (`AxisRect`, rational
 Lebesgue area) and rank-space rectangles (`RankRect`, counting unit cells of
 the integer grid, where the closed rect [a,b]x[c,d] covers the cells
 a..b x c..d). The dispatching wrappers sniff the rectangle kind.
+
+No solver uses this module: it is the independent oracle against which the
+rank-space encoding and the solvers' static test are checked.
 """
 
 from __future__ import annotations
@@ -11,8 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .forbidden import RankRect
-from .geometry import AxisRect, Point
+from .geometry import AxisRect
 
 
 def _merge_length(intervals: list[tuple]):
@@ -51,46 +53,6 @@ def _sweep_area(rects: list[tuple], box: tuple):
     return total
 
 
-def _uncovered_point_1d(intervals: list[tuple], lo, hi):
-    """A point of the closed segment [lo, hi] missed by closed intervals.
-
-    Returns an endpoint or a gap midpoint, or None when fully covered.
-    Handles degenerate single-point gaps between touching-but-separated
-    intervals exactly.
-    """
-    blocks = sorted(iv for iv in intervals if iv[1] >= lo and iv[0] <= hi)
-    merged: list[list] = []
-    for a, b in blocks:
-        if merged and a <= merged[-1][1]:
-            if b > merged[-1][1]:
-                merged[-1][1] = b
-        else:
-            merged.append([a, b])
-    if not merged or merged[0][0] > lo:
-        return lo
-    cursor = merged[0][1]
-    for a, b in merged[1:]:
-        if a > cursor:
-            return (cursor + a) / 2
-        cursor = max(cursor, b)
-    if cursor < hi:
-        return hi
-    return None
-
-
-def _first_uncovered_cell_1d(intervals: list[tuple], lo: int, hi: int):
-    """Smallest integer of [lo, hi) missed by half-open integer intervals."""
-    cursor = lo
-    for a, b in sorted(intervals):
-        if a > cursor:
-            return cursor
-        if b > cursor:
-            cursor = b
-        if cursor >= hi:
-            return None
-    return cursor if cursor < hi else None
-
-
 def union_area(rects: Sequence, box):
     """Exact measure of (union of rects) intersected with the box.
 
@@ -118,51 +80,3 @@ def covers_box(rects: Sequence, box) -> bool:
         return union_area(rects, box) == box.area
     nx, ny = box
     return union_area(rects, box) == nx * ny
-
-
-def find_hole(rects: Sequence, box):
-    """A witness of non-coverage, or None when the box is fully covered.
-
-    Real coordinates: some uncovered Point (box corners, edge points or strip
-    midpoints). Rank space: the lexicographically smallest uncovered cell.
-    """
-    if isinstance(box, AxisRect):
-        return _find_hole_real(rects, box)
-    return _find_hole_cells(rects, box)
-
-
-def _find_hole_real(rects: Sequence[AxisRect], box: AxisRect) -> Point | None:
-    if box.x0 == box.x1:
-        ys = [(r.y0, r.y1) for r in rects if r.x0 <= box.x0 <= r.x1]
-        y = _uncovered_point_1d(ys, box.y0, box.y1)
-        return None if y is None else Point(box.x0, Fraction(y))
-    if box.y0 == box.y1:
-        xs = [(r.x0, r.x1) for r in rects if r.y0 <= box.y0 <= r.y1]
-        x = _uncovered_point_1d(xs, box.x0, box.x1)
-        return None if x is None else Point(Fraction(x), box.y0)
-    # positive area: the uncovered set is open, so probing the open strips
-    # between consecutive boundary abscissae sees every hole
-    xs = sorted({box.x0, box.x1}
-                | {r.x0 for r in rects if box.x0 < r.x0 < box.x1}
-                | {r.x1 for r in rects if box.x0 < r.x1 < box.x1})
-    for k in range(len(xs) - 1):
-        lo, hi = xs[k], xs[k + 1]
-        ys = [(r.y0, r.y1) for r in rects if r.x0 <= lo and r.x1 >= hi]
-        y = _uncovered_point_1d(ys, box.y0, box.y1)
-        if y is not None:
-            return Point((lo + hi) / 2, Fraction(y))
-    return None
-
-
-def _find_hole_cells(rects: Sequence[RankRect], box: tuple[int, int]):
-    nx, ny = box
-    xs = sorted({1, nx + 1}
-                | {r.x_lo for r in rects if 1 < r.x_lo <= nx}
-                | {r.x_hi + 1 for r in rects if 1 <= r.x_hi < nx})
-    for k in range(len(xs) - 1):
-        lo, hi = xs[k], xs[k + 1]
-        ys = [(r.y_lo, r.y_hi + 1) for r in rects if r.x_lo <= lo and r.x_hi + 1 >= hi]
-        cell_y = _first_uncovered_cell_1d(ys, 1, ny + 1)
-        if cell_y is not None:
-            return (lo, cell_y)
-    return None

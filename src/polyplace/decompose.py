@@ -43,7 +43,8 @@ def _slab_intervals(poly: OrthoPolygon) -> tuple[list[Rational], list[list[tuple
     for k in range(len(xs) - 1):
         lo, hi = xs[k], xs[k + 1]
         ys = sorted(y for (y, xl, xr) in hedges if xl <= lo and xr >= hi)
-        assert len(ys) % 2 == 0, "odd number of boundary crossings in a slab"
+        if len(ys) % 2:
+            raise RuntimeError("odd number of boundary crossings in a slab")
         slabs.append([(ys[i], ys[i + 1]) for i in range(0, len(ys), 2)])
     return xs, slabs
 

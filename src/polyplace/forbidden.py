@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .decompose import RectCover
 from .geometry import AxisRect, ORIGIN, Point, Rational
@@ -52,14 +52,6 @@ class LinearRect:
 
     def at(self, lam: Rational) -> tuple[Rational, Rational, Rational, Rational]:
         return (self.x_lo.at(lam), self.x_hi.at(lam), self.y_lo.at(lam), self.y_hi.at(lam))
-
-    def is_empty_at(self, lam: Rational) -> bool:
-        a, b, c, d = self.at(lam)
-        return a >= b or c >= d
-
-    def contains_at(self, lam: Rational, p: Point) -> bool:
-        a, b, c, d = self.at(lam)
-        return a < p.x < b and c < p.y < d
 
 
 @dataclass(frozen=True)
@@ -193,7 +185,8 @@ def _build_axes(cs: CoordSets) -> tuple["_Axis", "_Axis", int]:
     return _Axis(cs.x_entries, scale), _Axis(cs.y_entries, scale), scale
 
 
-def _axis_events(axis: _Axis, events: dict, slot: int) -> None:
+def _axis_events(axis: _Axis):
+    """Every pair of nodes that meet at a positive scale, as (scale, i, j)."""
     alphas, betas = axis.alphas, axis.betas
     n = len(alphas)
     for i in range(n):
@@ -206,19 +199,20 @@ def _axis_events(axis: _Axis, events: dict, slot: int) -> None:
             db = betas[j] - bi
             if db == 0 or (db > 0) != (da > 0):
                 continue  # meeting point at scale <= 0
-            lam = Fraction(db, da)
+            yield Fraction(db, da), i, j
+
+
+def _critical_events(xaxis: _Axis, yaxis: _Axis) -> dict[Fraction, tuple[set, set]]:
+    """Each critical scale with the x and y nodes that meet there."""
+    events: dict[Fraction, tuple[set, set]] = {}
+    for slot, axis in enumerate((xaxis, yaxis)):
+        for lam, i, j in _axis_events(axis):
             ev = events.get(lam)
             if ev is None:
                 ev = (set(), set())
                 events[lam] = ev
             ev[slot].add(i)
             ev[slot].add(j)
-
-
-def _critical_events(xaxis: _Axis, yaxis: _Axis) -> dict[Fraction, tuple[set, set]]:
-    events: dict[Fraction, tuple[set, set]] = {}
-    _axis_events(xaxis, events, 0)
-    _axis_events(yaxis, events, 1)
     return events
 
 
@@ -318,43 +312,6 @@ def rank_snapshot(cs: CoordSets, lam: Rational) -> dict:
     return snap
 
 
-def diff_snapshots(prev: dict, next: dict, at_step: int = 0) -> list[CoverUpdate]:
-    """Updates turning ``prev`` into ``next``: all adds first, then deletes.
-
-    Identities are (key, generation) pairs; a changed rectangle is a fresh add
-    followed by a delete of its previous incarnation.
-    """
-    adds: list[CoverUpdate] = []
-    dels: list[CoverUpdate] = []
-    keys = sorted(set(prev) | set(next), key=lambda k: (isinstance(k, str), str(k)))
-    for key in keys:
-        old = prev.get(key)
-        new = next.get(key)
-        if old == new:
-            continue
-        if new is not None:
-            adds.append(CoverUpdate("add", new, (key, at_step + 1), at_step))
-        if old is not None:
-            dels.append(CoverUpdate("delete", old, (key, at_step), at_step))
-    return adds + dels
-
-
-def replay_updates(snapshot: dict, updates: Iterable[CoverUpdate]) -> dict:
-    """Apply diff updates to a keyed snapshot (deletes match by key)."""
-    snap = dict(snapshot)
-    pending_del = []
-    for u in updates:
-        key = u.uid[0] if isinstance(u.uid, tuple) else u.uid
-        if u.kind == "add":
-            snap[key] = u.rect
-        else:
-            pending_del.append((key, u.rect))
-    for key, rect in pending_del:
-        if snap.get(key) == rect:
-            del snap[key]
-    return snap
-
-
 # ---------------------------------------------------------------------------
 # the descending sweep
 # ---------------------------------------------------------------------------
@@ -389,9 +346,11 @@ class _AxisState:
         tie: dict[int, tuple[int, int]] = {}
         groups: list[tuple[int, list[int]]] = []
         for nodes in byval.values():
-            assert len(nodes) >= 2, "critical without a coinciding pair"
+            if len(nodes) < 2:
+                raise RuntimeError("critical without a coinciding pair")
             ps = sorted(self.pos[n] for n in nodes)
-            assert ps[-1] - ps[0] == len(ps) - 1, "tie group not contiguous"
+            if ps[-1] - ps[0] != len(ps) - 1:
+                raise RuntimeError("tie group not contiguous")
             interval = (self.pref[ps[0]] + 1, self.pref[ps[-1] + 1])
             for n in nodes:
                 tie[n] = interval
@@ -429,22 +388,6 @@ class SweepPlan:
     query_pos: list[int]
     live_bound: int
     skipped_above: int = 0
-    _axes: tuple = None  # (xaxis, yaxis, scale) retained for witness recovery
-
-    def value_at_rank(self, axis_name: str, lam: Rational, rank: int) -> Rational:
-        """Exact coordinate value occupying the given rank at scale ``lam``."""
-        xaxis, yaxis, scale = self._axes
-        axis = xaxis if axis_name == "x" else yaxis
-        num, den = lam.numerator, lam.denominator
-        keyed = sorted(
-            (axis.alphas[i] * num + axis.betas[i] * den, axis.weights[i])
-            for i in range(len(axis.alphas)))
-        taken = 0
-        for value, weight in keyed:
-            taken += weight
-            if rank <= taken:
-                return Fraction(value, den * scale)
-        raise IndexError(f"rank {rank} out of range")
 
 
 def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan:
@@ -566,7 +509,6 @@ def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan
         query_pos=query_pos,
         live_bound=len(cs.rects) + 4,
         skipped_above=skipped,
-        _axes=(xaxis, yaxis, scale),
     )
 
 

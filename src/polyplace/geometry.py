@@ -134,15 +134,6 @@ class AxisRect:
     def contains_point(self, p: Point) -> bool:
         return self.x0 <= p.x <= self.x1 and self.y0 <= p.y <= self.y1
 
-    def contains_rect(self, other: "AxisRect") -> bool:
-        return (self.x0 <= other.x0 and other.x1 <= self.x1
-                and self.y0 <= other.y0 and other.y1 <= self.y1)
-
-    def interior_overlaps(self, other: "AxisRect") -> bool:
-        """True when the open interiors intersect (boundary contact is fine)."""
-        return (max(self.x0, other.x0) < min(self.x1, other.x1)
-                and max(self.y0, other.y0) < min(self.y1, other.y1))
-
 
 class OrthoPolygon:
     """Simple rectilinear polygon as a counter-clockwise vertex cycle.
@@ -324,16 +315,6 @@ def validate_polygon(vertices: Iterable) -> OrthoPolygon:
     start = min(range(len(pts)), key=lambda i: (pts[i].x, pts[i].y))
     pts = pts[start:] + pts[:start]
     return OrthoPolygon(pts, merged)
-
-
-def bbox(poly: OrthoPolygon) -> AxisRect:
-    """Smallest enclosing axis-aligned rectangle."""
-    return poly.bounding_box()
-
-
-def polygon_area(poly: OrthoPolygon) -> Rational:
-    """Exact shoelace area (positive for the normalized orientation)."""
-    return poly.area()
 
 
 def normalize_center(poly: OrthoPolygon) -> tuple[OrthoPolygon, Point]:

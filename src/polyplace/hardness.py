@@ -78,7 +78,8 @@ class HardInstance:
 def _skyline(columns: Sequence[tuple]) -> OrthoPolygon:
     """Polygon over the x axis with the given (width, height) columns."""
     cols = [(Fraction(w), Fraction(h)) for w, h in columns if w != 0]
-    assert cols and all(w > 0 and h > 0 for w, h in cols)
+    if not cols or any(w <= 0 or h <= 0 for w, h in cols):
+        raise ValueError("skyline columns need positive widths and heights")
     total = sum(w for w, _ in cols)
     verts = [(Fraction(0), Fraction(0)), (total, Fraction(0))]
     x = total

@@ -158,7 +158,8 @@ def comb_polygon(vertices: int, rng: random.Random | None = None) -> OrthoPolygo
             verts += [(hi, 1), (hi, h), (lo, h), (lo, 1)]
     verts.append((0, 1))
     poly = validate_polygon(verts)
-    assert len(poly) == vertices
+    if len(poly) != vertices:
+        raise RuntimeError(f"comb has {len(poly)} corners, expected {vertices}")
     return poly
 
 

@@ -1,6 +1,6 @@
 """Placement solvers for rectilinear polygons under scaling and translation.
 
-Four user-facing entry points:
+Five user-facing entry points:
 
 * :func:`verify_containment`: direct O(p'q') pairwise check of a placement.
 * :func:`contains_fixed`: can the pattern be translated (scale 1) into the
@@ -27,13 +27,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import dyncover
-from .coverage import find_hole
-from .decompose import (cover_complement, cover_interior,
+from .decompose import (RectCover, cover_complement, cover_interior,
                         default_scale_cap, padded_frame)
-from .forbidden import (_axis_scale, build_sweep, coordinate_functions,
-                        critical_values)
-from .geometry import (NonPositiveScale, OrthoPolygon, Point, Rational,
-                       normalize_center, rat_str)
+from .forbidden import (_Axis, _axis_events, _axis_scale, build_sweep,
+                        coordinate_functions, critical_values)
+from .geometry import (AxisRect, NonPositiveScale, OrthoPolygon, Point,
+                       Rational, normalize_center, rat_str)
 
 
 @dataclass
@@ -128,7 +127,7 @@ def _item_value(vals: list[int], item: int, den: int) -> Rational:
     return Fraction(vals[k] + vals[k + 1], 2 * den)
 
 
-def _static_hole(prob: _Problem, lam: Rational) -> Point | None:
+def find_hole(prob: _Problem, lam: Rational) -> Point | None:
     """Exact per-scale coverage test on the tie-refined item grid.
 
     Returns a translation (in centered frames) that avoids every open
@@ -199,29 +198,16 @@ def _static_hole(prob: _Problem, lam: Rational) -> Point | None:
     return None
 
 
-def verify_containment(pattern: OrthoPolygon, target: OrthoPolygon,
-                       lam: Rational, tau: Point) -> bool:
-    """Exact containment check of the placement, independent of the sweep.
+def _fits(pcov: RectCover, qcov: RectCover, box: AxisRect,
+          lam: Rational, tau: Point) -> bool:
+    """Pairwise check of a placement between centered covers.
 
-    Both polygons are centered internally; ``tau`` translates the centered
-    scaled pattern within the centered target. True iff the translation stays
-    in the target's bounding box and no scaled interior rectangle of the
-    pattern meets the interior of a complement rectangle of the target
-    (boundary contact allowed).
+    True iff ``tau`` lies in the target's bounding box and no interior
+    rectangle of the pattern, scaled by ``lam`` and translated by ``tau``,
+    meets the interior of a complement rectangle (boundary contact allowed).
     """
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise NonPositiveScale(str(lam))
-    pattern_c, _ = normalize_center(pattern)
-    target_c, _ = normalize_center(target)
-    pb = pattern_c.bounding_box()
-    qb = target_c.bounding_box()
-    if not qb.contains_point(tau):
+    if not box.contains_point(tau):
         return False
-    cap = max(default_scale_cap(pb, qb), lam)
-    frame, pad = padded_frame(target_c, pb, cap)
-    pcov = cover_interior(pattern_c)
-    qcov = cover_complement(target_c, frame, pad)
     for pr in pcov.rects:
         sx0 = lam * pr.x0 + tau.x
         sx1 = lam * pr.x1 + tau.x
@@ -234,25 +220,31 @@ def verify_containment(pattern: OrthoPolygon, target: OrthoPolygon,
     return True
 
 
-def _verify_internal(prob: _Problem, lam: Rational, tau: Point) -> bool:
-    if not prob.box.contains_point(tau):
-        return False
-    for pr in prob.pcov.rects:
-        sx0 = lam * pr.x0 + tau.x
-        sx1 = lam * pr.x1 + tau.x
-        sy0 = lam * pr.y0 + tau.y
-        sy1 = lam * pr.y1 + tau.y
-        for qr in prob.qcov.rects:
-            if (max(sx0, qr.x0) < min(sx1, qr.x1)
-                    and max(sy0, qr.y0) < min(sy1, qr.y1)):
-                return False
-    return True
+def verify_containment(pattern: OrthoPolygon, target: OrthoPolygon,
+                       lam: Rational, tau: Point) -> bool:
+    """Exact containment check of the placement, independent of the sweep.
+
+    Both polygons are centered internally; ``tau`` translates the centered
+    scaled pattern within the centered target. The covers are built afresh
+    for ``lam`` and checked pairwise (see :func:`_fits`).
+    """
+    lam = Fraction(lam)
+    if lam <= 0:
+        raise NonPositiveScale(str(lam))
+    pattern_c, _ = normalize_center(pattern)
+    target_c, _ = normalize_center(target)
+    pb = pattern_c.bounding_box()
+    qb = target_c.bounding_box()
+    cap = max(default_scale_cap(pb, qb), lam)
+    frame, pad = padded_frame(target_c, pb, cap)
+    return _fits(cover_interior(pattern_c), cover_complement(target_c, frame, pad),
+                 qb, lam, tau)
 
 
 def contains_fixed(pattern: OrthoPolygon, target: OrthoPolygon) -> Point | None:
     """A feasible translation of the unscaled pattern into the target, or None."""
     prob = _Problem(pattern, target)
-    return _static_hole(prob, Fraction(1))
+    return find_hole(prob, Fraction(1))
 
 
 def max_scale(pattern: OrthoPolygon, target: OrthoPolygon,
@@ -262,17 +254,17 @@ def max_scale(pattern: OrthoPolygon, target: OrthoPolygon,
     Builds the full descending-sweep trace of rank-space rectangles once,
     then lets the offline dynamic cover structure (``impl``: "oy" or
     "naive") execute it, stopping at the first critical whose snapshot
-    leaves a hole. The witness translation is recovered from the uncovered
-    rank cell.
+    leaves a hole. The witness is the translation that the exact static
+    test (:func:`find_hole`) finds at that scale.
     """
     prob = _Problem(pattern, target)
     plan = build_sweep(prob.cs, start_below=prob.bbox_cap)
     stats = SolveStats(criticals=plan.skipped_above + len(plan.criticals),
                        updates=len(plan.updates), skipped=plan.skipped_above)
 
-    failed, live = dyncover.run_plan(plan.box_cells, plan.live_bound,
-                                     plan.initial, plan.updates,
-                                     plan.query_pos, impl)
+    failed, _ = dyncover.run_plan(plan.box_cells, plan.live_bound,
+                                  plan.initial, plan.updates,
+                                  plan.query_pos, impl)
     if failed is None:
         stats.queries = len(plan.query_pos)
         sup = plan.criticals[-1] if plan.criticals else None
@@ -280,11 +272,11 @@ def max_scale(pattern: OrthoPolygon, target: OrthoPolygon,
 
     stats.queries = failed + 1
     lam = plan.criticals[failed]
-    cell = find_hole(list(live.values()), plan.box_cells)
-    assert cell is not None, "dynamic structure reported a hole the sweep cannot find"
-    tau = Point(plan.value_at_rank("x", lam, (cell[0] + 1) // 2),
-                plan.value_at_rank("y", lam, (cell[1] + 1) // 2))
-    if not _verify_internal(prob, lam, tau):
+    tau = find_hole(prob, lam)
+    if tau is None:
+        raise RuntimeError("internal inconsistency: the sweep reported a hole "
+                           "the static test cannot find")
+    if not _fits(prob.pcov, prob.qcov, prob.box, lam, tau):
         raise RuntimeError("internal inconsistency: witness fails verification")
     return PlacementResult("feasible", lam, tau, stats)
 
@@ -299,7 +291,7 @@ def max_scale_baseline(pattern: OrthoPolygon, target: OrthoPolygon) -> Placement
             stats.skipped += 1
             continue
         stats.queries += 1
-        tau = _static_hole(prob, lam)
+        tau = find_hole(prob, lam)
         if tau is not None:
             return PlacementResult("feasible", lam, tau, stats)
     return PlacementResult("infeasible", stats=stats,
@@ -331,21 +323,7 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
         c2 = yb - prob.by0
         acts.append((a1, c1, a2, c2, xa, xb, Xa, Xb))
 
-    cands: set[Fraction] = set()
-    formset = {(0, prob.bx0), (0, prob.bx1)}
-    for (_a1, _c1, _a2, _c2, xa, xb, Xa, Xb) in acts:
-        formset.add((xa, xb))
-        formset.add((Xa, Xb))
-    forms = sorted(formset)
-    for i in range(len(forms)):
-        ai, bi = forms[i]
-        for j in range(i + 1, len(forms)):
-            da = ai - forms[j][0]
-            if da == 0:
-                continue
-            db = forms[j][1] - bi
-            if db != 0 and (db > 0) == (da > 0):
-                cands.add(Fraction(db, da))
+    cands = {lam for lam, _, _ in _axis_events(_Axis(prob.cs.x_entries, s))}
     for (a1, c1, a2, c2, *_x) in acts:
         if a1 != 0 and c1 != 0 and (c1 > 0) == (a1 > 0):
             cands.add(Fraction(c1, a1))
@@ -371,7 +349,7 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
         if hole is not None:
             tau = Point(Fraction(hole, den * s),
                         prob.box.y0 - lam * py_bottom)
-            if not _verify_internal(prob, lam, tau):
+            if not _fits(prob.pcov, prob.qcov, prob.box, lam, tau):
                 raise RuntimeError("internal inconsistency: 1D witness fails verification")
             return PlacementResult("feasible", lam, tau, stats)
     return PlacementResult("infeasible", stats=stats,

@@ -25,8 +25,8 @@ from polyplace.forbidden import (CoverUpdate, RankRect, build_sweep,
 from polyplace.geometry import AxisRect, OrthoPolygon, Placement, Point, transform
 from polyplace.hardness import brute_solve, gen_average, gen_foursum, gen_ov
 from polyplace.instances import comb_polygon, random_instance_pair, unit_square
-from polyplace.solver import (PlacementResult, _Problem, _static_hole,
-                              contains_fixed, max_scale, max_scale_baseline,
+from polyplace.solver import (PlacementResult, _Problem, contains_fixed,
+                              find_hole, max_scale, max_scale_baseline,
                               max_scale_x, verify_containment)
 
 SEED = 987123
@@ -160,7 +160,7 @@ def test_criterion_3_rank_space_equivalence():
         for lam in samples[:20]:
             closed = covers_box(list(rank_snapshot(prob.cs, lam).values()),
                                 prob.cs.rank_box)
-            open_cover = _static_hole(prob, lam) is None
+            open_cover = find_hole(prob, lam) is None
             checked += 1
             if closed != open_cover:
                 bad += 1
@@ -311,7 +311,7 @@ def test_criterion_8_maximality_and_invariance(core_batch):
                 # infeasible outright: the scaled bounding box cannot fit
                 if lam * pb.width <= qb.width and lam * pb.height <= qb.height:
                     bad += 1
-            elif _static_hole(prob, lam) is not None:
+            elif find_hole(prob, lam) is not None:
                 bad += 1
         if max_scale(inst.pattern, inst.target.translated(Point(Fraction(17), Fraction(-9)))
                      ).lambda_star != lam_star:

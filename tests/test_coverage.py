@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from conftest import (cell_grid_union_area, cell_grid_union_cells,
                       random_axis_rect)
-from polyplace.coverage import covers_box, find_hole, union_area
+from polyplace.coverage import covers_box, union_area
 from polyplace.forbidden import RankRect
 from polyplace.geometry import AxisRect
 
@@ -50,25 +50,6 @@ def test_union_order_and_duplicates_invariant(rng):
     assert base <= box.area
 
 
-def test_find_hole_real(rng):
-    box = R(0, 60, 0, 60)
-    for _ in range(60):
-        rects = [random_axis_rect(rng, 60) for _ in range(rng.randint(0, 25))]
-        hole = find_hole(rects, box)
-        if hole is None:
-            assert covers_box(rects, box)
-        else:
-            assert box.contains_point(hole)
-            assert not any(r.contains_point(hole) for r in rects)
-
-
-def test_find_hole_none_iff_covers(rng):
-    box = R(0, 20, 0, 20)
-    for _ in range(40):
-        rects = [random_axis_rect(rng, 20) for _ in range(rng.randint(1, 12))]
-        assert (find_hole(rects, box) is None) == covers_box(rects, box)
-
-
 # rank-space (cell counting) ------------------------------------------------
 
 def test_cells_basics():
@@ -79,17 +60,12 @@ def test_cells_basics():
     # box minus one missing corner cell
     rects = [RankRect(1, 4, 1, 3), RankRect(1, 3, 4, 4)]
     assert not covers_box(rects, box)
-    assert find_hole(rects, box) == (4, 4)
+    assert union_area(rects, box) == 15
 
 
 def test_degenerate_cells_count():
     # zero-width rank rects still cover their degenerate cells
     assert union_area([RankRect(2, 2, 1, 3)], (3, 3)) == 3
-
-
-def test_find_hole_cells_lexicographic():
-    rects = [RankRect(1, 4, 1, 1), RankRect(1, 1, 1, 4), RankRect(3, 4, 2, 4)]
-    assert find_hole(rects, (4, 4)) == (2, 2)
 
 
 def test_cells_match_grid_oracle(rng):
@@ -101,21 +77,3 @@ def test_cells_match_grid_oracle(rng):
             y0 = rng.randint(1, ny)
             rects.append(RankRect(x0, rng.randint(x0, nx), y0, rng.randint(y0, ny)))
         assert union_area(rects, (nx, ny)) == cell_grid_union_cells(rects, nx, ny)
-        hole = find_hole(rects, (nx, ny))
-        if hole is None:
-            assert covers_box(rects, (nx, ny))
-        else:
-            x, y = hole
-            assert not any(r.x_lo <= x <= r.x_hi and r.y_lo <= y <= r.y_hi
-                           for r in rects)
-            # lexicographically smallest uncovered cell
-            for xx in range(1, nx + 1):
-                found = False
-                for yy in range(1, ny + 1):
-                    if not any(r.x_lo <= xx <= r.x_hi and r.y_lo <= yy <= r.y_hi
-                               for r in rects):
-                        assert (xx, yy) == (x, y)
-                        found = True
-                        break
-                if found:
-                    break

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from polyplace.geometry import (AxisRect, DegenerateEdge, NonPositiveScale,
                                 NonRectilinear, Placement, Point, PolygonError,
-                                SelfIntersecting, TooFewVertices, bbox,
-                                normalize_center, polygon_area,
-                                polygon_from_obj, polygon_to_obj, rat, rat_str,
-                                transform, validate_polygon)
+                                SelfIntersecting, TooFewVertices,
+                                normalize_center, polygon_from_obj,
+                                polygon_to_obj, rat, rat_str, transform,
+                                validate_polygon)
 
 UNIT = [(0, 0), (1, 0), (1, 1), (0, 1)]
 LSHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
@@ -21,13 +21,13 @@ rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 def test_unit_square():
     poly = validate_polygon(UNIT)
     assert len(poly) == 4
-    assert polygon_area(poly) == 1
+    assert poly.area() == 1
 
 
 def test_l_shape():
     poly = validate_polygon(LSHAPE)
     assert len(poly) == 6
-    assert polygon_area(poly) == 3  # 2x2 minus the 1x1 corner
+    assert poly.area() == 3  # 2x2 minus the 1x1 corner
 
 
 def test_diagonal_edge_rejected():
@@ -66,7 +66,7 @@ def test_clockwise_input_normalized():
     ccw = validate_polygon(UNIT)
     cw = validate_polygon(list(reversed(UNIT)))
     assert cw.vertices == ccw.vertices
-    assert polygon_area(cw) > 0
+    assert cw.area() > 0
 
 
 def test_closing_duplicate_tolerated():
@@ -75,32 +75,32 @@ def test_closing_duplicate_tolerated():
 
 
 def test_bbox():
-    assert bbox(validate_polygon(UNIT)) == AxisRect(*map(Fraction, (0, 1, 0, 1)))
-    assert bbox(validate_polygon(LSHAPE)) == AxisRect(*map(Fraction, (0, 2, 0, 2)))
+    assert validate_polygon(UNIT).bounding_box() == AxisRect(*map(Fraction, (0, 1, 0, 1)))
+    assert validate_polygon(LSHAPE).bounding_box() == AxisRect(*map(Fraction, (0, 2, 0, 2)))
     moved = validate_polygon([(5, 7), (6, 7), (6, 8), (5, 8)])
-    assert bbox(moved) == AxisRect(*map(Fraction, (5, 6, 7, 8)))
+    assert moved.bounding_box() == AxisRect(*map(Fraction, (5, 6, 7, 8)))
 
 
 def test_normalize_center():
     sq, off = normalize_center(validate_polygon(UNIT))
     assert off == Point(Fraction(1, 2), Fraction(1, 2))
-    assert bbox(sq).center == Point(Fraction(0), Fraction(0))
+    assert sq.bounding_box().center == Point(Fraction(0), Fraction(0))
     again, off2 = normalize_center(sq)
     assert off2 == Point(Fraction(0), Fraction(0))
     assert again.vertices == sq.vertices
     rect, off3 = normalize_center(validate_polygon([(0, 0), (3, 0), (3, 2), (0, 2)]))
     assert off3 == Point(Fraction(3, 2), Fraction(1))
-    assert bbox(rect) == AxisRect(Fraction(-3, 2), Fraction(3, 2), Fraction(-1), Fraction(1))
+    assert rect.bounding_box() == AxisRect(Fraction(-3, 2), Fraction(3, 2), Fraction(-1), Fraction(1))
 
 
 def test_transform_examples():
     sq, _ = normalize_center(validate_polygon(UNIT))
     doubled = transform(sq, Placement(Fraction(2), Point(Fraction(0), Fraction(0))))
-    assert bbox(doubled) == AxisRect(Fraction(-1), Fraction(1), Fraction(-1), Fraction(1))
+    assert doubled.bounding_box() == AxisRect(Fraction(-1), Fraction(1), Fraction(-1), Fraction(1))
     same = transform(sq, Placement(Fraction(1), Point(Fraction(0), Fraction(0))))
     assert same.vertices == sq.vertices
     shifted = transform(sq, Placement(Fraction(1), Point(Fraction(3), Fraction(0))))
-    assert bbox(shifted) == AxisRect(Fraction(5, 2), Fraction(7, 2),
+    assert shifted.bounding_box() == AxisRect(Fraction(5, 2), Fraction(7, 2),
                                      Fraction(-1, 2), Fraction(1, 2))
 
 
@@ -134,7 +134,7 @@ def test_transform_composes(l1, l2):
 def test_area_scaling_law(lam, tx, ty):
     poly = validate_polygon(LSHAPE)
     placed = transform(poly, Placement(lam, Point(tx, ty)))
-    assert polygon_area(placed) == lam * lam * polygon_area(poly)
+    assert placed.area() == lam * lam * poly.area()
 
 
 def test_validator_rejects_perturbed(rng):

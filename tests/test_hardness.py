@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyplace.geometry import Point, bbox, validate_polygon
+from polyplace.geometry import Point, validate_polygon
 from polyplace.hardness import (NonBinaryVector, OutOfUniverse, brute_solve,
                                 gen_average, gen_foursum, gen_ov)
 from polyplace.solver import (contains_fixed, max_scale, max_scale_x,
@@ -90,8 +90,8 @@ def test_gen_average_forward_witness():
     U = inst.params.universe
     eps = inst.params.half_width
     delta = inst.params.half_width_target
-    pc = bbox(inst.pattern).center
-    qc = bbox(inst.target).center
+    pc = inst.pattern.bounding_box().center
+    qc = inst.target.bounding_box().center
     # first prong center at slot center, bounding-box bottoms aligned
     t_orig_x = (a1 + U + delta) - lam * (eps - pc.x) - pc.x
     t_orig_y = -lam * (0 - pc.y) - pc.y

@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyplace.forbidden import critical_values
 from polyplace.geometry import (Placement, Point, transform, validate_polygon)
 from polyplace.instances import random_instance_pair, unit_square
-from polyplace.solver import (_Problem, _static_hole, contains_fixed, max_scale,
+from polyplace.solver import (_Problem, contains_fixed, find_hole, max_scale,
                               max_scale_baseline, max_scale_x,
                               verify_containment)
 
@@ -85,13 +89,25 @@ def test_oracle_equivalence_small(rng):
         assert verify_containment(pat, tgt, base.lambda_star, base.witness)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_sweep_and_baseline_give_the_same_witness(seed):
+    pat, tgt = random_instance_pair(random.Random(seed), 12, 12, 20)
+    fast = max_scale(pat, tgt)
+    base = max_scale_baseline(pat, tgt)
+    assert (fast.status, fast.lambda_star, fast.witness) == \
+        (base.status, base.lambda_star, base.witness)
+    if fast.feasible:
+        assert verify_containment(pat, tgt, fast.lambda_star, fast.witness)
+
+
 def test_feasibility_persists_below(rng):
     for _ in range(6):
         pat, tgt = random_instance_pair(rng, 14, 14, 25)
         res = max_scale(pat, tgt)
         half = res.lambda_star / 2
         prob = _Problem(pat, tgt)
-        tau = _static_hole(prob, half)
+        tau = find_hole(prob, half)
         assert tau is not None
         assert verify_containment(pat, tgt, half, tau)
 
@@ -105,12 +121,12 @@ def test_maximality(rng):
         above = [c for c in crits if c > res.lambda_star]
         for lam in above:
             if lam <= prob.bbox_cap:
-                assert _static_hole(prob, lam) is None
+                assert find_hole(prob, lam) is None
         # the midpoint of the region just above the answer is infeasible too
         if above:
             mid = (res.lambda_star + min(above)) / 2
             if mid <= prob.bbox_cap:
-                assert _static_hole(prob, mid) is None
+                assert find_hole(prob, mid) is None
 
 
 def test_transformation_invariance(rng):
