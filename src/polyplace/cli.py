@@ -17,10 +17,10 @@ import time
 
 from . import dyncover, hardness, instances, svg
 from .decompose import cover_complement, cover_interior, default_scale_cap, padded_frame
-from .forbidden import read_trace
+from .forbidden import CoverUpdate, build_sweep, read_trace, write_trace
 from .geometry import (OrthoPolygon, PolygonError, Point, load_polygon,
                        normalize_center, rat, rat_json, rat_str, save_polygon)
-from .solver import (PlacementResult, contains_fixed, max_scale,
+from .solver import (PlacementResult, _Problem, contains_fixed, max_scale,
                      max_scale_baseline, max_scale_x)
 
 
@@ -82,10 +82,11 @@ def _cmd_maxscale(args) -> int:
     else:
         res = max_scale(pattern, target, impl=args.impl)
     if args.trace_out:
-        from .forbidden import build_sweep, write_trace
-        from .solver import _Problem
-        plan = build_sweep(_Problem(pattern, target).cs)
-        write_trace(args.trace_out, plan.box_cells, plan.updates)
+        # the plan max_scale ran: capped at the bbox fit, preloaded, with queries
+        prob = _Problem(pattern, target)
+        plan = build_sweep(prob.cs, start_below=prob.bbox_cap)
+        write_trace(args.trace_out, plan.box_cells, plan.updates,
+                    plan.initial, plan.query_pos)
     _emit_result(res, args.json, args.svg, pattern, target)
     return 0
 
@@ -140,12 +141,16 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_dyncover(args) -> int:
     try:
-        box, updates = read_trace(args.trace)
+        box, initial, updates, query_pos = read_trace(args.trace)
     except (OSError, ValueError) as exc:
         raise CliError(f"bad trace file {args.trace}: {exc}") from exc
-    tp = dyncover.trace_problem(box, updates)
-    idx = dyncover.first_uncover(tp, impl=args.impl)
-    print("none" if idx is None else idx)
+    preload = [CoverUpdate("add", r, uid) for uid, r in initial]
+    tp = dyncover.trace_problem(box, preload + updates)
+    try:
+        failed, _ = dyncover.run_plan(box, tp.n, initial, updates, query_pos, args.impl)
+    except dyncover.MalformedTrace as exc:
+        raise CliError(f"bad trace file {args.trace}: {exc}") from exc
+    print("none" if failed is None else failed + 1)
     return 0
 
 
@@ -250,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complement", action="store_true")
     p.set_defaults(fn=_cmd_decompose)
 
-    p = sub.add_parser("dyncover", help="first-uncover index of an update trace")
+    p = sub.add_parser("dyncover", help="first query of an update trace that finds a hole")
     p.add_argument("--trace", required=True)
     p.add_argument("--impl", choices=("naive", "oy"), default="naive")
     p.set_defaults(fn=_cmd_dyncover)

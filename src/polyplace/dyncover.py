@@ -6,12 +6,14 @@ after which the box is no longer fully covered. Two interchangeable engines:
 
 * ``naive``: a counting grid, one vectorized slice update per event. Dead
   simple, exactly correct, linear work per update in the touched area.
-* ``oy``: an Overmars-Yap structure: vertical slabs holding O(sqrt n)
-  rectangle edges each, a weighted Klee tree per slab combining the covered
-  length of slab-crossing rectangles with per-cell covered width of partial
-  rectangles, rebuilt from scratch every n updates. Amortized O(sqrt n
-  polylog) per update. The rebuild uses the upcoming batch, which is why the
-  trace must be known in advance.
+* ``oy``: an Overmars-Yap structure on integer numpy arrays: about sqrt(n)
+  vertical slabs cut at the upcoming batch's x edges, a count array of
+  slab-crossing rectangles per slab and row, a count array of the other
+  (partial) rectangles per compressed column and row, and the width each
+  slab's partials cover per row. An update is O(1) numpy calls doing
+  O(sqrt(n) * rows) integer work; a coverage read sums the slabs; the
+  structure is rebuilt from scratch every n updates. The rebuild uses the
+  upcoming batch, which is why the trace must be known in advance.
 """
 
 from __future__ import annotations
@@ -60,255 +62,60 @@ class _NaiveGrid:
         return self.total - self.zero
 
 
-class _CoverTree1D:
-    """Klee tree over fixed elementary intervals: range count, uncovered length."""
+class _SlabCover:
+    """Overmars-Yap slab structure for one batch, on integer numpy arrays.
 
-    __slots__ = ("bounds", "size", "cnt", "uncov", "lens", "total")
+    The x axis is cut into about sqrt(n) slabs at every chunk-th sorted x
+    edge of the batch universe (live set plus the batch's adds); x columns
+    and y rows are compressed from the universe's edges, so every rectangle
+    applied during the batch lands on whole columns and rows.
 
-    def __init__(self, bounds: list[int]):
-        self.bounds = bounds
-        n = max(1, len(bounds) - 1)
-        size = 1
-        while size < n:
-            size *= 2
-        self.size = size
-        self.cnt = [0] * (2 * size)
-        self.lens = [0] * (2 * size)
-        for i in range(len(bounds) - 1):
-            self.lens[size + i] = bounds[i + 1] - bounds[i]
-        for i in range(size - 1, 0, -1):
-            self.lens[i] = self.lens[2 * i] + self.lens[2 * i + 1]
-        self.uncov = list(self.lens)
-        self.total = self.lens[1]
-
-    def _pull(self, i: int) -> None:
-        if self.cnt[i] > 0:
-            self.uncov[i] = 0
-        elif i >= self.size:
-            self.uncov[i] = self.lens[i]
-        else:
-            self.uncov[i] = self.uncov[2 * i] + self.uncov[2 * i + 1]
-
-    def add(self, lo_val: int, hi_val: int, delta: int) -> None:
-        l = bisect_left(self.bounds, lo_val) + self.size
-        r = bisect_left(self.bounds, hi_val) + self.size
-        ll, rr = l, r - 1
-        while l < r:
-            if l & 1:
-                self.cnt[l] += delta
-                self._pull(l)
-                l += 1
-            if r & 1:
-                r -= 1
-                self.cnt[r] += delta
-                self._pull(r)
-            l >>= 1
-            r >>= 1
-        for i in (ll, rr):
-            i >>= 1
-            while i:
-                self._pull(i)
-                i >>= 1
-
-    @property
-    def covered(self) -> int:
-        return self.total - self.uncov[1]
-
-
-class _WeightedCoverTree:
-    """Klee tree whose uncovered length is weighted by a per-cell density.
-
-    Aggregates uncov_len (length not covered by counted ranges) and uncov_wt
-    (that length weighted by density of the cell each leaf belongs to). Nodes
-    lying inside a single cell derive their weight as density * uncov_len, so
-    a density change refreshes only the canonical nodes of the cell's range.
+    * ``cross[s, r]``: rectangles spanning all of slab s on row r.
+    * ``part[c, r]``: the other rectangles, counted on column c.
+    * ``pcov[s, r]``: width of slab s that ``part`` covers on row r,
+      refreshed only for the (at most two) end slabs an update cuts.
     """
-
-    __slots__ = ("bounds", "size", "cnt", "lens", "ulen", "uwt", "pure", "density")
-
-    def __init__(self, bounds: list[int], cell_of_leaf: list[int], ncells: int):
-        self.bounds = bounds
-        n = max(1, len(bounds) - 1)
-        size = 1
-        while size < n:
-            size *= 2
-        self.size = size
-        self.cnt = [0] * (2 * size)
-        self.lens = [0] * (2 * size)
-        self.pure = [-1] * (2 * size)
-        dummy = ncells  # zero-density cell for padding leaves
-        self.density = [0] * (ncells + 1)
-        for i in range(size):
-            leaf = size + i
-            if i < len(bounds) - 1:
-                self.lens[leaf] = bounds[i + 1] - bounds[i]
-                self.pure[leaf] = cell_of_leaf[i]
-            else:
-                self.pure[leaf] = dummy
-        for i in range(size - 1, 0, -1):
-            self.lens[i] = self.lens[2 * i] + self.lens[2 * i + 1]
-            l, r = self.pure[2 * i], self.pure[2 * i + 1]
-            self.pure[i] = l if l == r else -1
-        self.ulen = list(self.lens)
-        self.uwt = [0] * (2 * size)
-
-    def _pull(self, i: int) -> None:
-        if self.cnt[i] > 0:
-            self.ulen[i] = 0
-            self.uwt[i] = 0
-            return
-        if i >= self.size:
-            ul = self.lens[i]
-        else:
-            ul = self.ulen[2 * i] + self.ulen[2 * i + 1]
-        self.ulen[i] = ul
-        p = self.pure[i]
-        if p >= 0:
-            self.uwt[i] = self.density[p] * ul
-        else:
-            self.uwt[i] = self.uwt[2 * i] + self.uwt[2 * i + 1]
-
-    def _update_range(self, l: int, r: int, fn: Callable[[int], None]) -> None:
-        l += self.size
-        r += self.size
-        ll, rr = l, r - 1
-        while l < r:
-            if l & 1:
-                fn(l)
-                l += 1
-            if r & 1:
-                r -= 1
-                fn(r)
-            l >>= 1
-            r >>= 1
-        for i in (ll, rr):
-            i >>= 1
-            while i:
-                self._pull(i)
-                i >>= 1
-
-    def add(self, lo_val: int, hi_val: int, delta: int) -> None:
-        def bump(i: int) -> None:
-            self.cnt[i] += delta
-            self._pull(i)
-
-        l = bisect_left(self.bounds, lo_val)
-        r = bisect_left(self.bounds, hi_val)
-        self._update_range(l, r, bump)
-
-    def set_density(self, cell: int, value: int, leaf_lo: int, leaf_hi: int) -> None:
-        self.density[cell] = value
-        self._update_range(leaf_lo, leaf_hi, self._pull)
-
-    @property
-    def uncovered_len(self) -> int:
-        return self.ulen[1]
-
-    @property
-    def uncovered_weight(self) -> int:
-        return self.uwt[1]
-
-
-class _Slab:
-    __slots__ = ("x0", "x1", "width", "cellcuts", "cell_leaf_lo", "xbounds",
-                 "ytree", "xtrees", "dens", "area", "height")
-
-    def __init__(self, x0: int, x1: int, ybounds: list[int],
-                 cellcut_set: set[int], partial_x: set[int]):
-        self.x0 = x0
-        self.x1 = x1
-        self.width = x1 - x0
-        self.cellcuts = sorted(cellcut_set | {ybounds[0], ybounds[-1]})
-        self.cell_leaf_lo = [bisect_left(ybounds, c) for c in self.cellcuts]
-        ncells = len(self.cellcuts) - 1
-        cell_of_leaf = []
-        ci = 0
-        for i in range(len(ybounds) - 1):
-            while ybounds[i] >= self.cellcuts[ci + 1]:
-                ci += 1
-            cell_of_leaf.append(ci)
-        self.ytree = _WeightedCoverTree(ybounds, cell_of_leaf, ncells)
-        self.xbounds = sorted(partial_x | {x0, x1})
-        self.xtrees = [_CoverTree1D(self.xbounds) for _ in range(ncells)]
-        self.dens = [0] * ncells
-        self.height = ybounds[-1] - ybounds[0]
-        self.area = 0
-
-    def _refresh_area(self) -> None:
-        t = self.ytree
-        self.area = self.width * (self.height - t.uncovered_len) + t.uncovered_weight
-
-    def add_crossing(self, y_lo: int, y_hi: int, delta: int) -> None:
-        self.ytree.add(y_lo, y_hi, delta)
-        self._refresh_area()
-
-    def add_partial(self, x_lo: int, x_hi: int, y_lo: int, y_hi: int, delta: int) -> None:
-        xl = max(x_lo, self.x0)
-        xr = min(x_hi, self.x1)
-        ca = bisect_left(self.cellcuts, y_lo)
-        cb = bisect_left(self.cellcuts, y_hi)
-        for ci in range(ca, cb):
-            tree = self.xtrees[ci]
-            tree.add(xl, xr, delta)
-            cov = tree.covered
-            if cov != self.dens[ci]:
-                self.dens[ci] = cov
-                self.ytree.set_density(ci, cov, self.cell_leaf_lo[ci],
-                                       self.cell_leaf_lo[ci + 1])
-        self._refresh_area()
-
-
-class _OverMarsYap:
-    """One batch's structure; the engine rebuilds it every ``capacity`` updates."""
 
     def __init__(self, box: tuple[int, int], universe: Sequence[RankRect]):
         nx, ny = box
-        edges: list[int] = [1, nx + 1]
+        edges = [1, nx + 1]
         for r in universe:
-            edges.append(r.x_lo)
-            edges.append(r.x_hi + 1)
+            edges += (r.x_lo, r.x_hi + 1)
         edges.sort()
-        chunk = max(1, math.isqrt(len(edges)) + 1)
-        cutset = {1, nx + 1}
-        for i in range(0, len(edges), chunk):
-            cutset.add(edges[i])
-        self.cuts = sorted(cutset)
-        nslabs = len(self.cuts) - 1
+        xs = sorted(set(edges))
+        ys = sorted({1, ny + 1} | {r.y_lo for r in universe}
+                    | {r.y_hi + 1 for r in universe})
+        self.col = {x: i for i, x in enumerate(xs)}
+        self.row = {y: i for i, y in enumerate(ys)}
+        chunk = math.isqrt(len(edges)) + 1
+        self.cuts = sorted({0, len(xs) - 1} | {self.col[e] for e in edges[::chunk]})
+        xs_arr = np.array(xs, dtype=np.int64)
+        self.colw = np.diff(xs_arr)
+        self.slab_w = np.diff(xs_arr[self.cuts])[:, None]
+        self.h = np.diff(np.array(ys, dtype=np.int64))
+        self.cross = np.zeros((len(self.cuts) - 1, len(ys) - 1), dtype=np.int32)
+        self.part = np.zeros((len(xs) - 1, len(ys) - 1), dtype=np.int32)
+        self.pcov = np.zeros(self.cross.shape, dtype=np.int64)
 
-        ybset = {1, ny + 1}
-        for r in universe:
-            ybset.add(r.y_lo)
-            ybset.add(r.y_hi + 1)
-        ybounds = sorted(ybset)
+    def _partial(self, s: int, c0: int, c1: int, r0: int, r1: int, d: int) -> None:
+        self.part[c0:c1, r0:r1] += d
+        lo, hi = self.cuts[s], self.cuts[s + 1]
+        self.pcov[s, r0:r1] = self.colw[lo:hi] @ (self.part[lo:hi, r0:r1] > 0)
 
-        cellcuts: list[set[int]] = [set() for _ in range(nslabs)]
-        partial_x: list[set[int]] = [set() for _ in range(nslabs)]
-        for r in universe:
-            for edge in (r.x_lo, r.x_hi + 1):
-                s = bisect_right(self.cuts, edge) - 1
-                if 0 <= s < nslabs and self.cuts[s] < edge < self.cuts[s + 1]:
-                    cellcuts[s].add(r.y_lo)
-                    cellcuts[s].add(r.y_hi + 1)
-                    partial_x[s].add(edge)
-
-        self.slabs = [
-            _Slab(self.cuts[s], self.cuts[s + 1], ybounds, cellcuts[s], partial_x[s])
-            for s in range(nslabs)
-        ]
-        self.total = 0
-
-    def _apply(self, r: RankRect, delta: int) -> None:
-        x_lo, x_hi = r.x_lo, r.x_hi + 1
-        a = bisect_right(self.cuts, x_lo) - 1
-        b = bisect_left(self.cuts, x_hi) - 1
-        for s in range(max(a, 0), min(b, len(self.slabs) - 1) + 1):
-            slab = self.slabs[s]
-            before = slab.area
-            if x_lo <= slab.x0 and x_hi >= slab.x1:
-                slab.add_crossing(r.y_lo, r.y_hi + 1, delta)
-            else:
-                slab.add_partial(x_lo, x_hi, r.y_lo, r.y_hi + 1, delta)
-            self.total += slab.area - before
+    def _apply(self, r: RankRect, d: int) -> None:
+        c0, c1 = self.col[r.x_lo], self.col[r.x_hi + 1]
+        r0, r1 = self.row[r.y_lo], self.row[r.y_hi + 1]
+        cuts = self.cuts
+        a = bisect_left(cuts, c0)        # first cut at or right of x_lo
+        b = bisect_right(cuts, c1) - 1   # last cut at or left of x_hi + 1
+        if a > b:                        # no cut inside: one partial slab
+            self._partial(b, c0, c1, r0, r1, d)
+            return
+        self.cross[a:b, r0:r1] += d
+        if c0 < cuts[a]:
+            self._partial(a - 1, c0, cuts[a], r0, r1, d)
+        if cuts[b] < c1:
+            self._partial(b, cuts[b], c1, r0, r1, d)
 
     def add(self, r: RankRect) -> None:
         self._apply(r, 1)
@@ -318,7 +125,8 @@ class _OverMarsYap:
 
     @property
     def covered_cells(self) -> int:
-        return self.total
+        width = np.where(self.cross > 0, self.slab_w, self.pcov).sum(axis=0)
+        return int(self.h @ width)
 
 
 # ---------------------------------------------------------------------------
@@ -369,49 +177,33 @@ def _execute(box: tuple[int, int], capacity: int,
         else:
             raise MalformedTrace(f"unknown update kind {u.kind!r}")
 
-    if impl == "naive":
-        struct = _NaiveGrid(*box)
+    # the naive grid is one batch; the slab structure is rebuilt from the
+    # upcoming batch every ``capacity`` updates
+    step = capacity if impl == "oy" else max(1, len(updates))
+    for start in range(0, max(1, len(updates)), step):
+        batch = updates[start:start + step]
+        if impl == "oy":
+            # a malformed add without a rectangle is rejected by apply_update
+            universe = list(live.values()) + [u.rect for u in batch
+                                              if u.kind == "add" and u.rect is not None]
+            struct = _SlabCover(box, universe)
+        else:
+            struct = _NaiveGrid(*box)
         for r in live.values():
             struct.add(r)
-        if on_state(0, struct, live):
+        if start == 0 and on_state(0, struct, live):
             return
-        for k, u in enumerate(updates):
+        for k, u in enumerate(batch, start + 1):
             apply_update(struct, u)
-            if on_state(k + 1, struct, live):
-                return
-        return
-
-    k = 0
-    while True:
-        batch = updates[k:k + capacity]
-        universe = list(live.values()) + [u.rect for u in batch if u.kind == "add"]
-        struct = _OverMarsYap(box, universe)
-        for r in live.values():
-            struct.add(r)
-        if k == 0 and on_state(0, struct, live):
-            return
-        if not batch:
-            return
-        for u in batch:
-            apply_update(struct, u)
-            k += 1
             if on_state(k, struct, live):
                 return
 
 
 def first_uncover(tp: TraceProblem, impl: str = "naive") -> int | None:
     """First 1-based update index after which the box is not fully covered."""
-    full = tp.box[0] * tp.box[1]
-    found: list[int | None] = [None]
-
-    def on_state(k, struct, live):
-        if k > 0 and struct.covered_cells < full:
-            found[0] = k
-            return True
-        return False
-
-    _execute(tp.box, tp.n, [], tp.updates, impl, on_state)
-    return found[0]
+    failed, _ = run_plan(tp.box, tp.n, [], tp.updates,
+                         range(1, len(tp.updates) + 1), impl)
+    return None if failed is None else failed + 1
 
 
 def area_after_each(tp: TraceProblem, impl: str = "naive") -> list[int]:

@@ -513,34 +513,56 @@ def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan
 
 
 # ---------------------------------------------------------------------------
-# update-trace file format: header "N <nx> <ny>", then one event per line,
-# "A <id> <x_lo> <x_hi> <y_lo> <y_hi>" or "D <id>"
+# update-trace file format: header "N <nx> <ny>", then preloaded rectangles
+# "I <id> <x_lo> <x_hi> <y_lo> <y_hi>", then one event per line,
+# "A <id> <x_lo> <x_hi> <y_lo> <y_hi>" or "D <id>", then "Q <pos>" lines, one
+# per coverage query after the first <pos> events. A file without "Q" lines
+# queries after every event.
 # ---------------------------------------------------------------------------
 
-def write_trace(path: str, box_cells: tuple[int, int], updates: Sequence[CoverUpdate]) -> None:
+def write_trace(path: str, box_cells: tuple[int, int], updates: Sequence[CoverUpdate],
+                initial: Sequence[tuple[int, RankRect]], query_pos: Sequence[int]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"N {box_cells[0]} {box_cells[1]}\n")
+        for uid, r in initial:
+            fh.write(f"I {uid} {r.x_lo} {r.x_hi} {r.y_lo} {r.y_hi}\n")
         for u in updates:
             if u.kind == "add":
                 r = u.rect
                 fh.write(f"A {u.uid} {r.x_lo} {r.x_hi} {r.y_lo} {r.y_hi}\n")
             else:
                 fh.write(f"D {u.uid}\n")
+        for pos in query_pos:
+            fh.write(f"Q {pos}\n")
 
 
-def read_trace(path: str) -> tuple[tuple[int, int], list[CoverUpdate]]:
+def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
+                                   list[CoverUpdate], list[int]]:
+    """Box, preloaded rectangles, events and query positions of a trace file."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.split() for ln in fh if ln.strip()]
     if not lines or lines[0][0] != "N":
         raise ValueError("trace file must start with an 'N <nx> <ny>' header")
     box_cells = (int(lines[0][1]), int(lines[0][2]))
+    initial: list[tuple[int, RankRect]] = []
     updates: list[CoverUpdate] = []
-    for step, parts in enumerate(lines[1:]):
-        if parts[0] == "A":
+    query_pos: list[int] = []
+    for parts in lines[1:]:
+        if parts[0] in ("A", "I"):
             uid, x_lo, x_hi, y_lo, y_hi = map(int, parts[1:6])
-            updates.append(CoverUpdate("add", RankRect(x_lo, x_hi, y_lo, y_hi), uid, step))
+            r = RankRect(x_lo, x_hi, y_lo, y_hi)
+            if parts[0] == "I":
+                initial.append((uid, r))
+            else:
+                updates.append(CoverUpdate("add", r, uid, len(updates)))
         elif parts[0] == "D":
-            updates.append(CoverUpdate("delete", None, int(parts[1]), step))
+            updates.append(CoverUpdate("delete", None, int(parts[1]), len(updates)))
+        elif parts[0] == "Q":
+            query_pos.append(int(parts[1]))
         else:
             raise ValueError(f"unknown trace line {' '.join(parts)!r}")
-    return box_cells, updates
+    if query_pos != sorted(query_pos) or any(not 0 <= p <= len(updates) for p in query_pos):
+        raise ValueError("query positions must be ascending and within the events")
+    if not query_pos:
+        query_pos = list(range(1, len(updates) + 1))
+    return box_cells, initial, updates, query_pos

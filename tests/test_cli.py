@@ -1,8 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 from polyplace.cli import run
 from polyplace.geometry import Point, load_polygon, save_polygon, validate_polygon
+from polyplace.instances import comb_polygon
 from polyplace.solver import verify_containment
 
 SQ = validate_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -66,14 +68,18 @@ def test_maxscale_x(tmp_path, capsys):
 
 
 def test_maxscale_trace_out_and_dyncover(tmp_path, capsys):
-    p, q = _paths(tmp_path)
+    # the answer is at query 228 of the capped plan, far past its first update
+    p, q = tmp_path / "p.json", tmp_path / "q.json"
+    save_polygon(str(p), SQ)
+    save_polygon(str(q), comb_polygon(50, random.Random(50)))
     trace = tmp_path / "trace.txt"
-    assert run(["maxscale", "--p", p, "--q", q, "--trace-out", str(trace)]) == 0
-    capsys.readouterr()
-    assert run(["dyncover", "--trace", str(trace)]) == 0
-    naive_out = capsys.readouterr().out.strip()
-    assert run(["dyncover", "--trace", str(trace), "--impl", "oy"]) == 0
-    assert capsys.readouterr().out.strip() == naive_out
+    assert run(["maxscale", "--p", str(p), "--q", str(q), "--json",
+                "--trace-out", str(trace)]) == 0
+    queries = json.loads(capsys.readouterr().out)["stats"]["queries"]
+    assert queries > 1
+    for impl in ("naive", "oy"):
+        assert run(["dyncover", "--trace", str(trace), "--impl", impl]) == 0
+        assert capsys.readouterr().out.strip() == str(queries)
 
 
 def test_dyncover_example(tmp_path, capsys):
@@ -81,6 +87,13 @@ def test_dyncover_example(tmp_path, capsys):
     trace.write_text("N 3 3\nA 0 1 3 1 3\nD 0\n")
     assert run(["dyncover", "--trace", str(trace)]) == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+def test_dyncover_malformed_trace(tmp_path, capsys):
+    trace = tmp_path / "t.txt"
+    trace.write_text("N 3 3\nD 5\n")
+    assert run(["dyncover", "--trace", str(trace)]) == 1
+    assert "delete of dead id" in capsys.readouterr().err
 
 
 def test_gen_writes_instance(tmp_path, capsys):

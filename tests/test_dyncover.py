@@ -76,6 +76,27 @@ def test_oy_batch_boundaries(rng):
     # capacity far below the trace length forces many rebuilds
     tp = random_trace(rng, 7, 300, 25)
     assert area_after_each(tp, "oy") == area_after_each(tp, "naive")
+    # a box much wider than the capacity, with rectangles spanning every
+    # slab, rectangles whose x ends sit on a shared lattice (so on the slab
+    # cuts), and one-column rectangles
+    width, height = 400, 12
+    updates, live = [], []
+    for uid in range(300):
+        if len(live) >= 7 or (live and rng.random() < 0.4):
+            updates.append(D(live.pop(rng.randrange(len(live)))))
+            continue
+        if uid % 3 == 0:
+            x0, x1 = 1, width
+        elif uid % 3 == 1:
+            a, b = sorted(rng.sample(range(width // 40 + 1), 2))
+            x0, x1 = 40 * a + 1, 40 * b
+        else:
+            x0 = x1 = rng.randint(1, width)
+        y0 = rng.randint(1, height)
+        updates.append(A(uid, x0, x1, y0, rng.randint(y0, height)))
+        live.append(uid)
+    tp = TraceProblem(n=7, box=(width, height), updates=updates)
+    assert area_after_each(tp, "oy") == area_after_each(tp, "naive")
 
 
 def test_malformed_delete():
@@ -88,6 +109,13 @@ def test_malformed_out_of_box():
     tp = TraceProblem(2, (3, 3), [A(0, 1, 4, 1, 2)])
     with pytest.raises(MalformedTrace):
         first_uncover(tp, "naive")
+
+
+def test_malformed_add_without_rectangle():
+    tp = TraceProblem(2, (3, 3), [CoverUpdate("add", None, 0)])
+    for impl in ("naive", "oy"):
+        with pytest.raises(MalformedTrace):
+            first_uncover(tp, impl)
 
 
 def test_malformed_overflow():

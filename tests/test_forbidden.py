@@ -215,9 +215,11 @@ def test_trace_file_round_trip(tmp_path, rng):
     P, Q = random_instance_pair(rng, 12, 12, 15)
     plan = build_sweep(_Problem(P, Q).cs)
     path = tmp_path / "trace.txt"
-    write_trace(str(path), plan.box_cells, plan.updates)
-    box, updates = read_trace(str(path))
+    write_trace(str(path), plan.box_cells, plan.updates, plan.initial, plan.query_pos)
+    box, initial, updates, query_pos = read_trace(str(path))
     assert box == plan.box_cells
+    assert initial == plan.initial
+    assert query_pos == plan.query_pos
     assert len(updates) == len(plan.updates)
     for a, b in zip(updates, plan.updates):
         assert (a.kind, a.rect, a.uid) == (b.kind, b.rect, b.uid)

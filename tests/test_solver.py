@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from polyplace.forbidden import critical_values
 from polyplace.geometry import (Placement, Point, transform, validate_polygon)
-from polyplace.instances import random_instance_pair, unit_square
+from polyplace.hardness import gen_foursum
+from polyplace.instances import comb_polygon, random_instance_pair, unit_square
 from polyplace.solver import (_Problem, contains_fixed, find_hole, max_scale,
                               max_scale_baseline, max_scale_x,
                               verify_containment)
@@ -71,11 +72,16 @@ def test_max_scale_structured_shapes():
 
 
 def test_max_scale_impls_agree(rng):
-    for _ in range(8):
-        pat, tgt = random_instance_pair(rng, 16, 16, 30)
+    pairs = [random_instance_pair(rng, 16, 16, 30) for _ in range(8)]
+    # deep sweeps with many rebuilds: the answer at the comb's last critical,
+    # and a gadget with multi-way ties
+    gadget = gen_foursum([0], [3], [1], [4])
+    pairs += [(SQ, comb_polygon(50, random.Random(50))), (gadget.pattern, gadget.target)]
+    for pat, tgt in pairs:
         a = max_scale(pat, tgt, impl="oy")
         b = max_scale(pat, tgt, impl="naive")
-        assert (a.status, a.lambda_star) == (b.status, b.lambda_star)
+        assert ((a.status, a.lambda_star, a.stats.queries)
+                == (b.status, b.lambda_star, b.stats.queries))
 
 
 def test_oracle_equivalence_small(rng):
