@@ -20,8 +20,8 @@ from .decompose import cover_complement, cover_interior, default_scale_cap, padd
 from .forbidden import CoverUpdate, build_sweep, read_trace, write_trace
 from .geometry import (OrthoPolygon, PolygonError, Point, load_polygon,
                        normalize_center, rat, rat_json, rat_str, save_polygon)
-from .solver import (PlacementResult, _Problem, contains_fixed, max_scale,
-                     max_scale_baseline, max_scale_x)
+from .solver import (PlacementResult, _max_scale_and_plan, _Problem, contains_fixed,
+                     max_scale, max_scale_baseline, max_scale_x)
 
 
 class CliError(Exception):
@@ -80,11 +80,11 @@ def _cmd_maxscale(args) -> int:
     if args.baseline:
         res = max_scale_baseline(pattern, target)
     else:
-        res = max_scale(pattern, target, impl=args.impl)
+        res, plan = _max_scale_and_plan(pattern, target, args.impl)
     if args.trace_out:
-        # the plan max_scale ran: capped at the bbox fit, preloaded, with queries
-        prob = _Problem(pattern, target)
-        plan = build_sweep(prob.cs, start_below=prob.bbox_cap)
+        if args.baseline:  # the baseline runs no sweep: dump the one max_scale would run
+            prob = _Problem(pattern, target)
+            plan = build_sweep(prob.cs, start_below=prob.bbox_cap)
         write_trace(args.trace_out, plan.box_cells, plan.updates,
                     plan.initial, plan.query_pos)
     _emit_result(res, args.json, args.svg, pattern, target)
@@ -232,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--baseline", action="store_true")
-    p.add_argument("--impl", choices=("oy", "naive"), default="oy")
+    p.add_argument("--impl", choices=("naive", "oy"), default="naive")
     p.add_argument("--svg")
     p.add_argument("--json", action="store_true")
     p.add_argument("--trace-out", help="dump the rank-space update trace")

@@ -4,8 +4,12 @@ Given a preplanned add/delete trace of closed rank-space rectangles inside a
 box, report the covered-cell count after every update and the first update
 after which the box is no longer fully covered. Two interchangeable engines:
 
-* ``naive``: a counting grid, one vectorized slice update per event. Dead
-  simple, exactly correct, linear work per update in the touched area.
+* ``naive`` (the default of :func:`polyplace.solver.max_scale`): a counting
+  grid, one vectorized slice ``+=``/``-=`` per update, in int16 when the
+  live bound fits it and int32 otherwise. Holes are found on query: the
+  first query checks the whole grid; after a query that found the box full,
+  a cell can only have dropped to zero inside a rectangle removed since, so
+  the next query checks just those rectangles' slices.
 * ``oy``: an Overmars-Yap structure on integer numpy arrays: about sqrt(n)
   vertical slabs cut at the upcoming batch's x edges, a count array of
   slab-crossing rectangles per slab and row, a count array of the other
@@ -40,26 +44,43 @@ class TraceProblem:
 
 
 class _NaiveGrid:
-    """Reference engine: per-cell cover counts plus a zero-cell counter."""
+    """Counting-grid engine: per-cell cover counts, checked for holes on query.
 
-    def __init__(self, nx: int, ny: int):
-        self.grid = np.zeros((nx, ny), dtype=np.int32)
-        self.total = nx * ny
-        self.zero = nx * ny
+    ``bound`` caps every cell count (the live-set bound), so it picks the
+    count type. ``_removed`` lists the rectangles removed since the last
+    query that found the box full; it is None before the first query and
+    after one that found a hole, when the next query checks the whole grid.
+    """
+
+    def __init__(self, nx: int, ny: int, bound: int):
+        dtype = np.int16 if bound <= np.iinfo(np.int16).max else np.int32
+        self.grid = np.zeros((nx, ny), dtype=dtype)
+        self._removed: list[RankRect] | None = None
+
+    def _cells(self, r: RankRect) -> np.ndarray:
+        return self.grid[r.x_lo - 1:r.x_hi, r.y_lo - 1:r.y_hi]
 
     def add(self, r: RankRect) -> None:
-        region = self.grid[r.x_lo - 1:r.x_hi, r.y_lo - 1:r.y_hi]
-        self.zero -= int(np.count_nonzero(region == 0))
-        region += 1
+        cells = self._cells(r)
+        cells += 1
 
     def remove(self, r: RankRect) -> None:
-        region = self.grid[r.x_lo - 1:r.x_hi, r.y_lo - 1:r.y_hi]
-        region -= 1
-        self.zero += int(np.count_nonzero(region == 0))
+        cells = self._cells(r)
+        cells -= 1
+        if self._removed is not None:
+            self._removed.append(r)
+
+    def has_hole(self) -> bool:
+        if self._removed is None:
+            hole = not self.grid.all()
+        else:
+            hole = not all(self._cells(r).all() for r in self._removed)
+        self._removed = None if hole else []
+        return hole
 
     @property
     def covered_cells(self) -> int:
-        return self.total - self.zero
+        return int(np.count_nonzero(self.grid))
 
 
 class _SlabCover:
@@ -78,6 +99,7 @@ class _SlabCover:
 
     def __init__(self, box: tuple[int, int], universe: Sequence[RankRect]):
         nx, ny = box
+        self.full = nx * ny
         edges = [1, nx + 1]
         for r in universe:
             edges += (r.x_lo, r.x_hi + 1)
@@ -128,6 +150,9 @@ class _SlabCover:
         width = np.where(self.cross > 0, self.slab_w, self.pcov).sum(axis=0)
         return int(self.h @ width)
 
+    def has_hole(self) -> bool:
+        return self.covered_cells < self.full
+
 
 # ---------------------------------------------------------------------------
 # trace execution
@@ -153,6 +178,8 @@ def _execute(box: tuple[int, int], capacity: int,
     if impl not in ("naive", "oy"):
         raise ValueError(f"unknown implementation {impl!r}")
     capacity = max(1, capacity)
+    if len(initial) > 2 * capacity:
+        raise MalformedTrace("preloaded set exceeds twice the declared bound")
     live: dict[object, RankRect] = {}
     for uid, r in initial:
         _check_rect(r, box)
@@ -188,7 +215,7 @@ def _execute(box: tuple[int, int], capacity: int,
                                               if u.kind == "add" and u.rect is not None]
             struct = _SlabCover(box, universe)
         else:
-            struct = _NaiveGrid(*box)
+            struct = _NaiveGrid(*box, bound=2 * capacity)
         for r in live.values():
             struct.add(r)
         if start == 0 and on_state(0, struct, live):
@@ -229,13 +256,12 @@ def run_plan(box: tuple[int, int], capacity: int,
     Returns (index into query_positions of the first query that found the box
     uncovered, live id->rect map at that moment), or (None, None).
     """
-    full = box[0] * box[1]
     state: list = [None, None]
     qi = [0]
 
     def on_state(k, struct, live):
         while qi[0] < len(query_positions) and query_positions[qi[0]] == k:
-            if struct.covered_cells < full:
+            if struct.has_hole():
                 state[0] = qi[0]
                 state[1] = dict(live)
                 return True

@@ -29,7 +29,7 @@ import numpy as np
 from . import dyncover
 from .decompose import (RectCover, cover_complement, cover_interior,
                         default_scale_cap, padded_frame)
-from .forbidden import (_Axis, _axis_events, _axis_scale, build_sweep,
+from .forbidden import (SweepPlan, _Axis, _axis_events, _axis_scale, build_sweep,
                         coordinate_functions, critical_values)
 from .geometry import (AxisRect, NonPositiveScale, OrthoPolygon, Point,
                        Rational, normalize_center, rat_str)
@@ -248,15 +248,23 @@ def contains_fixed(pattern: OrthoPolygon, target: OrthoPolygon) -> Point | None:
 
 
 def max_scale(pattern: OrthoPolygon, target: OrthoPolygon,
-              impl: str = "oy") -> PlacementResult:
+              impl: str = "naive") -> PlacementResult:
     """Largest scale at which the pattern fits into the target.
 
     Builds the full descending-sweep trace of rank-space rectangles once,
-    then lets the offline dynamic cover structure (``impl``: "oy" or
-    "naive") execute it, stopping at the first critical whose snapshot
-    leaves a hole. The witness is the translation that the exact static
-    test (:func:`find_hole`) finds at that scale.
+    then lets the offline dynamic cover structure (``impl``: "naive", the
+    query-driven counting grid, or "oy", Overmars-Yap slabs) execute it,
+    stopping at the first critical whose snapshot leaves a hole. The naive
+    grid is the default because it is the faster engine on the comb family,
+    whose answers sit at the last critical. The witness is the translation
+    that the exact static test (:func:`find_hole`) finds at that scale.
     """
+    return _max_scale_and_plan(pattern, target, impl)[0]
+
+
+def _max_scale_and_plan(pattern: OrthoPolygon, target: OrthoPolygon,
+                        impl: str) -> tuple[PlacementResult, SweepPlan]:
+    """:func:`max_scale`, also returning the sweep plan it ran."""
     prob = _Problem(pattern, target)
     plan = build_sweep(prob.cs, start_below=prob.bbox_cap)
     stats = SolveStats(criticals=plan.skipped_above + len(plan.criticals),
@@ -268,7 +276,7 @@ def max_scale(pattern: OrthoPolygon, target: OrthoPolygon,
     if failed is None:
         stats.queries = len(plan.query_pos)
         sup = plan.criticals[-1] if plan.criticals else None
-        return PlacementResult("infeasible", stats=stats, lambda_sup=sup)
+        return PlacementResult("infeasible", stats=stats, lambda_sup=sup), plan
 
     stats.queries = failed + 1
     lam = plan.criticals[failed]
@@ -278,7 +286,7 @@ def max_scale(pattern: OrthoPolygon, target: OrthoPolygon,
                            "the static test cannot find")
     if not _fits(prob.pcov, prob.qcov, prob.box, lam, tau):
         raise RuntimeError("internal inconsistency: witness fails verification")
-    return PlacementResult("feasible", lam, tau, stats)
+    return PlacementResult("feasible", lam, tau, stats), plan
 
 
 def max_scale_baseline(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:

@@ -2,6 +2,8 @@ import json
 import random
 from fractions import Fraction
 
+import polyplace.cli
+import polyplace.solver
 from polyplace.cli import run
 from polyplace.geometry import Point, load_polygon, save_polygon, validate_polygon
 from polyplace.instances import comb_polygon
@@ -67,16 +69,22 @@ def test_maxscale_x(tmp_path, capsys):
     assert "lambda = 2/1" in capsys.readouterr().out
 
 
-def test_maxscale_trace_out_and_dyncover(tmp_path, capsys):
+def test_maxscale_trace_out_and_dyncover(tmp_path, capsys, monkeypatch):
     # the answer is at query 228 of the capped plan, far past its first update
     p, q = tmp_path / "p.json", tmp_path / "q.json"
     save_polygon(str(p), SQ)
     save_polygon(str(q), comb_polygon(50, random.Random(50)))
     trace = tmp_path / "trace.txt"
+    builds = []
+    for module in (polyplace.solver, polyplace.cli):
+        real = module.build_sweep
+        monkeypatch.setattr(module, "build_sweep",
+                            lambda *a, real=real, **k: builds.append(1) or real(*a, **k))
     assert run(["maxscale", "--p", str(p), "--q", str(q), "--json",
                 "--trace-out", str(trace)]) == 0
     queries = json.loads(capsys.readouterr().out)["stats"]["queries"]
     assert queries > 1
+    assert len(builds) == 1  # the dump is the plan the solve ran, not a rebuild
     for impl in ("naive", "oy"):
         assert run(["dyncover", "--trace", str(trace), "--impl", impl]) == 0
         assert capsys.readouterr().out.strip() == str(queries)

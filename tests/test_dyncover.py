@@ -141,6 +141,93 @@ def test_run_plan_queries(rng):
         assert failed == 0
 
 
+def random_plan(rng, n, length, width):
+    """A preloaded trace that starts covered, with sparse ascending queries.
+
+    The preload is the full box plus random rectangles; half the adds span
+    the box on one axis, so holes open and close many times. The queries
+    include position 0, repeats and long stretches without a query.
+    """
+    initial = [(0, RankRect(1, width, 1, width))]
+    for uid in range(1, rng.randint(1, n)):
+        x0, y0 = rng.randint(1, width), rng.randint(1, width)
+        initial.append((uid, RankRect(x0, rng.randint(x0, width),
+                                      y0, rng.randint(y0, width))))
+    live = [uid for uid, _ in initial]
+    updates = []
+    uid = len(initial)
+    for _ in range(length):
+        if live and (len(live) >= n or rng.random() < 0.5):
+            updates.append(D(live.pop(rng.randrange(len(live)))))
+            continue
+        a, b = sorted((rng.randint(1, width), rng.randint(1, width)))
+        if rng.random() < 0.5:
+            updates.append(A(uid, a, b, 1, width))
+        else:
+            updates.append(A(uid, 1, width, a, b))
+        live.append(uid)
+        uid += 1
+    pos = [0]
+    while pos[-1] < length:
+        r = rng.random()
+        step = 0 if r < 0.2 else rng.randint(1, 3) if r < 0.8 else rng.randint(10, 40)
+        pos.append(min(length, pos[-1] + step))
+    return initial, updates, pos
+
+
+def test_sparse_queries_differential(rng):
+    # the naive grid checks only the rectangles removed since the last query;
+    # the slab structure and a full recount after every update must agree
+    outcomes = set()
+    for _ in range(60):
+        n, width = rng.randint(3, 12), rng.randint(2, 12)
+        initial, updates, pos = random_plan(rng, n, rng.randint(20, 150), width)
+        got = [run_plan((width, width), n, initial, updates, pos, impl)[0]
+               for impl in ("naive", "oy")]
+        preload = [CoverUpdate("add", r, uid) for uid, r in initial]
+        areas = area_after_each(TraceProblem(n, (width, width), preload + updates))
+        expected = next((q for q, k in enumerate(pos)
+                         if areas[len(initial) + k - 1] < width * width), None)
+        assert got == [expected, expected]
+        outcomes.add(expected)
+    assert len(outcomes) > 10  # the first hole turns up all along the traces
+
+
+@pytest.mark.parametrize("impl", ["naive", "oy"])
+def test_hole_between_queries_is_not_reported(impl):
+    # the box loses its only cover and gets a new one between two queries
+    initial = [(0, RankRect(1, 2, 1, 2))]
+    updates = [D(0), A(1, 1, 1, 1, 2), A(2, 2, 2, 1, 2)]
+    assert run_plan((2, 2), 3, initial, updates, [0, 3], impl) == (None, None)
+
+
+@pytest.mark.parametrize("impl", ["naive", "oy"])
+def test_uncovered_preload_covered_before_first_query(impl):
+    # the preload leaves a hole that an add closes before the first query;
+    # removing the preloaded rectangle then opens it again
+    initial = [(0, RankRect(1, 1, 1, 1))]
+    updates = [A(1, 2, 2, 1, 1), A(2, 1, 1, 1, 1), D(2), D(0)]
+    failed, live = run_plan((2, 1), 3, initial, updates, [2, 3, 4], impl)
+    assert failed == 2 and set(live) == {1}
+
+
+def test_count_type_boundary():
+    # capacity 2**15 allows 2**16 live rectangles stacked on one cell; an
+    # int16 count would wrap to 0 there and read as a hole
+    stack = 2 ** 16
+    ups = [A(i, 1, 1, 1, 1) for i in range(stack)] + [D(i) for i in range(stack)]
+    tp = TraceProblem(2 ** 15, (1, 1), ups)
+    assert area_after_each(tp, "naive") == [1] * (2 * stack - 1) + [0]
+    assert first_uncover(tp, "naive") == 2 * stack
+
+
+def test_malformed_preload_overflow():
+    initial = [(i, RankRect(1, 3, 1, 3)) for i in range(3)]
+    for impl in ("naive", "oy"):
+        with pytest.raises(MalformedTrace):
+            run_plan((3, 3), 1, initial, [], [0], impl)
+
+
 def test_trace_problem_infers_bound():
     ups = [A(0, 1, 1, 1, 1), A(1, 1, 1, 1, 1), D(0), A(2, 2, 2, 2, 2)]
     tp = trace_problem((3, 3), ups)
