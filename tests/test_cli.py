@@ -77,9 +77,10 @@ def test_maxscale_trace_out_and_dyncover(tmp_path, capsys, monkeypatch):
     trace = tmp_path / "trace.txt"
     builds = []
     for module in (polyplace.solver, polyplace.cli):
-        real = module.build_sweep
-        monkeypatch.setattr(module, "build_sweep",
-                            lambda *a, real=real, **k: builds.append(1) or real(*a, **k))
+        def counted(*args, real=module.build_sweep, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, "build_sweep", counted)
     assert run(["maxscale", "--p", str(p), "--q", str(q), "--json",
                 "--trace-out", str(trace)]) == 0
     queries = json.loads(capsys.readouterr().out)["stats"]["queries"]
