@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -168,12 +168,12 @@ def _check_rect(r: RankRect | None, box: tuple[int, int]) -> None:
 
 def _execute(box: tuple[int, int], capacity: int,
              initial: Sequence[tuple[object, RankRect]],
-             updates: Sequence[CoverUpdate], impl: str,
-             on_state: Callable) -> None:
-    """Apply the trace, calling on_state(k, struct) after k applied updates.
+             updates: Sequence[CoverUpdate], impl: str) -> Iterator[tuple]:
+    """Apply the trace, yielding (k, struct, live) after k applied updates.
 
-    on_state returning True stops execution early. ``capacity`` is the
-    structure's live bound n; the oy engine rebuilds every n updates.
+    The first state is k = 0, the preloaded set alone; stop iterating to
+    stop early. ``capacity`` is the structure's live bound n; the oy engine
+    rebuilds every n updates.
     """
     if impl not in ("naive", "oy"):
         raise ValueError(f"unknown implementation {impl!r}")
@@ -218,12 +218,11 @@ def _execute(box: tuple[int, int], capacity: int,
             struct = _NaiveGrid(*box, bound=2 * capacity)
         for r in live.values():
             struct.add(r)
-        if start == 0 and on_state(0, struct, live):
-            return
+        if start == 0:
+            yield 0, struct, live
         for k, u in enumerate(batch, start + 1):
             apply_update(struct, u)
-            if on_state(k, struct, live):
-                return
+            yield k, struct, live
 
 
 def first_uncover(tp: TraceProblem, impl: str = "naive") -> int | None:
@@ -235,41 +234,27 @@ def first_uncover(tp: TraceProblem, impl: str = "naive") -> int | None:
 
 def area_after_each(tp: TraceProblem, impl: str = "naive") -> list[int]:
     """Covered-cell count after each update prefix."""
-    areas: list[int] = []
-
-    def on_state(k, struct, live):
-        if k > 0:
-            areas.append(struct.covered_cells)
-        return False
-
-    _execute(tp.box, tp.n, [], tp.updates, impl, on_state)
-    return areas
+    return [struct.covered_cells
+            for k, struct, _ in _execute(tp.box, tp.n, [], tp.updates, impl) if k > 0]
 
 
 def run_plan(box: tuple[int, int], capacity: int,
              initial: Sequence[tuple[object, RankRect]],
              updates: Sequence[CoverUpdate],
              query_positions: Sequence[int],
-             impl: str = "oy") -> tuple[int | None, dict | None]:
+             impl: str) -> tuple[int | None, dict | None]:
     """Run a preloaded trace, querying coverage at given update-prefix lengths.
 
     Returns (index into query_positions of the first query that found the box
     uncovered, live id->rect map at that moment), or (None, None).
     """
-    state: list = [None, None]
-    qi = [0]
-
-    def on_state(k, struct, live):
-        while qi[0] < len(query_positions) and query_positions[qi[0]] == k:
+    qi = 0
+    for k, struct, live in _execute(box, capacity, initial, updates, impl):
+        while qi < len(query_positions) and query_positions[qi] == k:
             if struct.has_hole():
-                state[0] = qi[0]
-                state[1] = dict(live)
-                return True
-            qi[0] += 1
-        return False
-
-    _execute(box, capacity, initial, updates, impl, on_state)
-    return state[0], state[1]
+                return qi, dict(live)
+            qi += 1
+    return None, None
 
 
 def trace_problem(box: tuple[int, int], updates: Sequence[CoverUpdate]) -> TraceProblem:

@@ -10,6 +10,11 @@ Encoding each coordinate by its rank, with every rank split into an ``end``
 integer ones whose union covers the rank-space box exactly when the real
 rectangles cover the target's bounding box.
 
+Every side is normalized once, when :func:`coordinate_functions` builds the
+:class:`CoordSets`: an integer form alpha * scale + beta over one common
+denominator, deduplicated into weighted nodes per axis. The critical scales,
+the snapshots, the sweep and the solver's static test all read that table.
+
 The sweep below walks the criticals in descending order and emits the add /
 delete trace of the closed rank rectangles, touching only the rectangles
 whose defining forms participate in a tie at each critical.
@@ -18,12 +23,13 @@ whose defining forms participate in a tie at each critical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from typing import Sequence
 
 from .decompose import RectCover
-from .geometry import AxisRect, ORIGIN, Point, Rational
+from .geometry import AxisRect, Rational
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,6 @@ class LinearRect:
     x_hi: LinearForm
     y_lo: LinearForm
     y_hi: LinearForm
-    src: tuple[int, int] = (-1, -1)
 
     def at(self, lam: Rational) -> tuple[Rational, Rational, Rational, Rational]:
         return (self.x_lo.at(lam), self.x_hi.at(lam), self.y_lo.at(lam), self.y_hi.at(lam))
@@ -63,10 +68,6 @@ class RankRect:
     y_lo: int
     y_hi: int
 
-    @property
-    def cells(self) -> int:
-        return (self.x_hi - self.x_lo + 1) * (self.y_hi - self.y_lo + 1)
-
 
 @dataclass(frozen=True)
 class CoverUpdate:
@@ -76,50 +77,97 @@ class CoverUpdate:
     at_step: int = 0     # index into the region sequence
 
 
+class _Axis:
+    """Distinct forms of one axis as integer (alpha, beta) nodes with weights.
+
+    ``node_of`` maps every owner to its node. ``keys[node]`` lists the sweep
+    keys (see :func:`_keys`) of the forms merged into the node: the owning
+    rect's index, or ``bands[k]`` for the box constant ("box", k).
+    """
+
+    __slots__ = ("alphas", "betas", "weights", "keys", "node_of")
+
+    def __init__(self, entries: Sequence[tuple[LinearForm, tuple]], scale: int,
+                 bands: str):
+        index: dict[tuple[int, int], int] = {}
+        self.alphas: list[int] = []
+        self.betas: list[int] = []
+        self.weights: list[int] = []
+        self.keys: list[list] = []
+        self.node_of: dict[tuple, int] = {}
+        for form, owner in entries:
+            a, b = form.alpha, form.beta
+            key = (a.numerator * (scale // a.denominator),
+                   b.numerator * (scale // b.denominator))
+            node = index.get(key)
+            if node is None:
+                node = len(self.alphas)
+                index[key] = node
+                self.alphas.append(key[0])
+                self.betas.append(key[1])
+                self.weights.append(0)
+                self.keys.append([])
+            self.weights[node] += 1
+            self.keys[node].append(bands[owner[1]] if owner[0] == "box" else owner[1])
+            self.node_of[owner] = node
+
+
 @dataclass
 class CoordSets:
-    """All side functions of both axes, with back-references to their owners.
+    """All side functions of both axes, with their integer normalization.
 
     ``x_entries`` / ``y_entries`` hold (form, owner) pairs where owner is
     ("lo", rect_index), ("hi", rect_index), or ("box", 0|1) for the bounding
     box constants. Entry counts are 2 * p' * q' + 2 per axis.
+
+    The integer table is built here, once, on construction: ``scale`` is the
+    lcm of all form denominators, ``xaxis`` / ``yaxis`` hold each axis's
+    distinct forms times ``scale`` as integer nodes, and ``rect_nodes[i]`` is
+    the (x_lo, x_hi, y_lo, y_hi) node ids of rectangle i's sides.
     """
 
     rects: list[LinearRect]
     x_entries: list[tuple[LinearForm, tuple]]
     y_entries: list[tuple[LinearForm, tuple]]
     box: AxisRect
+    rank_box: tuple[int, int] = field(init=False)  # cells: twice the entry counts
+    scale: int = field(init=False)
+    xaxis: _Axis = field(init=False, repr=False)
+    yaxis: _Axis = field(init=False, repr=False)
+    rect_nodes: list[tuple[int, int, int, int]] = field(init=False, repr=False)
 
-    @property
-    def rank_box(self) -> tuple[int, int]:
-        return 2 * len(self.x_entries), 2 * len(self.y_entries)
+    def __post_init__(self) -> None:
+        self.rank_box = 2 * len(self.x_entries), 2 * len(self.y_entries)
+        denoms = [1]
+        for entries in (self.x_entries, self.y_entries):
+            for form, _ in entries:
+                denoms += (form.alpha.denominator, form.beta.denominator)
+        self.scale = math.lcm(*denoms)
+        self.xaxis = _Axis(self.x_entries, self.scale, "LR")
+        self.yaxis = _Axis(self.y_entries, self.scale, "BT")
+        xn, yn = self.xaxis.node_of, self.yaxis.node_of
+        self.rect_nodes = [(xn["lo", i], xn["hi", i], yn["lo", i], yn["hi", i])
+                           for i in range(len(self.rects))]
 
 
-def forbidden_rect(p_rect: AxisRect, q_rect: AxisRect, center: Point = ORIGIN,
-                   src: tuple[int, int] = (-1, -1)) -> LinearRect:
+def forbidden_rect(p_rect: AxisRect, q_rect: AxisRect) -> LinearRect:
     """Translations for which the scaled pattern rect meets q_rect's interior.
 
-    The pattern rectangle is taken in coordinates centered on ``center`` (the
-    scaling reference point). Boundary contact is not forbidden, hence the
+    The pattern rectangle is taken in coordinates centered on the scaling
+    reference point. Boundary contact is not forbidden, hence the
     open-interval semantics.
     """
-    x0, x1 = p_rect.x0 - center.x, p_rect.x1 - center.x
-    y0, y1 = p_rect.y0 - center.y, p_rect.y1 - center.y
     return LinearRect(
-        x_lo=LinearForm(-x1, q_rect.x0),
-        x_hi=LinearForm(-x0, q_rect.x1),
-        y_lo=LinearForm(-y1, q_rect.y0),
-        y_hi=LinearForm(-y0, q_rect.y1),
-        src=src,
+        x_lo=LinearForm(-p_rect.x1, q_rect.x0),
+        x_hi=LinearForm(-p_rect.x0, q_rect.x1),
+        y_lo=LinearForm(-p_rect.y1, q_rect.y0),
+        y_hi=LinearForm(-p_rect.y0, q_rect.y1),
     )
 
 
 def coordinate_functions(pcov: RectCover, qcov: RectCover, box: AxisRect) -> CoordSets:
     """Forbidden rectangles of every cover pair plus the box constants."""
-    rects: list[LinearRect] = []
-    for i, pr in enumerate(pcov.rects):
-        for j, qr in enumerate(qcov.rects):
-            rects.append(forbidden_rect(pr, qr, src=(i, j)))
+    rects = [forbidden_rect(pr, qr) for pr in pcov.rects for qr in qcov.rects]
     x_entries: list[tuple[LinearForm, tuple]] = []
     y_entries: list[tuple[LinearForm, tuple]] = []
     for idx, lr in enumerate(rects):
@@ -135,55 +183,8 @@ def coordinate_functions(pcov: RectCover, qcov: RectCover, box: AxisRect) -> Coo
 
 
 # ---------------------------------------------------------------------------
-# integer-normalized axis tables
+# critical scales
 # ---------------------------------------------------------------------------
-
-class _Axis:
-    """Distinct forms of one axis as integer (alpha, beta) nodes with weights."""
-
-    __slots__ = ("alphas", "betas", "weights", "backs", "b0", "b1", "total")
-
-    def __init__(self, entries: Sequence[tuple[LinearForm, tuple]], scale: int):
-        index: dict[tuple[int, int], int] = {}
-        self.alphas: list[int] = []
-        self.betas: list[int] = []
-        self.weights: list[int] = []
-        self.backs: list[list[tuple]] = []
-        self.b0 = self.b1 = -1
-        for form, owner in entries:
-            a = form.alpha * scale
-            b = form.beta * scale
-            key = (a.numerator, b.numerator)
-            node = index.get(key)
-            if node is None:
-                node = len(self.alphas)
-                index[key] = node
-                self.alphas.append(key[0])
-                self.betas.append(key[1])
-                self.weights.append(0)
-                self.backs.append([])
-            self.weights[node] += 1
-            self.backs[node].append(owner)
-            if owner == ("box", 0):
-                self.b0 = node
-            elif owner == ("box", 1):
-                self.b1 = node
-        self.total = sum(self.weights)
-
-
-def _axis_scale(cs: CoordSets) -> int:
-    denoms = [1]
-    for entries in (cs.x_entries, cs.y_entries):
-        for form, _ in entries:
-            denoms.append(form.alpha.denominator)
-            denoms.append(form.beta.denominator)
-    return math.lcm(*denoms)
-
-
-def _build_axes(cs: CoordSets) -> tuple["_Axis", "_Axis", int]:
-    scale = _axis_scale(cs)
-    return _Axis(cs.x_entries, scale), _Axis(cs.y_entries, scale), scale
-
 
 def _axis_events(axis: _Axis):
     """Every pair of nodes that meet at a positive scale, as (scale, i, j)."""
@@ -218,78 +219,70 @@ def _critical_events(xaxis: _Axis, yaxis: _Axis) -> dict[Fraction, tuple[set, se
 
 def critical_values(cs: CoordSets) -> list[Rational]:
     """All positive scales where two same-axis forms meet, strictly descending."""
-    xaxis, yaxis, _ = _build_axes(cs)
-    return sorted(_critical_events(xaxis, yaxis), reverse=True)
+    return sorted(_critical_events(cs.xaxis, cs.yaxis), reverse=True)
 
 
 # ---------------------------------------------------------------------------
-# snapshots
+# rank-space rectangles and snapshots
 # ---------------------------------------------------------------------------
 
-def _full_ranks(axis: _Axis, num: int, den: int) -> dict[int, tuple[int, int]]:
-    """Rank interval of every node at scale num/den, ties grouped by value."""
-    keyed = sorted(range(len(axis.alphas)),
-                   key=lambda i: axis.alphas[i] * num + axis.betas[i] * den)
-    ranks: dict[int, tuple[int, int]] = {}
+def _keys(cs: CoordSets) -> list:
+    """Rect indices, then "L", "R", "B", "T" for the bands around the box."""
+    return [*range(len(cs.rects)), "L", "R", "B", "T"]
+
+
+def _rank_rule(cs: CoordSets, xranks: tuple[list[int], list[int]],
+               yranks: tuple[list[int], list[int]]):
+    """The closed rank rectangle of a key (see :func:`_keys`), None if empty.
+
+    ``xranks`` / ``yranks`` are the lists (lo, hi) of each node's min and max
+    rank; the rule reads them on every call, so they may change in place. An
+    open side interval (a, b) becomes [start(max rank of a), end(min rank of
+    b)]; the bands cover the rank box outside the target's bounding box.
+    """
+    (xlo, xhi), (ylo, yhi) = xranks, yranks
+    nodes = cs.rect_nodes
+    xb0, xb1 = cs.xaxis.node_of["box", 0], cs.xaxis.node_of["box", 1]
+    yb0, yb1 = cs.yaxis.node_of["box", 0], cs.yaxis.node_of["box", 1]
+    wx2, wy2 = cs.rank_box
+
+    def rect(key) -> RankRect | None:
+        if isinstance(key, int):
+            ax, bx, cy, dy = nodes[key]
+            x_lo = 2 * xhi[ax]
+            x_hi = 2 * xlo[bx] - 1
+            if x_lo > x_hi:
+                return None
+            y_lo = 2 * yhi[cy]
+            y_hi = 2 * ylo[dy] - 1
+            if y_lo > y_hi:
+                return None
+            return RankRect(x_lo, x_hi, y_lo, y_hi)
+        if key == "L":
+            return RankRect(1, 2 * xlo[xb0] - 1, 1, wy2)
+        if key == "R":
+            return RankRect(2 * xhi[xb1], wx2, 1, wy2)
+        if key == "B":
+            return RankRect(1, wx2, 1, 2 * ylo[yb0] - 1)
+        return RankRect(1, wx2, 2 * yhi[yb1], wy2)
+
+    return rect
+
+
+def _full_ranks(axis: _Axis, num: int, den: int) -> tuple[list[int], list[int]]:
+    """Min and max rank of every node at scale num/den, ties grouped by value."""
+    def value(i: int) -> int:
+        return axis.alphas[i] * num + axis.betas[i] * den
+
+    lo, hi = [0] * len(axis.alphas), [0] * len(axis.alphas)
     taken = 0
-    i = 0
-    while i < len(keyed):
-        v = axis.alphas[keyed[i]] * num + axis.betas[keyed[i]] * den
-        group = [keyed[i]]
-        i += 1
-        while i < len(keyed) and axis.alphas[keyed[i]] * num + axis.betas[keyed[i]] * den == v:
-            group.append(keyed[i])
-            i += 1
+    for _, group in groupby(sorted(range(len(axis.alphas)), key=value), key=value):
+        group = list(group)
         w = sum(axis.weights[g] for g in group)
-        interval = (taken + 1, taken + w)
         for g in group:
-            ranks[g] = interval
+            lo[g], hi[g] = taken + 1, taken + w
         taken += w
-    return ranks
-
-
-def _node_of_sides(cs: CoordSets, xaxis: _Axis, yaxis: _Axis, scale: int):
-    """Map each rect side to its axis node (mirrors the dedup in _Axis)."""
-    def index_of(axis: _Axis):
-        table = {}
-        for node in range(len(axis.alphas)):
-            table[(axis.alphas[node], axis.betas[node])] = node
-        return table
-
-    xi, yi = index_of(xaxis), index_of(yaxis)
-    nodes = []
-    for lr in cs.rects:
-        ax = xi[((lr.x_lo.alpha * scale).numerator, (lr.x_lo.beta * scale).numerator)]
-        bx = xi[((lr.x_hi.alpha * scale).numerator, (lr.x_hi.beta * scale).numerator)]
-        cy = yi[((lr.y_lo.alpha * scale).numerator, (lr.y_lo.beta * scale).numerator)]
-        dy = yi[((lr.y_hi.alpha * scale).numerator, (lr.y_hi.beta * scale).numerator)]
-        nodes.append((ax, bx, cy, dy))
-    return nodes
-
-
-def _assemble(cs: CoordSets, rect_nodes, xranks, yranks, wx2: int, wy2: int) -> dict:
-    snap: dict = {}
-    for idx in range(len(cs.rects)):
-        ax, bx, cy, dy = rect_nodes[idx]
-        x_lo = 2 * xranks[ax][1]
-        x_hi = 2 * xranks[bx][0] - 1
-        if x_lo > x_hi:
-            continue
-        y_lo = 2 * yranks[cy][1]
-        y_hi = 2 * yranks[dy][0] - 1
-        if y_lo > y_hi:
-            continue
-        snap[idx] = RankRect(x_lo, x_hi, y_lo, y_hi)
-    return snap
-
-
-def _band_rects(xaxis: _Axis, yaxis: _Axis, xranks, yranks, wx2: int, wy2: int) -> dict:
-    return {
-        "L": RankRect(1, 2 * xranks[xaxis.b0][0] - 1, 1, wy2),
-        "R": RankRect(2 * xranks[xaxis.b1][1], wx2, 1, wy2),
-        "B": RankRect(1, wx2, 1, 2 * yranks[yaxis.b0][0] - 1),
-        "T": RankRect(1, wx2, 2 * yranks[yaxis.b1][1], wy2),
-    }
+    return lo, hi
 
 
 def rank_snapshot(cs: CoordSets, lam: Rational) -> dict:
@@ -298,17 +291,17 @@ def rank_snapshot(cs: CoordSets, lam: Rational) -> dict:
     Evaluate at a critical value to get the tied snapshot, or at any interior
     point of a region between criticals (e.g. the midpoint) for the generic
     one. Keys are rect indices plus "L", "R", "B", "T" for the boundary
-    rectangles; empty rectangles are omitted.
+    rectangles; empty rectangles are omitted. The ranks come from a full sort
+    at ``lam``, independent of the sweep's incremental order.
     """
     lam = Fraction(lam)
-    xaxis, yaxis, scale = _build_axes(cs)
     num, den = lam.numerator, lam.denominator
-    xr = _full_ranks(xaxis, num, den)
-    yr = _full_ranks(yaxis, num, den)
-    wx2, wy2 = 2 * xaxis.total, 2 * yaxis.total
-    rect_nodes = _node_of_sides(cs, xaxis, yaxis, scale)
-    snap = _assemble(cs, rect_nodes, xr, yr, wx2, wy2)
-    snap.update(_band_rects(xaxis, yaxis, xr, yr, wx2, wy2))
+    rect = _rank_rule(cs, _full_ranks(cs.xaxis, num, den), _full_ranks(cs.yaxis, num, den))
+    snap: dict = {}
+    for key in _keys(cs):
+        r = rect(key)
+        if r is not None:
+            snap[key] = r
     return snap
 
 
@@ -317,9 +310,13 @@ def rank_snapshot(cs: CoordSets, lam: Rational) -> dict:
 # ---------------------------------------------------------------------------
 
 class _AxisState:
-    """Sorted order of one axis, maintained across criticals."""
+    """Sorted order of one axis, maintained across criticals.
 
-    __slots__ = ("axis", "order", "pos", "pref")
+    ``lo[node]`` / ``hi[node]`` are the node's min and max rank; while the
+    snapshot at a critical is emitted, tied nodes hold their group's interval.
+    """
+
+    __slots__ = ("axis", "order", "pos", "lo", "hi")
 
     def __init__(self, axis: _Axis, lam0: Fraction):
         self.axis = axis
@@ -327,23 +324,25 @@ class _AxisState:
         self.order = sorted(range(len(axis.alphas)),
                             key=lambda i: axis.alphas[i] * num + axis.betas[i] * den)
         self.pos = [0] * len(self.order)
-        for p, node in enumerate(self.order):
-            self.pos[node] = p
-        self.pref = [0] * (len(self.order) + 1)
-        for p, node in enumerate(self.order):
-            self.pref[p + 1] = self.pref[p] + axis.weights[node]
+        self.lo = [0] * len(self.order)
+        self.hi = [0] * len(self.order)
+        self._rerank(0, len(self.order), 0)
 
-    def rank(self, node: int) -> tuple[int, int]:
-        p = self.pos[node]
-        return self.pref[p] + 1, self.pref[p + 1]
+    def _rerank(self, start: int, stop: int, taken: int) -> None:
+        """Positions and ranks of order[start:stop], after ``taken`` ranks."""
+        for p in range(start, stop):
+            node = self.order[p]
+            self.pos[node] = p
+            self.lo[node] = taken + 1
+            taken += self.axis.weights[node]
+            self.hi[node] = taken
 
     def tie_groups(self, involved: set[int], num: int, den: int):
-        """Group the involved nodes by value at num/den; return interval map."""
+        """Group the involved nodes by value at num/den; each shares its group's ranks."""
         byval: dict[int, list[int]] = {}
         alphas, betas = self.axis.alphas, self.axis.betas
         for node in involved:
             byval.setdefault(alphas[node] * num + betas[node] * den, []).append(node)
-        tie: dict[int, tuple[int, int]] = {}
         groups: list[tuple[int, list[int]]] = []
         for nodes in byval.values():
             if len(nodes) < 2:
@@ -351,24 +350,20 @@ class _AxisState:
             ps = sorted(self.pos[n] for n in nodes)
             if ps[-1] - ps[0] != len(ps) - 1:
                 raise RuntimeError("tie group not contiguous")
-            interval = (self.pref[ps[0]] + 1, self.pref[ps[-1] + 1])
+            lo, hi = self.lo[self.order[ps[0]]], self.hi[self.order[ps[-1]]]
             for n in nodes:
-                tie[n] = interval
+                self.lo[n], self.hi[n] = lo, hi
             groups.append((ps[0], nodes))
-        return tie, groups
+        return groups
 
     def reorder_below(self, groups) -> None:
         """Resolve each tie for scales just below the critical value."""
         alphas = self.axis.alphas
-        weights = self.axis.weights
         for start, nodes in groups:
+            taken = self.lo[nodes[0]] - 1  # the group's shared interval starts here
             # value just below the critical is v - alpha*eps: descending alpha
-            nodes = sorted(nodes, key=lambda n: -alphas[n])
-            for off, node in enumerate(nodes):
-                self.order[start + off] = node
-                self.pos[node] = start + off
-            for p in range(start, start + len(nodes)):
-                self.pref[p + 1] = self.pref[p] + weights[self.order[p]]
+            self.order[start:start + len(nodes)] = sorted(nodes, key=lambda n: -alphas[n])
+            self._rerank(start, start + len(nodes), taken)
 
 
 @dataclass
@@ -397,74 +392,38 @@ def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan
     starts inside the region just above the first kept critical; the snapshot
     there is region-determined, so results at kept criticals are unchanged.
     """
-    xaxis, yaxis, scale = _build_axes(cs)
+    xaxis, yaxis = cs.xaxis, cs.yaxis
     events = _critical_events(xaxis, yaxis)
     criticals = sorted(events, reverse=True)
     skipped = 0
-    if start_below is not None:
-        while skipped < len(criticals) and criticals[skipped] > start_below:
-            skipped += 1
-        if skipped:
-            dropped_last = criticals[skipped - 1]  # smallest dropped critical
-            criticals = criticals[skipped:]
-            # any interior point of (criticals[0], dropped_last) gives the
-            # region order just above the first kept critical
-            lam0 = ((dropped_last + criticals[0]) / 2 if criticals
-                    else dropped_last + 1)
-        else:
-            lam0 = (criticals[0] + 1) if criticals else Fraction(1)
+    while (start_below is not None and skipped < len(criticals)
+           and criticals[skipped] > start_below):
+        skipped += 1
+    if skipped:
+        dropped_last = criticals[skipped - 1]  # smallest dropped critical
+        criticals = criticals[skipped:]
+        # any interior point of (criticals[0], dropped_last) gives the
+        # region order just above the first kept critical
+        lam0 = (dropped_last + criticals[0]) / 2 if criticals else dropped_last + 1
     else:
         lam0 = (criticals[0] + 1) if criticals else Fraction(1)
 
     xstate = _AxisState(xaxis, lam0)
     ystate = _AxisState(yaxis, lam0)
-    rect_nodes = _node_of_sides(cs, xaxis, yaxis, scale)
-    wx2, wy2 = 2 * xaxis.total, 2 * yaxis.total
+    rect = _rank_rule(cs, (xstate.lo, xstate.hi), (ystate.lo, ystate.hi))
 
-    EMPTY: dict[int, tuple[int, int]] = {}
-
-    def make_rect(key, xtie, ytie):
-        if isinstance(key, int):
-            ax, bx, cy, dy = rect_nodes[key]
-            x_lo = 2 * (xtie.get(ax) or xstate.rank(ax))[1]
-            x_hi = 2 * (xtie.get(bx) or xstate.rank(bx))[0] - 1
-            if x_lo > x_hi:
-                return None
-            y_lo = 2 * (ytie.get(cy) or ystate.rank(cy))[1]
-            y_hi = 2 * (ytie.get(dy) or ystate.rank(dy))[0] - 1
-            if y_lo > y_hi:
-                return None
-            return RankRect(x_lo, x_hi, y_lo, y_hi)
-        if key == "L":
-            return RankRect(1, 2 * (xtie.get(xaxis.b0) or xstate.rank(xaxis.b0))[0] - 1, 1, wy2)
-        if key == "R":
-            return RankRect(2 * (xtie.get(xaxis.b1) or xstate.rank(xaxis.b1))[1], wx2, 1, wy2)
-        if key == "B":
-            return RankRect(1, wx2, 1, 2 * (ytie.get(yaxis.b0) or ystate.rank(yaxis.b0))[0] - 1)
-        return RankRect(1, wx2, 2 * (ytie.get(yaxis.b1) or ystate.rank(yaxis.b1))[1], wy2)
-
-    current: dict = {}
+    current: dict = dict.fromkeys(_keys(cs))
     uid_of: dict = {}
     next_uid = 0
-    initial: list[tuple[int, RankRect]] = []
-    all_keys = list(range(len(cs.rects))) + ["L", "R", "B", "T"]
-    for key in all_keys:
-        r = make_rect(key, EMPTY, EMPTY)
-        current[key] = r
-        if r is not None:
-            uid_of[key] = next_uid
-            initial.append((next_uid, r))
-            next_uid += 1
-
     updates: list[CoverUpdate] = []
     query_pos: list[int] = []
 
-    def emit(keys, xtie, ytie, at_step):
+    def emit(keys, at_step):
         nonlocal next_uid
         adds = []
         dels = []
         for key in keys:
-            new = make_rect(key, xtie, ytie)
+            new = rect(key)
             old = current[key]
             if new == old:
                 continue
@@ -473,37 +432,34 @@ def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan
             current[key] = new
             if new is not None:
                 adds.append((key, new))
-        for key, rect in adds:
+        for key, r in adds:
             uid_of[key] = next_uid
-            updates.append(CoverUpdate("add", rect, next_uid, at_step))
+            updates.append(CoverUpdate("add", r, next_uid, at_step))
             next_uid += 1
         for uid in dels:
             updates.append(CoverUpdate("delete", None, uid, at_step))
 
+    emit(list(current), 0)  # the preloaded state: every nonempty rectangle
+    initial = [(u.uid, u.rect) for u in updates]
+    updates.clear()
     for ci, lam in enumerate(criticals):
         ex, ey = events[lam]
         num, den = lam.numerator, lam.denominator
-        xtie, xgroups = xstate.tie_groups(ex, num, den)
-        ytie, ygroups = ystate.tie_groups(ey, num, den)
-
-        affected: set = set()
-        for node in ex:
-            for owner in xaxis.backs[node]:
-                affected.add(("L" if owner[1] == 0 else "R") if owner[0] == "box" else owner[1])
-        for node in ey:
-            for owner in yaxis.backs[node]:
-                affected.add(("B" if owner[1] == 0 else "T") if owner[0] == "box" else owner[1])
+        xgroups = xstate.tie_groups(ex, num, den)
+        ygroups = ystate.tie_groups(ey, num, den)
+        affected = {key for node in ex for key in xaxis.keys[node]}
+        affected.update(key for node in ey for key in yaxis.keys[node])
         keys = sorted(affected, key=lambda k: (isinstance(k, str), str(k)))
 
-        emit(keys, xtie, ytie, 2 * ci + 1)
+        emit(keys, 2 * ci + 1)
         query_pos.append(len(updates))
         xstate.reorder_below(xgroups)
         ystate.reorder_below(ygroups)
-        emit(keys, EMPTY, EMPTY, 2 * ci + 2)
+        emit(keys, 2 * ci + 2)
 
     return SweepPlan(
         criticals=criticals,
-        box_cells=(wx2, wy2),
+        box_cells=cs.rank_box,
         initial=initial,
         updates=updates,
         query_pos=query_pos,
@@ -519,6 +475,8 @@ def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan
 # per coverage query after the first <pos> events. A file without "Q" lines
 # queries after every event.
 # ---------------------------------------------------------------------------
+
+_TRACE_FIELDS = {"I": 6, "A": 6, "D": 2, "Q": 2}  # fields of each body line
 
 def write_trace(path: str, box_cells: tuple[int, int], updates: Sequence[CoverUpdate],
                 initial: Sequence[tuple[int, RankRect]], query_pos: Sequence[int]) -> None:
@@ -541,15 +499,19 @@ def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
     """Box, preloaded rectangles, events and query positions of a trace file."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.split() for ln in fh if ln.strip()]
-    if not lines or lines[0][0] != "N":
+    if not lines or lines[0][0] != "N" or len(lines[0]) != 3:
         raise ValueError("trace file must start with an 'N <nx> <ny>' header")
     box_cells = (int(lines[0][1]), int(lines[0][2]))
+    if min(box_cells) < 1:
+        raise ValueError(f"box {box_cells[0]} x {box_cells[1]} has no cells")
     initial: list[tuple[int, RankRect]] = []
     updates: list[CoverUpdate] = []
     query_pos: list[int] = []
     for parts in lines[1:]:
+        if _TRACE_FIELDS.get(parts[0]) != len(parts):
+            raise ValueError(f"bad trace line {' '.join(parts)!r}")
         if parts[0] in ("A", "I"):
-            uid, x_lo, x_hi, y_lo, y_hi = map(int, parts[1:6])
+            uid, x_lo, x_hi, y_lo, y_hi = map(int, parts[1:])
             r = RankRect(x_lo, x_hi, y_lo, y_hi)
             if parts[0] == "I":
                 initial.append((uid, r))
@@ -557,10 +519,8 @@ def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
                 updates.append(CoverUpdate("add", r, uid, len(updates)))
         elif parts[0] == "D":
             updates.append(CoverUpdate("delete", None, int(parts[1]), len(updates)))
-        elif parts[0] == "Q":
-            query_pos.append(int(parts[1]))
         else:
-            raise ValueError(f"unknown trace line {' '.join(parts)!r}")
+            query_pos.append(int(parts[1]))
     if query_pos != sorted(query_pos) or any(not 0 <= p <= len(updates) for p in query_pos):
         raise ValueError("query positions must be ascending and within the events")
     if not query_pos:

@@ -29,8 +29,8 @@ import numpy as np
 from . import dyncover
 from .decompose import (RectCover, cover_complement, cover_interior,
                         default_scale_cap, padded_frame)
-from .forbidden import (SweepPlan, _Axis, _axis_events, _axis_scale, build_sweep,
-                        coordinate_functions, critical_values)
+from .forbidden import (SweepPlan, _axis_events, build_sweep, coordinate_functions,
+                        critical_values)
 from .geometry import (AxisRect, NonPositiveScale, OrthoPolygon, Point,
                        Rational, normalize_center, rat_str)
 
@@ -72,10 +72,10 @@ class PlacementResult:
 
 
 class _Problem:
-    """Centered covers, coordinate functions, and integer-normalized sides."""
+    """Centered covers, coordinate functions, and the integer sides of ``cs``."""
 
     __slots__ = ("pattern", "target", "pcov", "qcov", "box", "cs", "bbox_cap",
-                 "scale", "sides", "bx0", "bx1", "by0", "by1", "pat_box")
+                 "sides", "bx0", "bx1", "by0", "by1", "pat_box")
 
     def __init__(self, pattern: OrthoPolygon, target: OrthoPolygon,
                  min_cap: Rational = Fraction(1)):
@@ -89,22 +89,17 @@ class _Problem:
         self.pcov = cover_interior(self.pattern)
         self.qcov = cover_complement(self.target, frame, pad)
         self.box = qb
-        self.cs = coordinate_functions(self.pcov, self.qcov, qb)
+        self.cs = cs = coordinate_functions(self.pcov, self.qcov, qb)
         # no scale above the bbox-fit ratio can be feasible; queries past it
         # would also outrun the finite frame, so they are answered by this cap
         self.bbox_cap = min(qb.width / pb.width, qb.height / pb.height)
 
-        s = _axis_scale(self.cs)
-        self.scale = s
-        self.sides = [
-            (int(r.x_lo.alpha * s), int(r.x_lo.beta * s),
-             int(r.x_hi.alpha * s), int(r.x_hi.beta * s),
-             int(r.y_lo.alpha * s), int(r.y_lo.beta * s),
-             int(r.y_hi.alpha * s), int(r.y_hi.beta * s))
-            for r in self.cs.rects
-        ]
-        self.bx0, self.bx1 = int(qb.x0 * s), int(qb.x1 * s)
-        self.by0, self.by1 = int(qb.y0 * s), int(qb.y1 * s)
+        xa, xb = cs.xaxis.alphas, cs.xaxis.betas
+        ya, yb = cs.yaxis.alphas, cs.yaxis.betas
+        self.sides = [(xa[a], xb[a], xa[b], xb[b], ya[c], yb[c], ya[d], yb[d])
+                      for a, b, c, d in cs.rect_nodes]
+        self.bx0, self.bx1 = (xb[cs.xaxis.node_of["box", k]] for k in (0, 1))
+        self.by0, self.by1 = (yb[cs.yaxis.node_of["box", k]] for k in (0, 1))
 
 
 def _item_span(vals: list[int], lo: int, hi: int) -> tuple[int, int]:
@@ -189,8 +184,8 @@ def find_hole(prob: _Problem, lam: Rational) -> Point | None:
             region += 1
         if zeros:
             j = int(np.flatnonzero(cnt == 0)[0])
-            return Point(_item_value(xs, i, den * prob.scale),
-                         _item_value(ys, j, den * prob.scale))
+            return Point(_item_value(xs, i, den * prob.cs.scale),
+                         _item_value(ys, j, den * prob.cs.scale))
         for (a, b) in ends[i]:
             region = cnt[a:b + 1]
             region -= 1
@@ -317,7 +312,7 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
     box's x extent at each.
     """
     prob = _Problem(pattern, target)
-    s = prob.scale
+    s = prob.cs.scale
     py_bottom = prob.pat_box.y0  # centered pattern's bbox bottom
     pb_s = int(py_bottom * s)
     # placed rect's vertical extent is lam*(y - py_bottom) + target_box.y0;
@@ -331,7 +326,7 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
         c2 = yb - prob.by0
         acts.append((a1, c1, a2, c2, xa, xb, Xa, Xb))
 
-    cands = {lam for lam, _, _ in _axis_events(_Axis(prob.cs.x_entries, s))}
+    cands = {lam for lam, _, _ in _axis_events(prob.cs.xaxis)}
     for (a1, c1, a2, c2, *_x) in acts:
         if a1 != 0 and c1 != 0 and (c1 > 0) == (a1 > 0):
             cands.add(Fraction(c1, a1))

@@ -100,9 +100,21 @@ def test_dyncover_example(tmp_path, capsys):
 
 def test_dyncover_malformed_trace(tmp_path, capsys):
     trace = tmp_path / "t.txt"
-    trace.write_text("N 3 3\nD 5\n")
-    assert run(["dyncover", "--trace", str(trace)]) == 1
-    assert "delete of dead id" in capsys.readouterr().err
+    cases = [
+        ("N 3 3\nD 5\n", "delete of dead id"),
+        ("N 4\n", "header"),                       # missing box size
+        ("N 3 3\nD\n", "bad trace line 'D'"),      # delete without an id
+        ("N 3 3\nQ\n", "bad trace line 'Q'"),      # query without a position
+        ("N 3 3\nA 0 1 3 1\n", "bad trace line"),  # add with a missing side
+        ("N -1 4\n", "no cells"),                  # negative box size
+        ("N 3 0\n", "no cells"),
+    ]
+    for text, message in cases:
+        trace.write_text(text)
+        assert run(["dyncover", "--trace", str(trace)]) == 1, text
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad trace file") and message in err, (text, err)
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_gen_writes_instance(tmp_path, capsys):

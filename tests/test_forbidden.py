@@ -78,14 +78,13 @@ def test_coordinate_counts():
 
 def _coordsets_from_forms(x_forms, y_forms):
     box = R(0, 1, 0, 1)
-    cs = CoordSets(rects=[], x_entries=[], y_entries=[], box=box)
-    cs.x_entries = [(f, ("lo", i)) for i, f in enumerate(x_forms)]
-    cs.x_entries += [(LinearForm(F(0), box.x0), ("box", 0)),
-                     (LinearForm(F(0), box.x1), ("box", 1))]
-    cs.y_entries = [(f, ("lo", i)) for i, f in enumerate(y_forms)]
-    cs.y_entries += [(LinearForm(F(0), box.y0), ("box", 0)),
-                     (LinearForm(F(0), box.y1), ("box", 1))]
-    return cs
+    x_entries = [(f, ("lo", i)) for i, f in enumerate(x_forms)]
+    x_entries += [(LinearForm(F(0), box.x0), ("box", 0)),
+                  (LinearForm(F(0), box.x1), ("box", 1))]
+    y_entries = [(f, ("lo", i)) for i, f in enumerate(y_forms)]
+    y_entries += [(LinearForm(F(0), box.y0), ("box", 0)),
+                  (LinearForm(F(0), box.y1), ("box", 1))]
+    return CoordSets(rects=[], x_entries=x_entries, y_entries=y_entries, box=box)
 
 
 def test_critical_values_examples():
@@ -195,7 +194,7 @@ def test_open_closed_equivalence(rng):
 
 def test_tie_group_without_a_pair_raises():
     axis = _Axis([(LinearForm(F(0), F(0)), ("box", 0)),
-                  (LinearForm(F(1), F(1)), ("box", 1))], 1)
+                  (LinearForm(F(1), F(1)), ("box", 1))], 1, "LR")
     state = _AxisState(axis, F(1))
     with pytest.raises(RuntimeError, match="coinciding pair"):
         state.tie_groups({0}, 1, 1)

@@ -194,3 +194,21 @@ def test_result_serialization():
     lam = Fraction(obj["lambda"])
     tau = Point(Fraction(obj["tau"][0]), Fraction(obj["tau"][1]))
     assert verify_containment(SQ, WIDE, lam, tau)
+
+
+def test_dumbbell_feasibility_is_not_monotone():
+    # two 10x10 squares joined by a 10x2 bar, placed into itself: the two
+    # squares fit only at full size (lambda = 1); just below, they no longer
+    # reach both ends and cannot enter the bar, and the whole pattern fits
+    # into one square again only once its width 30 * lambda is at most 10
+    bell = validate_polygon([(0, 0), (10, 0), (10, 4), (20, 4), (20, 0), (30, 0),
+                             (30, 10), (20, 10), (20, 6), (10, 6), (10, 10), (0, 10)])
+    for res in (max_scale(bell, bell), max_scale_baseline(bell, bell)):
+        assert res.feasible and res.lambda_star == 1
+        assert verify_containment(bell, bell, res.lambda_star, res.witness)
+    prob = _Problem(bell, bell)
+    assert find_hole(prob, F(99, 100)) is None
+    assert find_hole(prob, F(2, 5)) is None
+    for lam in (F(1, 3), F(1, 4)):
+        tau = find_hole(prob, lam)
+        assert tau is not None and verify_containment(bell, bell, lam, tau)

@@ -1,0 +1,15 @@
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "polyplace"
+
+
+def test_no_assert_statements_in_the_package():
+    # runtime invariants must raise real exceptions: python -O strips asserts
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 10
+    found = [f"{path.name}:{node.lineno}"
+             for path in modules
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in the package: {found}"
