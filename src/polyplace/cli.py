@@ -1,27 +1,24 @@
 """Command-line front end.
 
 Subcommands: validate, contain, maxscale, maxscale-x, gen, decompose,
-dyncover, bench, plot. Rationals print as "num/den"; machine errors go to
+dyncover, plot. Rationals print as "num/den"; machine errors go to
 stderr as a single line and exit nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
-import random
 import sys
-import time
 
-from . import dyncover, hardness, instances, svg
+from . import dyncover, hardness, svg
 from .decompose import cover_complement, cover_interior, default_scale_cap, padded_frame
-from .forbidden import CoverUpdate, build_sweep, read_trace, write_trace
+from .forbidden import build_sweep, read_trace, write_trace
 from .geometry import (OrthoPolygon, PolygonError, Point, load_polygon,
                        normalize_center, rat, rat_json, rat_str, save_polygon)
 from .solver import (PlacementResult, _max_scale_and_plan, _Problem, contains_fixed,
-                     max_scale, max_scale_baseline, max_scale_x)
+                     max_scale_baseline, max_scale_x)
 
 
 class CliError(Exception):
@@ -99,8 +96,13 @@ def _cmd_maxscale_x(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        sets = json.load(fh)
+    try:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            sets = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"bad generator input {args.input}: {exc}") from exc
+    if not isinstance(sets, dict):
+        raise CliError(f"bad generator input {args.input}: not a JSON object")
     try:
         if args.kind == "ov":
             inst = hardness.gen_ov(sets["A"], sets["B"])
@@ -108,7 +110,7 @@ def _cmd_gen(args) -> int:
             inst = hardness.gen_average(sets["A"])
         else:
             inst = hardness.gen_foursum(sets["A1"], sets["A2"], sets["B1"], sets["B2"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad generator input: {exc}") from exc
     os.makedirs(args.out_dir, exist_ok=True)
     save_polygon(os.path.join(args.out_dir, "P.json"), inst.pattern)
@@ -144,8 +146,7 @@ def _cmd_dyncover(args) -> int:
         box, initial, updates, query_pos = read_trace(args.trace)
     except (OSError, ValueError) as exc:
         raise CliError(f"bad trace file {args.trace}: {exc}") from exc
-    preload = [CoverUpdate("add", r, uid) for uid, r in initial]
-    tp = dyncover.trace_problem(box, preload + updates)
+    tp = dyncover.trace_problem(box, initial + updates)
     try:
         failed, _ = dyncover.run_plan(box, tp.n, initial, updates, query_pos, args.impl)
     except dyncover.MalformedTrace as exc:
@@ -160,56 +161,18 @@ def _cmd_plot(args) -> int:
         pattern = _load(args.p) if args.p else None
         if pattern is None:
             raise CliError("--placement requires --p")
-        lam, tx, ty = (rat(v) for v in args.placement)
+        try:
+            lam, tx, ty = (rat(v) for v in args.placement)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise CliError(f"bad placement {' '.join(args.placement)}: {exc}") from exc
+        if lam <= 0:
+            raise CliError(f"bad placement: scale {rat_str(lam)} is not positive")
         out = svg.render_placement(pattern, target, lam, Point(tx, ty))
     else:
         out = svg.render(target)
     with open(args.svg, "w", encoding="utf-8") as fh:
         fh.write(out)
     print(f"wrote {args.svg}")
-    return 0
-
-
-def _bench_instances(suite: str, sizes: list[int], rng: random.Random):
-    if suite == "generated":
-        pattern = instances.unit_square()
-        for q in sizes:
-            yield q, pattern, instances.comb_polygon(q, rng)
-    else:
-        for q in sizes:
-            pattern = instances.random_orthogonal_polygon(rng, 8, span=5)
-            target = instances.random_orthogonal_polygon(rng, q, span=max(10, q))
-            yield q, pattern, target
-
-
-def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    seed = int(os.environ.get("POLYPLACE_SEED", "0"))
-    rng = random.Random(seed)
-    rows = []
-    for q, pattern, target in _bench_instances(args.suite, sizes, rng):
-        t0 = time.perf_counter()
-        fast = max_scale(pattern, target, impl="oy")
-        t1 = time.perf_counter()
-        base = max_scale_baseline(pattern, target)
-        t2 = time.perf_counter()
-        if fast.lambda_star != base.lambda_star:
-            raise CliError(f"solver mismatch on q={q}: "
-                           f"{fast.lambda_star} vs {base.lambda_star}")
-        rows.append({
-            "p": len(pattern), "q": len(target),
-            "L": fast.stats.criticals, "updates": fast.stats.updates,
-            "t_fast_ms": round((t1 - t0) * 1000, 3),
-            "t_base_ms": round((t2 - t1) * 1000, 3),
-        })
-        print(f"q={q}: L={rows[-1]['L']} updates={rows[-1]['updates']} "
-              f"fast={rows[-1]['t_fast_ms']}ms base={rows[-1]['t_base_ms']}ms")
-    with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["p", "q", "L", "updates",
-                                                "t_fast_ms", "t_base_ms"])
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {args.csv}")
     return 0
 
 
@@ -259,12 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.add_argument("--impl", choices=("naive", "oy"), default="naive")
     p.set_defaults(fn=_cmd_dyncover)
-
-    p = sub.add_parser("bench", help="compare sweep and baseline wall times")
-    p.add_argument("--suite", choices=("random", "generated"), default="generated")
-    p.add_argument("--sizes", required=True, help="comma-separated target vertex counts")
-    p.add_argument("--csv", required=True)
-    p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("plot", help="render a polygon (and placement) to SVG")
     p.add_argument("--p")

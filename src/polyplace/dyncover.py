@@ -2,7 +2,8 @@
 
 Given a preplanned add/delete trace of closed rank-space rectangles inside a
 box, report the covered-cell count after every update and the first update
-after which the box is no longer fully covered. Two interchangeable engines:
+after which the box is no longer fully covered. An update is (id, RankRect)
+for an add and (id, None) for a delete. Two interchangeable engines:
 
 * ``naive`` (the default of :func:`polyplace.solver.max_scale`): a counting
   grid, one vectorized slice ``+=``/``-=`` per update, in int16 when the
@@ -29,7 +30,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .forbidden import CoverUpdate, RankRect
+from .forbidden import RankRect
+
+Update = tuple[object, "RankRect | None"]
 
 
 class MalformedTrace(ValueError):
@@ -40,7 +43,7 @@ class MalformedTrace(ValueError):
 class TraceProblem:
     n: int                      # max live-rectangle bound (structure capacity)
     box: tuple[int, int]        # cells [1, nx] x [1, ny]
-    updates: list[CoverUpdate]
+    updates: list[Update]
 
 
 class _NaiveGrid:
@@ -158,9 +161,7 @@ class _SlabCover:
 # trace execution
 # ---------------------------------------------------------------------------
 
-def _check_rect(r: RankRect | None, box: tuple[int, int]) -> None:
-    if r is None:
-        raise MalformedTrace("add without a rectangle")
+def _check_rect(r: RankRect, box: tuple[int, int]) -> None:
     nx, ny = box
     if not (1 <= r.x_lo <= r.x_hi <= nx and 1 <= r.y_lo <= r.y_hi <= ny):
         raise MalformedTrace(f"rectangle {r} outside box {box}")
@@ -168,7 +169,7 @@ def _check_rect(r: RankRect | None, box: tuple[int, int]) -> None:
 
 def _execute(box: tuple[int, int], capacity: int,
              initial: Sequence[tuple[object, RankRect]],
-             updates: Sequence[CoverUpdate], impl: str) -> Iterator[tuple]:
+             updates: Sequence[Update], impl: str) -> Iterator[tuple]:
     """Apply the trace, yielding (k, struct, live) after k applied updates.
 
     The first state is k = 0, the preloaded set alone; stop iterating to
@@ -187,22 +188,20 @@ def _execute(box: tuple[int, int], capacity: int,
             raise MalformedTrace(f"duplicate id {uid!r}")
         live[uid] = r
 
-    def apply_update(struct, u: CoverUpdate) -> None:
-        if u.kind == "add":
-            _check_rect(u.rect, box)
-            if u.uid in live:
-                raise MalformedTrace(f"duplicate id {u.uid!r}")
-            if len(live) >= 2 * capacity:
-                raise MalformedTrace("live set exceeds twice the declared bound")
-            live[u.uid] = u.rect
-            struct.add(u.rect)
-        elif u.kind == "delete":
-            rect = live.pop(u.uid, None)
-            if rect is None:
-                raise MalformedTrace(f"delete of dead id {u.uid!r}")
-            struct.remove(rect)
-        else:
-            raise MalformedTrace(f"unknown update kind {u.kind!r}")
+    def apply_update(struct, uid, r: RankRect | None) -> None:
+        if r is None:
+            r = live.pop(uid, None)
+            if r is None:
+                raise MalformedTrace(f"delete of dead id {uid!r}")
+            struct.remove(r)
+            return
+        _check_rect(r, box)
+        if uid in live:
+            raise MalformedTrace(f"duplicate id {uid!r}")
+        if len(live) >= 2 * capacity:
+            raise MalformedTrace("live set exceeds twice the declared bound")
+        live[uid] = r
+        struct.add(r)
 
     # the naive grid is one batch; the slab structure is rebuilt from the
     # upcoming batch every ``capacity`` updates
@@ -210,9 +209,7 @@ def _execute(box: tuple[int, int], capacity: int,
     for start in range(0, max(1, len(updates)), step):
         batch = updates[start:start + step]
         if impl == "oy":
-            # a malformed add without a rectangle is rejected by apply_update
-            universe = list(live.values()) + [u.rect for u in batch
-                                              if u.kind == "add" and u.rect is not None]
+            universe = list(live.values()) + [r for _, r in batch if r is not None]
             struct = _SlabCover(box, universe)
         else:
             struct = _NaiveGrid(*box, bound=2 * capacity)
@@ -220,8 +217,8 @@ def _execute(box: tuple[int, int], capacity: int,
             struct.add(r)
         if start == 0:
             yield 0, struct, live
-        for k, u in enumerate(batch, start + 1):
-            apply_update(struct, u)
+        for k, (uid, r) in enumerate(batch, start + 1):
+            apply_update(struct, uid, r)
             yield k, struct, live
 
 
@@ -240,7 +237,7 @@ def area_after_each(tp: TraceProblem, impl: str = "naive") -> list[int]:
 
 def run_plan(box: tuple[int, int], capacity: int,
              initial: Sequence[tuple[object, RankRect]],
-             updates: Sequence[CoverUpdate],
+             updates: Sequence[Update],
              query_positions: Sequence[int],
              impl: str) -> tuple[int | None, dict | None]:
     """Run a preloaded trace, querying coverage at given update-prefix lengths.
@@ -257,14 +254,14 @@ def run_plan(box: tuple[int, int], capacity: int,
     return None, None
 
 
-def trace_problem(box: tuple[int, int], updates: Sequence[CoverUpdate]) -> TraceProblem:
+def trace_problem(box: tuple[int, int], updates: Sequence[Update]) -> TraceProblem:
     """Wrap raw updates, inferring the live bound from the trace itself."""
     live: set = set()
     peak = 1
-    for u in updates:
-        if u.kind == "add":
-            live.add(u.uid)
+    for uid, r in updates:
+        if r is None:
+            live.discard(uid)
         else:
-            live.discard(u.uid)
+            live.add(uid)
         peak = max(peak, len(live))
     return TraceProblem(n=peak, box=box, updates=list(updates))

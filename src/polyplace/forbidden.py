@@ -14,10 +14,14 @@ Every side is normalized once, when :func:`coordinate_functions` builds the
 :class:`CoordSets`: an integer form alpha * scale + beta over one common
 denominator, deduplicated into weighted nodes per axis. The critical scales,
 the snapshots, the sweep and the solver's static test all read that table.
+A critical scale is the integer pair (db, da), da > 0, ordered by an exact
+integer key; it becomes a ``Fraction`` only where a solver returns it.
 
 The sweep below walks the criticals in descending order and emits the add /
 delete trace of the closed rank rectangles, touching only the rectangles
-whose defining forms participate in a tie at each critical.
+whose defining forms participate in a tie at each critical. Rectangles are
+keyed 0..n-1, then n..n+3 for the bands L, R, B, T around the box; an
+update is (key, RankRect) for an add and (key, None) for a delete.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .decompose import RectCover
 from .geometry import AxisRect, Rational
@@ -59,8 +63,7 @@ class LinearRect:
         return (self.x_lo.at(lam), self.x_hi.at(lam), self.y_lo.at(lam), self.y_hi.at(lam))
 
 
-@dataclass(frozen=True)
-class RankRect:
+class RankRect(NamedTuple):
     """Closed rectangle in start/end rank coordinates (integers)."""
 
     x_lo: int
@@ -69,31 +72,24 @@ class RankRect:
     y_hi: int
 
 
-@dataclass(frozen=True)
-class CoverUpdate:
-    kind: str            # "add" | "delete"
-    rect: RankRect | None
-    uid: object          # stable rectangle identity (int in sweep traces)
-    at_step: int = 0     # index into the region sequence
-
-
 class _Axis:
     """Distinct forms of one axis as integer (alpha, beta) nodes with weights.
 
     ``node_of`` maps every owner to its node. ``keys[node]`` lists the sweep
-    keys (see :func:`_keys`) of the forms merged into the node: the owning
-    rect's index, or ``bands[k]`` for the box constant ("box", k).
+    keys of the forms merged into the node: the owning rect's index, or
+    ``band + k`` for the box constant ("box", k), where ``band`` is the key
+    of the axis's lower band (L on x, B on y).
     """
 
     __slots__ = ("alphas", "betas", "weights", "keys", "node_of")
 
     def __init__(self, entries: Sequence[tuple[LinearForm, tuple]], scale: int,
-                 bands: str):
+                 band: int):
         index: dict[tuple[int, int], int] = {}
         self.alphas: list[int] = []
         self.betas: list[int] = []
         self.weights: list[int] = []
-        self.keys: list[list] = []
+        self.keys: list[list[int]] = []
         self.node_of: dict[tuple, int] = {}
         for form, owner in entries:
             a, b = form.alpha, form.beta
@@ -108,7 +104,7 @@ class _Axis:
                 self.weights.append(0)
                 self.keys.append([])
             self.weights[node] += 1
-            self.keys[node].append(bands[owner[1]] if owner[0] == "box" else owner[1])
+            self.keys[node].append(band + owner[1] if owner[0] == "box" else owner[1])
             self.node_of[owner] = node
 
 
@@ -143,8 +139,9 @@ class CoordSets:
             for form, _ in entries:
                 denoms += (form.alpha.denominator, form.beta.denominator)
         self.scale = math.lcm(*denoms)
-        self.xaxis = _Axis(self.x_entries, self.scale, "LR")
-        self.yaxis = _Axis(self.y_entries, self.scale, "BT")
+        n = len(self.rects)
+        self.xaxis = _Axis(self.x_entries, self.scale, n)
+        self.yaxis = _Axis(self.y_entries, self.scale, n + 2)
         xn, yn = self.xaxis.node_of, self.yaxis.node_of
         self.rect_nodes = [(xn["lo", i], xn["hi", i], yn["lo", i], yn["hi", i])
                            for i in range(len(self.rects))]
@@ -187,7 +184,7 @@ def coordinate_functions(pcov: RectCover, qcov: RectCover, box: AxisRect) -> Coo
 # ---------------------------------------------------------------------------
 
 def _axis_events(axis: _Axis):
-    """Every pair of nodes that meet at a positive scale, as (scale, i, j)."""
+    """Every pair of nodes that meet at a positive scale db / da, as (db, da, i, j)."""
     alphas, betas = axis.alphas, axis.betas
     n = len(alphas)
     for i in range(n):
@@ -198,56 +195,63 @@ def _axis_events(axis: _Axis):
             if da == 0:
                 continue  # parallel forms never meet
             db = betas[j] - bi
-            if db == 0 or (db > 0) != (da > 0):
-                continue  # meeting point at scale <= 0
-            yield Fraction(db, da), i, j
+            if da < 0:
+                da, db = -da, -db
+            if db > 0:  # otherwise they meet at a scale <= 0
+                yield db, da, i, j
 
 
-def _critical_events(xaxis: _Axis, yaxis: _Axis) -> dict[Fraction, tuple[set, set]]:
-    """Each critical scale with the x and y nodes that meet there."""
-    events: dict[Fraction, tuple[set, set]] = {}
-    for slot, axis in enumerate((xaxis, yaxis)):
-        for lam, i, j in _axis_events(axis):
-            ev = events.get(lam)
+def _critical_events(xaxis: _Axis, yaxis: _Axis) -> list[tuple[int, int, set, set]]:
+    """Each critical scale db / da with the x and y nodes that meet there.
+
+    Returned in descending order of scale as (db, da, x_nodes, y_nodes). A
+    scale is keyed by the integer db * M // da with M = D * D, where D, the
+    largest alpha difference on either axis, bounds every da: two distinct
+    scales with denominators <= D differ by at least 1 / D**2, so their keys
+    differ, and equal scales share one key.
+    """
+    span = max(max(axis.alphas) - min(axis.alphas) for axis in (xaxis, yaxis))
+    m = span * span
+    events: dict[int, tuple[int, int, set, set]] = {}
+    for slot, axis in enumerate((xaxis, yaxis), 2):
+        for db, da, i, j in _axis_events(axis):
+            key = db * m // da
+            ev = events.get(key)
             if ev is None:
-                ev = (set(), set())
-                events[lam] = ev
+                ev = events[key] = (db, da, set(), set())
             ev[slot].add(i)
             ev[slot].add(j)
-    return events
+    return [events[key] for key in sorted(events, reverse=True)]
 
 
 def critical_values(cs: CoordSets) -> list[Rational]:
     """All positive scales where two same-axis forms meet, strictly descending."""
-    return sorted(_critical_events(cs.xaxis, cs.yaxis), reverse=True)
+    return [Fraction(db, da) for db, da, _, _ in _critical_events(cs.xaxis, cs.yaxis)]
 
 
 # ---------------------------------------------------------------------------
 # rank-space rectangles and snapshots
 # ---------------------------------------------------------------------------
 
-def _keys(cs: CoordSets) -> list:
-    """Rect indices, then "L", "R", "B", "T" for the bands around the box."""
-    return [*range(len(cs.rects)), "L", "R", "B", "T"]
-
-
 def _rank_rule(cs: CoordSets, xranks: tuple[list[int], list[int]],
                yranks: tuple[list[int], list[int]]):
-    """The closed rank rectangle of a key (see :func:`_keys`), None if empty.
+    """The closed rank rectangle of a sweep key, None if empty.
 
     ``xranks`` / ``yranks`` are the lists (lo, hi) of each node's min and max
     rank; the rule reads them on every call, so they may change in place. An
     open side interval (a, b) becomes [start(max rank of a), end(min rank of
-    b)]; the bands cover the rank box outside the target's bounding box.
+    b)]; the bands n..n+3 (L, R, B, T) cover the rank box outside the
+    target's bounding box.
     """
     (xlo, xhi), (ylo, yhi) = xranks, yranks
     nodes = cs.rect_nodes
+    n = len(nodes)
     xb0, xb1 = cs.xaxis.node_of["box", 0], cs.xaxis.node_of["box", 1]
     yb0, yb1 = cs.yaxis.node_of["box", 0], cs.yaxis.node_of["box", 1]
     wx2, wy2 = cs.rank_box
 
-    def rect(key) -> RankRect | None:
-        if isinstance(key, int):
+    def rect(key: int) -> RankRect | None:
+        if key < n:
             ax, bx, cy, dy = nodes[key]
             x_lo = 2 * xhi[ax]
             x_hi = 2 * xlo[bx] - 1
@@ -258,11 +262,12 @@ def _rank_rule(cs: CoordSets, xranks: tuple[list[int], list[int]],
             if y_lo > y_hi:
                 return None
             return RankRect(x_lo, x_hi, y_lo, y_hi)
-        if key == "L":
+        band = key - n
+        if band == 0:
             return RankRect(1, 2 * xlo[xb0] - 1, 1, wy2)
-        if key == "R":
+        if band == 1:
             return RankRect(2 * xhi[xb1], wx2, 1, wy2)
-        if key == "B":
+        if band == 2:
             return RankRect(1, wx2, 1, 2 * ylo[yb0] - 1)
         return RankRect(1, wx2, 2 * yhi[yb1], wy2)
 
@@ -285,20 +290,20 @@ def _full_ranks(axis: _Axis, num: int, den: int) -> tuple[list[int], list[int]]:
     return lo, hi
 
 
-def rank_snapshot(cs: CoordSets, lam: Rational) -> dict:
+def rank_snapshot(cs: CoordSets, lam: Rational) -> dict[int, RankRect]:
     """Closed rank representation of every nonempty rectangle at ``lam``.
 
     Evaluate at a critical value to get the tied snapshot, or at any interior
     point of a region between criticals (e.g. the midpoint) for the generic
-    one. Keys are rect indices plus "L", "R", "B", "T" for the boundary
-    rectangles; empty rectangles are omitted. The ranks come from a full sort
+    one. Keys are the sweep keys: rect indices, then n..n+3 for the bands L,
+    R, B, T; empty rectangles are omitted. The ranks come from a full sort
     at ``lam``, independent of the sweep's incremental order.
     """
     lam = Fraction(lam)
     num, den = lam.numerator, lam.denominator
     rect = _rank_rule(cs, _full_ranks(cs.xaxis, num, den), _full_ranks(cs.yaxis, num, den))
-    snap: dict = {}
-    for key in _keys(cs):
+    snap: dict[int, RankRect] = {}
+    for key in range(len(cs.rects) + 4):
         r = rect(key)
         if r is not None:
             snap[key] = r
@@ -318,9 +323,9 @@ class _AxisState:
 
     __slots__ = ("axis", "order", "pos", "lo", "hi")
 
-    def __init__(self, axis: _Axis, lam0: Fraction):
+    def __init__(self, axis: _Axis, num: int, den: int):
+        """The order at the scale num / den (den > 0), which no pair meets at."""
         self.axis = axis
-        num, den = lam0.numerator, lam0.denominator
         self.order = sorted(range(len(axis.alphas)),
                             key=lambda i: axis.alphas[i] * num + axis.betas[i] * den)
         self.pos = [0] * len(self.order)
@@ -370,17 +375,22 @@ class _AxisState:
 class SweepPlan:
     """Preplanned offline trace of the rank-space cover across the criticals.
 
-    ``query_pos[i]`` is the number of updates after which the structure holds
-    the snapshot at criticals[i] exactly; ``initial`` is the preloaded state
-    for scales above the first swept critical. When the sweep was started
-    below a cap, ``skipped_above`` counts the dropped larger criticals.
+    ``criticals[i]`` is the i-th swept critical scale as the pair (db, da),
+    the scale db / da. ``initial`` is the preloaded state for scales above
+    the first swept critical, as (key, rect) pairs; each update is (key,
+    rect) for an add and (key, None) for a delete, and a key's delete comes
+    before its re-add. After ``query_pos[i]`` updates the structure holds
+    the snapshot at criticals[i] exactly, and after ``below_pos[i]`` the one
+    just below it. When the sweep was started below a cap,
+    ``skipped_above`` counts the dropped larger criticals.
     """
 
-    criticals: list[Rational]
+    criticals: list[tuple[int, int]]
     box_cells: tuple[int, int]
     initial: list[tuple[int, RankRect]]
-    updates: list[CoverUpdate]
+    updates: list[tuple[int, RankRect | None]]
     query_pos: list[int]
+    below_pos: list[int]
     live_bound: int
     skipped_above: int = 0
 
@@ -394,75 +404,66 @@ def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan
     """
     xaxis, yaxis = cs.xaxis, cs.yaxis
     events = _critical_events(xaxis, yaxis)
-    criticals = sorted(events, reverse=True)
     skipped = 0
-    while (start_below is not None and skipped < len(criticals)
-           and criticals[skipped] > start_below):
-        skipped += 1
-    if skipped:
-        dropped_last = criticals[skipped - 1]  # smallest dropped critical
-        criticals = criticals[skipped:]
-        # any interior point of (criticals[0], dropped_last) gives the
-        # region order just above the first kept critical
-        lam0 = (dropped_last + criticals[0]) / 2 if criticals else dropped_last + 1
-    else:
-        lam0 = (criticals[0] + 1) if criticals else Fraction(1)
+    if start_below is not None:
+        cap_num, cap_den = start_below.numerator, start_below.denominator
+        while (skipped < len(events)
+               and events[skipped][0] * cap_den > cap_num * events[skipped][1]):
+            skipped += 1
+    # start at a scale num / den inside the region just above the first kept
+    # critical, where no pair meets
+    if not events:
+        num, den = 1, 1
+    elif 0 < skipped < len(events):  # midway to the smallest dropped critical
+        (a, b, _, _), (c, d, _, _) = events[skipped - 1], events[skipped]
+        num, den = a * d + c * b, 2 * b * d
+    else:  # one above the smallest dropped critical, or above the largest
+        a, b, _, _ = events[skipped - 1 if skipped else 0]
+        num, den = a + b, b
+    events = events[skipped:]
 
-    xstate = _AxisState(xaxis, lam0)
-    ystate = _AxisState(yaxis, lam0)
+    xstate = _AxisState(xaxis, num, den)
+    ystate = _AxisState(yaxis, num, den)
     rect = _rank_rule(cs, (xstate.lo, xstate.hi), (ystate.lo, ystate.hi))
 
-    current: dict = dict.fromkeys(_keys(cs))
-    uid_of: dict = {}
-    next_uid = 0
-    updates: list[CoverUpdate] = []
+    current = [rect(key) for key in range(len(cs.rects) + 4)]
+    initial = [(key, r) for key, r in enumerate(current) if r is not None]
+    updates: list[tuple[int, RankRect | None]] = []
     query_pos: list[int] = []
+    below_pos: list[int] = []
 
-    def emit(keys, at_step):
-        nonlocal next_uid
-        adds = []
-        dels = []
+    def emit(keys: list[int]) -> None:
         for key in keys:
             new = rect(key)
             old = current[key]
-            if new == old:
-                continue
-            if old is not None:
-                dels.append(uid_of.pop(key))
-            current[key] = new
-            if new is not None:
-                adds.append((key, new))
-        for key, r in adds:
-            uid_of[key] = next_uid
-            updates.append(CoverUpdate("add", r, next_uid, at_step))
-            next_uid += 1
-        for uid in dels:
-            updates.append(CoverUpdate("delete", None, uid, at_step))
+            if new != old:
+                if old is not None:
+                    updates.append((key, None))
+                if new is not None:
+                    updates.append((key, new))
+                current[key] = new
 
-    emit(list(current), 0)  # the preloaded state: every nonempty rectangle
-    initial = [(u.uid, u.rect) for u in updates]
-    updates.clear()
-    for ci, lam in enumerate(criticals):
-        ex, ey = events[lam]
-        num, den = lam.numerator, lam.denominator
-        xgroups = xstate.tie_groups(ex, num, den)
-        ygroups = ystate.tie_groups(ey, num, den)
+    for db, da, ex, ey in events:
+        xgroups = xstate.tie_groups(ex, db, da)
+        ygroups = ystate.tie_groups(ey, db, da)
         affected = {key for node in ex for key in xaxis.keys[node]}
         affected.update(key for node in ey for key in yaxis.keys[node])
-        keys = sorted(affected, key=lambda k: (isinstance(k, str), str(k)))
+        keys = sorted(affected)
 
-        emit(keys, 2 * ci + 1)
+        emit(keys)
         query_pos.append(len(updates))
         xstate.reorder_below(xgroups)
         ystate.reorder_below(ygroups)
-        emit(keys, 2 * ci + 2)
+        emit(keys)
+        below_pos.append(len(updates))
 
     return SweepPlan(
-        criticals=criticals,
+        criticals=[(db, da) for db, da, _, _ in events],
         box_cells=cs.rank_box,
         initial=initial,
         updates=updates,
         query_pos=query_pos,
+        below_pos=below_pos,
         live_bound=len(cs.rects) + 4,
         skipped_above=skipped,
     )
@@ -473,29 +474,30 @@ def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan
 # "I <id> <x_lo> <x_hi> <y_lo> <y_hi>", then one event per line,
 # "A <id> <x_lo> <x_hi> <y_lo> <y_hi>" or "D <id>", then "Q <pos>" lines, one
 # per coverage query after the first <pos> events. A file without "Q" lines
-# queries after every event.
+# queries after every event. An id is a rectangle's key; it recurs when the
+# rectangle is added again after its delete.
 # ---------------------------------------------------------------------------
 
 _TRACE_FIELDS = {"I": 6, "A": 6, "D": 2, "Q": 2}  # fields of each body line
 
-def write_trace(path: str, box_cells: tuple[int, int], updates: Sequence[CoverUpdate],
+def write_trace(path: str, box_cells: tuple[int, int],
+                updates: Sequence[tuple[int, RankRect | None]],
                 initial: Sequence[tuple[int, RankRect]], query_pos: Sequence[int]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"N {box_cells[0]} {box_cells[1]}\n")
         for uid, r in initial:
             fh.write(f"I {uid} {r.x_lo} {r.x_hi} {r.y_lo} {r.y_hi}\n")
-        for u in updates:
-            if u.kind == "add":
-                r = u.rect
-                fh.write(f"A {u.uid} {r.x_lo} {r.x_hi} {r.y_lo} {r.y_hi}\n")
+        for uid, r in updates:
+            if r is None:
+                fh.write(f"D {uid}\n")
             else:
-                fh.write(f"D {u.uid}\n")
+                fh.write(f"A {uid} {r.x_lo} {r.x_hi} {r.y_lo} {r.y_hi}\n")
         for pos in query_pos:
             fh.write(f"Q {pos}\n")
 
 
 def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
-                                   list[CoverUpdate], list[int]]:
+                                   list[tuple[int, RankRect | None]], list[int]]:
     """Box, preloaded rectangles, events and query positions of a trace file."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.split() for ln in fh if ln.strip()]
@@ -505,20 +507,17 @@ def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
     if min(box_cells) < 1:
         raise ValueError(f"box {box_cells[0]} x {box_cells[1]} has no cells")
     initial: list[tuple[int, RankRect]] = []
-    updates: list[CoverUpdate] = []
+    updates: list[tuple[int, RankRect | None]] = []
     query_pos: list[int] = []
     for parts in lines[1:]:
         if _TRACE_FIELDS.get(parts[0]) != len(parts):
             raise ValueError(f"bad trace line {' '.join(parts)!r}")
         if parts[0] in ("A", "I"):
             uid, x_lo, x_hi, y_lo, y_hi = map(int, parts[1:])
-            r = RankRect(x_lo, x_hi, y_lo, y_hi)
-            if parts[0] == "I":
-                initial.append((uid, r))
-            else:
-                updates.append(CoverUpdate("add", r, uid, len(updates)))
+            (initial if parts[0] == "I" else updates).append(
+                (uid, RankRect(x_lo, x_hi, y_lo, y_hi)))
         elif parts[0] == "D":
-            updates.append(CoverUpdate("delete", None, int(parts[1]), len(updates)))
+            updates.append((int(parts[1]), None))
         else:
             query_pos.append(int(parts[1]))
     if query_pos != sorted(query_pos) or any(not 0 <= p <= len(updates) for p in query_pos):

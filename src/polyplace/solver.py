@@ -270,11 +270,11 @@ def _max_scale_and_plan(pattern: OrthoPolygon, target: OrthoPolygon,
                                   plan.query_pos, impl)
     if failed is None:
         stats.queries = len(plan.query_pos)
-        sup = plan.criticals[-1] if plan.criticals else None
+        sup = Fraction(*plan.criticals[-1]) if plan.criticals else None
         return PlacementResult("infeasible", stats=stats, lambda_sup=sup), plan
 
     stats.queries = failed + 1
-    lam = plan.criticals[failed]
+    lam = Fraction(*plan.criticals[failed])
     tau = find_hole(prob, lam)
     if tau is None:
         raise RuntimeError("internal inconsistency: the sweep reported a hole "
@@ -326,7 +326,7 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
         c2 = yb - prob.by0
         acts.append((a1, c1, a2, c2, xa, xb, Xa, Xb))
 
-    cands = {lam for lam, _, _ in _axis_events(prob.cs.xaxis)}
+    cands = {Fraction(db, da) for db, da, _, _ in _axis_events(prob.cs.xaxis)}
     for (a1, c1, a2, c2, *_x) in acts:
         if a1 != 0 and c1 != 0 and (c1 > 0) == (a1 > 0):
             cands.add(Fraction(c1, a1))

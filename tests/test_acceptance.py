@@ -20,8 +20,7 @@ import pytest
 
 from polyplace.coverage import covers_box, union_area
 from polyplace.dyncover import TraceProblem, area_after_each, first_uncover
-from polyplace.forbidden import (CoverUpdate, RankRect, build_sweep,
-                                 critical_values, rank_snapshot)
+from polyplace.forbidden import RankRect, build_sweep, critical_values, rank_snapshot
 from polyplace.geometry import AxisRect, OrthoPolygon, Placement, Point, transform
 from polyplace.hardness import brute_solve, gen_average, gen_foursum, gen_ov
 from polyplace.instances import comb_polygon, random_instance_pair, unit_square
@@ -176,13 +175,13 @@ def _random_trace(rng, n, length, width) -> TraceProblem:
         if live and (len(live) >= n or rng.random() < 0.45):
             victim = rng.choice(sorted(live))
             del live[victim]
-            updates.append(CoverUpdate("delete", None, victim))
+            updates.append((victim, None))
         else:
             x0 = rng.randint(1, width)
             y0 = rng.randint(1, width)
             r = RankRect(x0, rng.randint(x0, width), y0, rng.randint(y0, width))
             live[uid] = r
-            updates.append(CoverUpdate("add", r, uid))
+            updates.append((uid, r))
             uid += 1
     return TraceProblem(n=n, box=(width, width), updates=updates)
 

@@ -130,6 +130,28 @@ def test_gen_writes_instance(tmp_path, capsys):
     assert meta["ground_truth_inputs"]["A"] == [1, 2, 3]
 
 
+def test_gen_and_plot_bad_input(tmp_path, capsys):
+    sets = tmp_path / "sets.json"
+    p, q = _paths(tmp_path)
+    cases = []
+    # missing, malformed, a list, a set that is not a list, a nested list
+    for text in (None, "{not json", "[1, 2, 3]", '{"A": null}', '{"A": [[1]]}'):
+        cases.append((text, ["gen", "average", "--input", str(sets),
+                             "--out-dir", str(tmp_path / "out")], "bad generator input"))
+    for scale in ("abc", "1/0", "0", "-1"):
+        cases.append((None, ["plot", "--p", p, "--q", q, "--placement", scale, "0", "0",
+                             "--svg", str(tmp_path / "a.svg")], "bad placement"))
+    for text, argv, message in cases:
+        sets.unlink(missing_ok=True)
+        if text is not None:
+            sets.write_text(text)
+        assert run(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}"), (argv, err)
+        assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists() and not (tmp_path / "a.svg").exists()
+
+
 def test_decompose_dump(tmp_path, capsys):
     p, _ = _paths(tmp_path)
     assert run(["decompose", p, "--complement"]) == 0
@@ -147,25 +169,3 @@ def test_plot_deterministic(tmp_path, capsys):
     assert run(args + [str(svg2)]) == 0
     assert svg1.read_bytes() == svg2.read_bytes()
     assert b"<svg" in svg1.read_bytes()
-
-
-def test_bench_csv(tmp_path, capsys):
-    csv_path = tmp_path / "bench.csv"
-    assert run(["bench", "--suite", "generated", "--sizes", "12,16",
-                "--csv", str(csv_path)]) == 0
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "p,q,L,updates,t_fast_ms,t_base_ms"
-    assert len(lines) == 3
-
-
-def test_bench_random_suite_seeded(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("POLYPLACE_SEED", "7")
-    csv_path = tmp_path / "rand.csv"
-    assert run(["bench", "--suite", "random", "--sizes", "14",
-                "--csv", str(csv_path)]) == 0
-    first = csv_path.read_text()
-    assert run(["bench", "--suite", "random", "--sizes", "14",
-                "--csv", str(csv_path)]) == 0
-    rows = [ln.split(",")[:4] for ln in first.strip().splitlines()]
-    again = [ln.split(",")[:4] for ln in csv_path.read_text().strip().splitlines()]
-    assert rows == again  # same seed, same instances and counts

@@ -4,15 +4,15 @@ import pytest
 
 from polyplace.dyncover import (MalformedTrace, TraceProblem, area_after_each,
                                 first_uncover, run_plan, trace_problem)
-from polyplace.forbidden import CoverUpdate, RankRect
+from polyplace.forbidden import RankRect
 
 
 def A(uid, x0, x1, y0, y1):
-    return CoverUpdate("add", RankRect(x0, x1, y0, y1), uid)
+    return uid, RankRect(x0, x1, y0, y1)
 
 
 def D(uid):
-    return CoverUpdate("delete", None, uid)
+    return uid, None
 
 
 def random_trace(rng, n, length, width):
@@ -29,7 +29,7 @@ def random_trace(rng, n, length, width):
             y0 = rng.randint(1, width)
             r = RankRect(x0, rng.randint(x0, width), y0, rng.randint(y0, width))
             live[uid] = r
-            updates.append(CoverUpdate("add", r, uid))
+            updates.append((uid, r))
             uid += 1
     return TraceProblem(n=n, box=(width, width), updates=updates)
 
@@ -100,22 +100,18 @@ def test_oy_batch_boundaries(rng):
 
 
 def test_malformed_delete():
-    tp = TraceProblem(2, (3, 3), [D(5)])
-    with pytest.raises(MalformedTrace):
-        first_uncover(tp, "naive")
+    # a second delete of an id, after a first that leaves the box covered
+    twice = [A(0, 1, 3, 1, 3), A(1, 1, 3, 1, 3), D(1), D(1)]
+    for ups in ([D(5)], [D(0)], twice):
+        for impl in ("naive", "oy"):
+            with pytest.raises(MalformedTrace, match="dead id"):
+                first_uncover(TraceProblem(2, (3, 3), ups), impl)
 
 
 def test_malformed_out_of_box():
     tp = TraceProblem(2, (3, 3), [A(0, 1, 4, 1, 2)])
     with pytest.raises(MalformedTrace):
         first_uncover(tp, "naive")
-
-
-def test_malformed_add_without_rectangle():
-    tp = TraceProblem(2, (3, 3), [CoverUpdate("add", None, 0)])
-    for impl in ("naive", "oy"):
-        with pytest.raises(MalformedTrace):
-            first_uncover(tp, impl)
 
 
 def test_malformed_overflow():
@@ -184,8 +180,7 @@ def test_sparse_queries_differential(rng):
         initial, updates, pos = random_plan(rng, n, rng.randint(20, 150), width)
         got = [run_plan((width, width), n, initial, updates, pos, impl)[0]
                for impl in ("naive", "oy")]
-        preload = [CoverUpdate("add", r, uid) for uid, r in initial]
-        areas = area_after_each(TraceProblem(n, (width, width), preload + updates))
+        areas = area_after_each(TraceProblem(n, (width, width), initial + updates))
         expected = next((q for q, k in enumerate(pos)
                          if areas[len(initial) + k - 1] < width * width), None)
         assert got == [expected, expected]

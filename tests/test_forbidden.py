@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+import polyplace.forbidden
 from polyplace.coverage import covers_box
 from polyplace.decompose import cover_complement, cover_interior, padded_frame
 from polyplace.forbidden import (CoordSets, LinearForm, _Axis, _AxisState,
-                                 build_sweep, coordinate_functions,
-                                 critical_values, forbidden_rect, rank_snapshot,
-                                 read_trace, write_trace)
+                                 _axis_events, _critical_events, build_sweep,
+                                 coordinate_functions, critical_values,
+                                 forbidden_rect, rank_snapshot, read_trace,
+                                 write_trace)
 from polyplace.geometry import AxisRect, normalize_center, validate_polygon
-from polyplace.instances import random_instance_pair
+from polyplace.hardness import gen_average, gen_foursum
+from polyplace.instances import comb_polygon, random_instance_pair, unit_square
 from polyplace.solver import _Problem, find_hole
 
 
@@ -118,10 +121,11 @@ def test_rank_tie_intervals():
     cs = _coordsets_from_forms(
         [LinearForm(F(0), F(2)), LinearForm(F(1), F(1)), LinearForm(F(0), F(7))], [])
     snap = rank_snapshot(cs, F(1))
+    band_l, band_r = len(cs.rects), len(cs.rects) + 1  # the bands' keys
     # box consts are 0 and 1 -> ranks 1, 2; the tied forms at value 2 get [3,4]
     # C_L right edge = end(min rank(0)) = 2*1-1 = 1
-    assert snap["L"].x_hi == 1
-    assert snap["R"].x_lo == 2 * 2  # start(max rank(1)) = start(2)
+    assert snap[band_l].x_hi == 1
+    assert snap[band_r].x_lo == 2 * 2  # start(max rank(1)) = start(2)
 
 
 def test_end_start_arithmetic():
@@ -147,29 +151,27 @@ def test_sweep_matches_snapshots(rng):
         P, Q = random_instance_pair(rng, 16, 16, 25)
         prob = _Problem(P, Q)
         plan = build_sweep(prob.cs)
+        crits = [F(db, da) for db, da in plan.criticals]
         live = dict(plan.initial)
         pos = 0
-        for ci, lam in enumerate(plan.criticals):
-            while pos < plan.query_pos[ci]:
-                u = plan.updates[pos]
-                if u.kind == "add":
-                    live[u.uid] = u.rect
+
+        def play_to(stop):
+            nonlocal pos
+            for key, r in plan.updates[pos:stop]:
+                if r is None:
+                    del live[key]
                 else:
-                    del live[u.uid]
-                pos += 1
-            expected = sorted(rank_snapshot(prob.cs, lam).values(), key=str)
-            assert sorted(live.values(), key=str) == expected
-            while pos < len(plan.updates) and plan.updates[pos].at_step == 2 * ci + 2:
-                u = plan.updates[pos]
-                if u.kind == "add":
-                    live[u.uid] = u.rect
-                else:
-                    del live[u.uid]
-                pos += 1
-            below = (lam + plan.criticals[ci + 1]) / 2 \
-                if ci + 1 < len(plan.criticals) else lam / 2
-            expected = sorted(rank_snapshot(prob.cs, below).values(), key=str)
-            assert sorted(live.values(), key=str) == expected
+                    assert key not in live  # a key's delete comes before its re-add
+                    live[key] = r
+            pos = stop
+
+        for ci, lam in enumerate(crits):
+            play_to(plan.query_pos[ci])
+            assert live == rank_snapshot(prob.cs, lam)
+            play_to(plan.below_pos[ci])
+            below = (lam + crits[ci + 1]) / 2 if ci + 1 < len(crits) else lam / 2
+            assert live == rank_snapshot(prob.cs, below)
+        assert pos == len(plan.updates)
 
 
 def test_open_closed_equivalence(rng):
@@ -194,8 +196,8 @@ def test_open_closed_equivalence(rng):
 
 def test_tie_group_without_a_pair_raises():
     axis = _Axis([(LinearForm(F(0), F(0)), ("box", 0)),
-                  (LinearForm(F(1), F(1)), ("box", 1))], 1, "LR")
-    state = _AxisState(axis, F(1))
+                  (LinearForm(F(1), F(1)), ("box", 1))], 1, 0)
+    state = _AxisState(axis, 1, 1)
     with pytest.raises(RuntimeError, match="coinciding pair"):
         state.tie_groups({0}, 1, 1)
 
@@ -219,8 +221,60 @@ def test_trace_file_round_trip(tmp_path, rng):
     assert box == plan.box_cells
     assert initial == plan.initial
     assert query_pos == plan.query_pos
-    assert len(updates) == len(plan.updates)
-    for a, b in zip(updates, plan.updates):
-        assert (a.kind, a.rect, a.uid) == (b.kind, b.rect, b.uid)
+    assert updates == plan.updates
     first = path.read_text().splitlines()[0]
     assert first == f"N {plan.box_cells[0]} {plan.box_cells[1]}"
+
+
+def _fraction_events(xaxis, yaxis):
+    """Independent reference: every meeting pair keyed and sorted as a Fraction."""
+    events = {}
+    for slot, axis in enumerate((xaxis, yaxis)):
+        for db, da, i, j in _axis_events(axis):
+            events.setdefault(F(db, da), (set(), set()))[slot].update((i, j))
+    return [(lam, *events[lam]) for lam in sorted(events, reverse=True)]
+
+
+def test_critical_keys_are_exact():
+    # the integer key must give the Fraction order and tie groups exactly,
+    # on random pairs and on gadgets with large integer axis scales
+    rng = random.Random(987123)
+    problems = [_Problem(*random_instance_pair(rng, max_p=20, max_q=20, span=50))
+                for _ in range(25)]
+    for k in range(3):
+        sets = [rng.sample(range(-6, 7), 3 + k % 2) for _ in range(4)]
+        inst = gen_foursum(*sets)
+        problems.append(_Problem(inst.pattern, inst.target))
+        assert problems[-1].cs.scale.bit_length() >= 30
+    for values in ([-5, 0, 7, 9], random.Random(1).sample(range(-1728, 1729), 12)):
+        inst = gen_average(values)
+        problems.append(_Problem(inst.pattern, inst.target))
+    for prob in problems:
+        got = [(F(db, da), xs, ys)
+               for db, da, xs, ys in _critical_events(prob.cs.xaxis, prob.cs.yaxis)]
+        assert got == _fraction_events(prob.cs.xaxis, prob.cs.yaxis)
+
+    # neighbouring Farey fractions 1/(D-1) > 1/D with D the whole alpha span,
+    # so they differ by exactly 1/(D(D-1)): they must stay two criticals
+    d = 2 ** 40 + 1
+    xaxis = _Axis([(LinearForm(F(d), F(0)), ("lo", 0)),
+                   (LinearForm(F(0), F(1)), ("lo", 1)),
+                   (LinearForm(F(1), F(1)), ("lo", 2))], 1, 3)
+    yaxis = _Axis([(LinearForm(F(0), F(0)), ("box", 0))], 1, 5)
+    events = _critical_events(xaxis, yaxis)
+    assert [(db, da) for db, da, _, _ in events] == [(1, d - 1), (1, d)]
+    assert [xs for _, _, xs, _ in events] == [{0, 2}, {0, 1}]
+
+
+def test_sweep_builds_no_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("build_sweep built a Fraction")
+
+    gadget = gen_foursum([0], [3], [1], [4])
+    problems = [_Problem(unit_square(), comb_polygon(50, random.Random(50))),
+                _Problem(gadget.pattern, gadget.target)]
+    plans = [build_sweep(prob.cs, start_below=prob.bbox_cap) for prob in problems]
+    monkeypatch.setattr(polyplace.forbidden, "Fraction", no_fraction)
+    for prob, plan in zip(problems, plans):
+        again = build_sweep(prob.cs, start_below=prob.bbox_cap)
+        assert again.criticals and again.updates == plan.updates
