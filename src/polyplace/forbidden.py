@@ -12,8 +12,9 @@ rectangles cover the target's bounding box.
 
 Every side is normalized once, when :func:`coordinate_functions` builds the
 :class:`CoordSets`: an integer form alpha * scale + beta over one common
-denominator, deduplicated into weighted nodes per axis. The critical scales,
-the snapshots, the sweep and the solver's static test all read that table.
+denominator, deduplicated into weighted nodes per axis, with each cover
+pair's four integer sides and the box's. The critical scales, the snapshots,
+the sweep, the solvers' static test and the x-only solver all read that table.
 A critical scale is the integer pair (db, da), da > 0, ordered by an exact
 integer key; it becomes a ``Fraction`` only where a solver returns it.
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 from typing import NamedTuple, Sequence
 
 from .decompose import RectCover
@@ -42,25 +43,6 @@ class LinearForm:
 
     alpha: Rational
     beta: Rational
-
-    def at(self, lam: Rational) -> Rational:
-        return self.alpha * lam + self.beta
-
-
-@dataclass(frozen=True)
-class LinearRect:
-    """Open rectangle (x_lo, x_hi) x (y_lo, y_hi) with linear-form sides.
-
-    Empty whenever x_lo >= x_hi or y_lo >= y_hi at the evaluated scale.
-    """
-
-    x_lo: LinearForm
-    x_hi: LinearForm
-    y_lo: LinearForm
-    y_hi: LinearForm
-
-    def at(self, lam: Rational) -> tuple[Rational, Rational, Rational, Rational]:
-        return (self.x_lo.at(lam), self.x_hi.at(lam), self.y_lo.at(lam), self.y_hi.at(lam))
 
 
 class RankRect(NamedTuple):
@@ -114,23 +96,26 @@ class CoordSets:
 
     ``x_entries`` / ``y_entries`` hold (form, owner) pairs where owner is
     ("lo", rect_index), ("hi", rect_index), or ("box", 0|1) for the bounding
-    box constants. Entry counts are 2 * p' * q' + 2 per axis.
+    box constants: 2 * n_rects + 2 per axis, for ``n_rects`` cover pairs.
 
     The integer table is built here, once, on construction: ``scale`` is the
     lcm of all form denominators, ``xaxis`` / ``yaxis`` hold each axis's
-    distinct forms times ``scale`` as integer nodes, and ``rect_nodes[i]`` is
-    the (x_lo, x_hi, y_lo, y_hi) node ids of rectangle i's sides.
+    distinct forms times ``scale`` as integer nodes, ``rect_nodes[i]`` is the
+    (x_lo, x_hi, y_lo, y_hi) node ids of rectangle i's sides, ``sides[i]``
+    their integer (alpha, beta) pairs in that order, flattened, and
+    ``box_sides`` the betas (bx0, bx1, by0, by1) of the box constants.
     """
 
-    rects: list[LinearRect]
+    n_rects: int
     x_entries: list[tuple[LinearForm, tuple]]
     y_entries: list[tuple[LinearForm, tuple]]
-    box: AxisRect
     rank_box: tuple[int, int] = field(init=False)  # cells: twice the entry counts
     scale: int = field(init=False)
     xaxis: _Axis = field(init=False, repr=False)
     yaxis: _Axis = field(init=False, repr=False)
     rect_nodes: list[tuple[int, int, int, int]] = field(init=False, repr=False)
+    sides: list[tuple[int, ...]] = field(init=False, repr=False)
+    box_sides: tuple[int, int, int, int] = field(init=False)
 
     def __post_init__(self) -> None:
         self.rank_box = 2 * len(self.x_entries), 2 * len(self.y_entries)
@@ -139,44 +124,40 @@ class CoordSets:
             for form, _ in entries:
                 denoms += (form.alpha.denominator, form.beta.denominator)
         self.scale = math.lcm(*denoms)
-        n = len(self.rects)
+        n = self.n_rects
         self.xaxis = _Axis(self.x_entries, self.scale, n)
         self.yaxis = _Axis(self.y_entries, self.scale, n + 2)
         xn, yn = self.xaxis.node_of, self.yaxis.node_of
         self.rect_nodes = [(xn["lo", i], xn["hi", i], yn["lo", i], yn["hi", i])
-                           for i in range(len(self.rects))]
-
-
-def forbidden_rect(p_rect: AxisRect, q_rect: AxisRect) -> LinearRect:
-    """Translations for which the scaled pattern rect meets q_rect's interior.
-
-    The pattern rectangle is taken in coordinates centered on the scaling
-    reference point. Boundary contact is not forbidden, hence the
-    open-interval semantics.
-    """
-    return LinearRect(
-        x_lo=LinearForm(-p_rect.x1, q_rect.x0),
-        x_hi=LinearForm(-p_rect.x0, q_rect.x1),
-        y_lo=LinearForm(-p_rect.y1, q_rect.y0),
-        y_hi=LinearForm(-p_rect.y0, q_rect.y1),
-    )
+                           for i in range(n)]
+        xa, xb = self.xaxis.alphas, self.xaxis.betas
+        ya, yb = self.yaxis.alphas, self.yaxis.betas
+        self.sides = [(xa[a], xb[a], xa[b], xb[b], ya[c], yb[c], ya[d], yb[d])
+                      for a, b, c, d in self.rect_nodes]
+        self.box_sides = (xb[xn["box", 0]], xb[xn["box", 1]],
+                          yb[yn["box", 0]], yb[yn["box", 1]])
 
 
 def coordinate_functions(pcov: RectCover, qcov: RectCover, box: AxisRect) -> CoordSets:
-    """Forbidden rectangles of every cover pair plus the box constants."""
-    rects = [forbidden_rect(pr, qr) for pr in pcov.rects for qr in qcov.rects]
+    """Side functions of every cover pair's forbidden rectangle, plus the box's.
+
+    Pair i is the i-th (p, q) of pcov x qcov. The translations at which p,
+    centered on the scaling reference point and scaled by lam, meets q's
+    interior form the open rectangle (q.x0 - lam * p.x1, q.x1 - lam * p.x0)
+    x (q.y0 - lam * p.y1, q.y1 - lam * p.y0); boundary contact is allowed.
+    """
     x_entries: list[tuple[LinearForm, tuple]] = []
     y_entries: list[tuple[LinearForm, tuple]] = []
-    for idx, lr in enumerate(rects):
-        x_entries.append((lr.x_lo, ("lo", idx)))
-        x_entries.append((lr.x_hi, ("hi", idx)))
-        y_entries.append((lr.y_lo, ("lo", idx)))
-        y_entries.append((lr.y_hi, ("hi", idx)))
-    x_entries.append((LinearForm(Fraction(0), box.x0), ("box", 0)))
-    x_entries.append((LinearForm(Fraction(0), box.x1), ("box", 1)))
-    y_entries.append((LinearForm(Fraction(0), box.y0), ("box", 0)))
-    y_entries.append((LinearForm(Fraction(0), box.y1), ("box", 1)))
-    return CoordSets(rects=rects, x_entries=x_entries, y_entries=y_entries, box=box)
+    for idx, (p, q) in enumerate(product(pcov.rects, qcov.rects)):
+        x_entries += ((LinearForm(-p.x1, q.x0), ("lo", idx)),
+                      (LinearForm(-p.x0, q.x1), ("hi", idx)))
+        y_entries += ((LinearForm(-p.y1, q.y0), ("lo", idx)),
+                      (LinearForm(-p.y0, q.y1), ("hi", idx)))
+    x_entries += ((LinearForm(Fraction(0), box.x0), ("box", 0)),
+                  (LinearForm(Fraction(0), box.x1), ("box", 1)))
+    y_entries += ((LinearForm(Fraction(0), box.y0), ("box", 0)),
+                  (LinearForm(Fraction(0), box.y1), ("box", 1)))
+    return CoordSets(len(pcov) * len(qcov), x_entries, y_entries)
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +182,24 @@ def _axis_events(axis: _Axis):
                 yield db, da, i, j
 
 
+def _key_scale(xaxis: _Axis, yaxis: _Axis) -> int:
+    """M = D * D, with D the largest alpha difference on either axis.
+
+    A scale db / da with 0 < da <= D is keyed by db * M // da: two distinct
+    such scales differ by at least 1 / D**2, so their keys differ, and equal
+    scales share one key.
+    """
+    span = max(max(axis.alphas) - min(axis.alphas) for axis in (xaxis, yaxis))
+    return span * span
+
+
 def _critical_events(xaxis: _Axis, yaxis: _Axis) -> list[tuple[int, int, set, set]]:
     """Each critical scale db / da with the x and y nodes that meet there.
 
-    Returned in descending order of scale as (db, da, x_nodes, y_nodes). A
-    scale is keyed by the integer db * M // da with M = D * D, where D, the
-    largest alpha difference on either axis, bounds every da: two distinct
-    scales with denominators <= D differ by at least 1 / D**2, so their keys
-    differ, and equal scales share one key.
+    Returned in descending order of scale as (db, da, x_nodes, y_nodes),
+    keyed as in :func:`_key_scale`: every da is an alpha difference.
     """
-    span = max(max(axis.alphas) - min(axis.alphas) for axis in (xaxis, yaxis))
-    m = span * span
+    m = _key_scale(xaxis, yaxis)
     events: dict[int, tuple[int, int, set, set]] = {}
     for slot, axis in enumerate((xaxis, yaxis), 2):
         for db, da, i, j in _axis_events(axis):
@@ -303,7 +291,7 @@ def rank_snapshot(cs: CoordSets, lam: Rational) -> dict[int, RankRect]:
     num, den = lam.numerator, lam.denominator
     rect = _rank_rule(cs, _full_ranks(cs.xaxis, num, den), _full_ranks(cs.yaxis, num, den))
     snap: dict[int, RankRect] = {}
-    for key in range(len(cs.rects) + 4):
+    for key in range(cs.n_rects + 4):
         r = rect(key)
         if r is not None:
             snap[key] = r
@@ -426,7 +414,7 @@ def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan
     ystate = _AxisState(yaxis, num, den)
     rect = _rank_rule(cs, (xstate.lo, xstate.hi), (ystate.lo, ystate.hi))
 
-    current = [rect(key) for key in range(len(cs.rects) + 4)]
+    current = [rect(key) for key in range(cs.n_rects + 4)]
     initial = [(key, r) for key, r in enumerate(current) if r is not None]
     updates: list[tuple[int, RankRect | None]] = []
     query_pos: list[int] = []
@@ -464,7 +452,7 @@ def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan
         updates=updates,
         query_pos=query_pos,
         below_pos=below_pos,
-        live_bound=len(cs.rects) + 4,
+        live_bound=cs.n_rects + 4,
         skipped_above=skipped,
     )
 

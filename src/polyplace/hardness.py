@@ -96,6 +96,14 @@ def _skyline(columns: Sequence[tuple]) -> OrthoPolygon:
     return validate_polygon(verts)
 
 
+def _ints(values: Sequence[int]) -> list[int]:
+    """The values as a list; each must be an int (a bool or float raises)."""
+    values = list(values)
+    if any(type(v) is not int for v in values):
+        raise TypeError(f"expected integers, got {values!r}")
+    return values
+
+
 def _check_vectors(vectors, what: str) -> int:
     if not vectors:
         raise NonBinaryVector(f"{what} must be nonempty")
@@ -105,7 +113,7 @@ def _check_vectors(vectors, what: str) -> int:
     for v in vectors:
         if len(v) != dim:
             raise NonBinaryVector("all vectors must share one dimension")
-        if any(c not in (0, 1) for c in v):
+        if any(c not in (0, 1) for c in _ints(v)):
             raise NonBinaryVector(f"non-binary component in {v}")
     return dim
 
@@ -146,7 +154,7 @@ def gen_average(A: Sequence[int]) -> HardInstance:
     one upward prong per input integer, centered on that integer's slot
     among 2U + 1 unit-spaced slots.
     """
-    A = sorted(set(int(a) for a in A))
+    A = sorted(set(_ints(A)))
     n = len(A)
     if n == 0:
         raise OutOfUniverse("input set is empty")
@@ -194,7 +202,7 @@ def gen_foursum(A1: Sequence[int], A2: Sequence[int],
     Target: a side-10M square with one set gadget per side; the top and
     right gadgets are shifted by the spacing M, which the scale must bridge.
     """
-    sets = [sorted(set(int(v) for v in s)) for s in (A1, A2, B1, B2)]
+    sets = [sorted(set(_ints(s))) for s in (A1, A2, B1, B2)]
     if any(not s for s in sets):
         raise OutOfUniverse("all four sets must be nonempty")
     n = max(len(s) for s in sets)

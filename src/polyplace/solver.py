@@ -29,10 +29,10 @@ import numpy as np
 from . import dyncover
 from .decompose import (RectCover, cover_complement, cover_interior,
                         default_scale_cap, padded_frame)
-from .forbidden import (SweepPlan, _axis_events, build_sweep, coordinate_functions,
-                        critical_values)
+from .forbidden import (SweepPlan, _axis_events, _key_scale, build_sweep,
+                        coordinate_functions, critical_values)
 from .geometry import (AxisRect, NonPositiveScale, OrthoPolygon, Point,
-                       Rational, normalize_center, rat_str)
+                       Rational, normalize_center, rat, rat_str)
 
 
 @dataclass
@@ -72,34 +72,24 @@ class PlacementResult:
 
 
 class _Problem:
-    """Centered covers, coordinate functions, and the integer sides of ``cs``."""
+    """Centered covers and their coordinate functions ``cs``."""
 
-    __slots__ = ("pattern", "target", "pcov", "qcov", "box", "cs", "bbox_cap",
-                 "sides", "bx0", "bx1", "by0", "by1", "pat_box")
+    __slots__ = ("pcov", "qcov", "box", "cs", "bbox_cap", "pat_box")
 
-    def __init__(self, pattern: OrthoPolygon, target: OrthoPolygon,
-                 min_cap: Rational = Fraction(1)):
-        self.pattern, _ = normalize_center(pattern)
-        self.target, _ = normalize_center(target)
-        pb = self.pattern.bounding_box()
-        qb = self.target.bounding_box()
+    def __init__(self, pattern: OrthoPolygon, target: OrthoPolygon):
+        pattern, _ = normalize_center(pattern)
+        target, _ = normalize_center(target)
+        pb = pattern.bounding_box()
+        qb = target.bounding_box()
         self.pat_box = pb
-        cap = max(default_scale_cap(pb, qb), min_cap)
-        frame, pad = padded_frame(self.target, pb, cap)
-        self.pcov = cover_interior(self.pattern)
-        self.qcov = cover_complement(self.target, frame, pad)
+        frame, pad = padded_frame(target, pb, default_scale_cap(pb, qb))
+        self.pcov = cover_interior(pattern)
+        self.qcov = cover_complement(target, frame, pad)
         self.box = qb
-        self.cs = cs = coordinate_functions(self.pcov, self.qcov, qb)
+        self.cs = coordinate_functions(self.pcov, self.qcov, qb)
         # no scale above the bbox-fit ratio can be feasible; queries past it
         # would also outrun the finite frame, so they are answered by this cap
         self.bbox_cap = min(qb.width / pb.width, qb.height / pb.height)
-
-        xa, xb = cs.xaxis.alphas, cs.xaxis.betas
-        ya, yb = cs.yaxis.alphas, cs.yaxis.betas
-        self.sides = [(xa[a], xb[a], xa[b], xb[b], ya[c], yb[c], ya[d], yb[d])
-                      for a, b, c, d in cs.rect_nodes]
-        self.bx0, self.bx1 = (xb[cs.xaxis.node_of["box", k]] for k in (0, 1))
-        self.by0, self.by1 = (yb[cs.yaxis.node_of["box", k]] for k in (0, 1))
 
 
 def _item_span(vals: list[int], lo: int, hi: int) -> tuple[int, int]:
@@ -131,10 +121,9 @@ def find_hole(prob: _Problem, lam: Rational) -> Point | None:
     value items, so boundary-contact placements are found exactly.
     """
     num, den = lam.numerator, lam.denominator
-    bx0, bx1 = prob.bx0 * den, prob.bx1 * den
-    by0, by1 = prob.by0 * den, prob.by1 * den
+    bx0, bx1, by0, by1 = (b * den for b in prob.cs.box_sides)
     rects = []
-    for (xa, xb, Xa, Xb, ya, yb, Ya, Yb) in prob.sides:
+    for (xa, xb, Xa, Xb, ya, yb, Ya, Yb) in prob.cs.sides:
         lo = xa * num + xb * den
         hi = Xa * num + Xb * den
         if lo >= hi:
@@ -223,9 +212,10 @@ def verify_containment(pattern: OrthoPolygon, target: OrthoPolygon,
     scaled pattern within the centered target. The covers are built afresh
     for ``lam`` and checked pairwise (see :func:`_fits`).
     """
-    lam = Fraction(lam)
+    lam = rat(lam)
     if lam <= 0:
         raise NonPositiveScale(str(lam))
+    tau = Point(rat(tau.x), rat(tau.y))
     pattern_c, _ = normalize_center(pattern)
     target_c, _ = normalize_center(target)
     pb = pattern_c.bounding_box()
@@ -308,39 +298,41 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
     aligned, so each cover pair is active on a scale interval (two strict
     linear inequalities) and forbids an open x interval while active. The
     candidate scales are the activity endpoints plus all pairwise meeting
-    points of the x side functions; a 1D sweep tests coverage of the target
-    box's x extent at each.
+    points of the x side functions, as integer pairs (db, da) in the exact
+    key order of :func:`~polyplace.forbidden._key_scale`; a 1D sweep tests
+    coverage of the target box's x extent at each, largest first.
     """
     prob = _Problem(pattern, target)
-    s = prob.cs.scale
+    cs = prob.cs
+    s = cs.scale
     py_bottom = prob.pat_box.y0  # centered pattern's bbox bottom
     pb_s = int(py_bottom * s)
+    bx0, bx1, by0, _ = cs.box_sides
     # placed rect's vertical extent is lam*(y - py_bottom) + target_box.y0;
     # the pair is active when that open extent meets the complement rect's
-    # y interior: a1*lam < c1 and a2*lam > c2 in integer form
+    # y interior: a1*lam < c1 and a2*lam > c2 in integer form. -pb_s is the
+    # largest y alpha, so a1 and a2 are y alpha differences: the keys are exact.
     acts = []
-    for (xa, xb, Xa, Xb, ya, yb, Ya, Yb) in prob.sides:
-        a1 = -Ya - pb_s          # y_hi form alpha is -p_ylo
-        c1 = Yb - prob.by0
-        a2 = -ya - pb_s          # y_lo form alpha is -p_yhi
-        c2 = yb - prob.by0
-        acts.append((a1, c1, a2, c2, xa, xb, Xa, Xb))
+    for (xa, xb, Xa, Xb, ya, yb, Ya, Yb) in cs.sides:
+        acts.append((-Ya - pb_s, Yb - by0, -ya - pb_s, yb - by0, xa, xb, Xa, Xb))
 
-    cands = {Fraction(db, da) for db, da, _, _ in _axis_events(prob.cs.xaxis)}
+    m = _key_scale(cs.xaxis, cs.yaxis)
+    cands = {db * m // da: (db, da) for db, da, _, _ in _axis_events(cs.xaxis)}
     for (a1, c1, a2, c2, *_x) in acts:
-        if a1 != 0 and c1 != 0 and (c1 > 0) == (a1 > 0):
-            cands.add(Fraction(c1, a1))
-        if a2 != 0 and c2 != 0 and (c2 > 0) == (a2 > 0):
-            cands.add(Fraction(c2, a2))
+        for db, da in ((c1, a1), (c2, a2)):
+            if da < 0:
+                da, db = -da, -db
+            if da and db > 0:
+                cands[db * m // da] = (db, da)
 
-    crits = sorted(cands, reverse=True)
+    crits = [cands[key] for key in sorted(cands, reverse=True)]
+    cap_num, cap_den = prob.bbox_cap.numerator, prob.bbox_cap.denominator
     stats = SolveStats(criticals=len(crits))
-    for lam in crits:
-        if lam > prob.bbox_cap:
+    for num, den in crits:
+        if num * cap_den > cap_num * den:
             stats.skipped += 1
             continue
         stats.queries += 1
-        num, den = lam.numerator, lam.denominator
         intervals = []
         for (a1, c1, a2, c2, xa, xb, Xa, Xb) in acts:
             if a1 * num < c1 * den and a2 * num > c2 * den:
@@ -348,15 +340,16 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
                 hi = Xa * num + Xb * den
                 if lo < hi:
                     intervals.append((lo, hi))
-        hole = _open_cover_hole(intervals, prob.bx0 * den, prob.bx1 * den)
+        hole = _open_cover_hole(intervals, bx0 * den, bx1 * den)
         if hole is not None:
+            lam = Fraction(num, den)
             tau = Point(Fraction(hole, den * s),
                         prob.box.y0 - lam * py_bottom)
             if not _fits(prob.pcov, prob.qcov, prob.box, lam, tau):
                 raise RuntimeError("internal inconsistency: 1D witness fails verification")
             return PlacementResult("feasible", lam, tau, stats)
     return PlacementResult("infeasible", stats=stats,
-                           lambda_sup=crits[-1] if crits else None)
+                           lambda_sup=Fraction(*crits[-1]) if crits else None)
 
 
 def _open_cover_hole(intervals: list[tuple[int, int]], lo: int, hi: int):

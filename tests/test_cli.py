@@ -134,8 +134,9 @@ def test_gen_and_plot_bad_input(tmp_path, capsys):
     sets = tmp_path / "sets.json"
     p, q = _paths(tmp_path)
     cases = []
-    # missing, malformed, a list, a set that is not a list, a nested list
-    for text in (None, "{not json", "[1, 2, 3]", '{"A": null}', '{"A": [[1]]}'):
+    # missing, malformed, a list, a set that is not a list, a nested list, a float
+    for text in (None, "{not json", "[1, 2, 3]", '{"A": null}', '{"A": [[1]]}',
+                 '{"A": [1.5, 2]}'):
         cases.append((text, ["gen", "average", "--input", str(sets),
                              "--out-dir", str(tmp_path / "out")], "bad generator input"))
     for scale in ("abc", "1/0", "0", "-1"):

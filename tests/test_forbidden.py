@@ -5,12 +5,12 @@ import pytest
 
 import polyplace.forbidden
 from polyplace.coverage import covers_box
-from polyplace.decompose import cover_complement, cover_interior, padded_frame
+from polyplace.decompose import (RectCover, cover_complement, cover_interior,
+                                padded_frame)
 from polyplace.forbidden import (CoordSets, LinearForm, _Axis, _AxisState,
                                  _axis_events, _critical_events, build_sweep,
                                  coordinate_functions, critical_values,
-                                 forbidden_rect, rank_snapshot, read_trace,
-                                 write_trace)
+                                 rank_snapshot, read_trace, write_trace)
 from polyplace.geometry import AxisRect, normalize_center, validate_polygon
 from polyplace.hardness import gen_average, gen_foursum
 from polyplace.instances import comb_polygon, random_instance_pair, unit_square
@@ -25,20 +25,33 @@ def F(n, d=1):
     return Fraction(n, d)
 
 
+def _pair_forms(p_rect, q_rect):
+    """The (x_lo, x_hi, y_lo, y_hi) forms that coordinate_functions gives one pair."""
+    cs = coordinate_functions(RectCover((p_rect,), "interior"),
+                              RectCover((q_rect,), "complement"), R(-9, 9, -9, 9))
+    x = {owner: form for form, owner in cs.x_entries}
+    y = {owner: form for form, owner in cs.y_entries}
+    return x["lo", 0], x["hi", 0], y["lo", 0], y["hi", 0]
+
+
+def _forms_at(forms, lam):
+    return tuple(f.alpha * lam + f.beta for f in forms)
+
+
 def test_forbidden_rect_formula():
-    lr = forbidden_rect(R(0, 1, 0, 1), R(2, 4, 0, 1))
+    forms = _pair_forms(R(0, 1, 0, 1), R(2, 4, 0, 1))
     lam = F(3)
     # (2 - lam, 4) x (-lam, 1)
-    assert lr.at(lam) == (2 - lam, F(4), -lam, F(1))
-    assert lr.x_lo == LinearForm(F(-1), F(2))
-    assert lr.x_hi == LinearForm(F(0), F(4))
+    assert _forms_at(forms, lam) == (2 - lam, F(4), -lam, F(1))
+    assert forms[0] == LinearForm(F(-1), F(2))
+    assert forms[1] == LinearForm(F(0), F(4))
 
 
 def test_forbidden_rect_symmetric():
-    lr = forbidden_rect(R(F(-1, 2), F(1, 2), F(-1, 2), F(1, 2)),
+    forms = _pair_forms(R(F(-1, 2), F(1, 2), F(-1, 2), F(1, 2)),
                         R(F(-1, 2), F(1, 2), F(-1, 2), F(1, 2)))
     lam = F(3, 2)
-    a, b, c, d = lr.at(lam)
+    a, b, c, d = _forms_at(forms, lam)
     assert (a, b) == (-(1 + lam) / 2, (1 + lam) / 2)
     assert (c, d) == (a, b)
 
@@ -46,9 +59,9 @@ def test_forbidden_rect_symmetric():
 def test_forbidden_rect_empty_at_closing_scale():
     # the forbidden x interval (q.x0 - lam * p.x1, q.x1 - lam * p.x0) has
     # width q.width + lam * p.width, so it closes at lam = -q.width / p.width
-    lr = forbidden_rect(R(1, 2, 0, 1), R(2, 3, 0, 2))
-    assert lr.at(F(-1)) == (F(4), F(4), F(1), F(2))
-    a, b, c, d = lr.at(F(1))
+    forms = _pair_forms(R(1, 2, 0, 1), R(2, 3, 0, 2))
+    assert _forms_at(forms, F(-1)) == (F(4), F(4), F(1), F(2))
+    a, b, c, d = _forms_at(forms, F(1))
     assert a < b and c < d
     assert not a < 10 < b
 
@@ -71,12 +84,21 @@ def test_coordinate_counts():
     assert len(cs.y_entries) == 10
     consts = [f for f, o in cs.x_entries if o[0] == "box"]
     assert all(f.alpha == 0 for f in consts)
-    # every rect side resolvable through the back-references
-    for form, owner in cs.x_entries:
-        if owner[0] == "lo":
-            assert cs.rects[owner[1]].x_lo == form
-        elif owner[0] == "hi":
-            assert cs.rects[owner[1]].x_hi == form
+    # every pair's lo/hi entries are its forbidden rectangle's sides
+    pairs = [(p, q) for p in pcov.rects for q in qcov.rects]
+    assert cs.n_rects == len(pairs)
+    for entries, lo_hi in ((cs.x_entries, lambda p, q: ((-p.x1, q.x0), (-p.x0, q.x1))),
+                           (cs.y_entries, lambda p, q: ((-p.y1, q.y0), (-p.y0, q.y1)))):
+        for form, owner in entries:
+            if owner[0] != "box":
+                lo, hi = lo_hi(*pairs[owner[1]])
+                assert form == LinearForm(*(lo if owner[0] == "lo" else hi))
+    # and the integer table holds each pair's sides, and the box's, times the scale
+    s = cs.scale
+    for (p, q), sides in zip(pairs, cs.sides, strict=True):
+        assert sides == tuple(v * s for v in (-p.x1, q.x0, -p.x0, q.x1,
+                                              -p.y1, q.y0, -p.y0, q.y1))
+    assert cs.box_sides == tuple(v * s for v in (box.x0, box.x1, box.y0, box.y1))
 
 
 def _coordsets_from_forms(x_forms, y_forms):
@@ -87,7 +109,7 @@ def _coordsets_from_forms(x_forms, y_forms):
     y_entries = [(f, ("lo", i)) for i, f in enumerate(y_forms)]
     y_entries += [(LinearForm(F(0), box.y0), ("box", 0)),
                   (LinearForm(F(0), box.y1), ("box", 1))]
-    return CoordSets(rects=[], x_entries=x_entries, y_entries=y_entries, box=box)
+    return CoordSets(n_rects=0, x_entries=x_entries, y_entries=y_entries)
 
 
 def test_critical_values_examples():
@@ -121,7 +143,7 @@ def test_rank_tie_intervals():
     cs = _coordsets_from_forms(
         [LinearForm(F(0), F(2)), LinearForm(F(1), F(1)), LinearForm(F(0), F(7))], [])
     snap = rank_snapshot(cs, F(1))
-    band_l, band_r = len(cs.rects), len(cs.rects) + 1  # the bands' keys
+    band_l, band_r = cs.n_rects, cs.n_rects + 1  # the bands' keys
     # box consts are 0 and 1 -> ranks 1, 2; the tied forms at value 2 get [3,4]
     # C_L right edge = end(min rank(0)) = 2*1-1 = 1
     assert snap[band_l].x_hi == 1

@@ -34,6 +34,16 @@ def test_gen_ov_validation():
         gen_ov([(0, 1)], [(1, 0, 1)])
 
 
+def test_generators_reject_non_integers():
+    # a float or a bool would otherwise be coerced into a different instance
+    for call in (lambda: gen_average([1.5, 2, 3]), lambda: gen_average([1, True, 3]),
+                 lambda: gen_foursum([0.9], [3], [1], [4]),
+                 lambda: gen_ov([(1.0, 0)], [(0, 1)]),
+                 lambda: gen_ov([(0, 1)], [(True, 0)])):
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_gen_ov_round_trip(rng):
     for _ in range(25):
         d = rng.randint(1, 6)

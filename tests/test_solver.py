@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyplace.solver
 from polyplace.forbidden import critical_values
 from polyplace.geometry import (Placement, Point, transform, validate_polygon)
-from polyplace.hardness import gen_foursum
+from polyplace.hardness import gen_average, gen_foursum
 from polyplace.instances import comb_polygon, random_instance_pair, unit_square
-from polyplace.solver import (_Problem, contains_fixed, find_hole, max_scale,
+from polyplace.solver import (PlacementResult, SolveStats, _Problem,
+                              contains_fixed, find_hole, max_scale,
                               max_scale_baseline, max_scale_x,
                               verify_containment)
 
@@ -31,6 +35,13 @@ def test_verify_examples():
     assert not verify_containment(SQ, SQ, F(1), P("1/2", 0))
     band = validate_polygon([("-3/2", -1), ("3/2", -1), ("3/2", 1), ("-3/2", 1)])
     assert verify_containment(SQ, band, F(2), P("1/2", 0))
+
+
+def test_verify_rejects_floats():
+    with pytest.raises(TypeError):
+        verify_containment(SQ, SQ, 1.0, P(0, 0))
+    with pytest.raises(TypeError):
+        verify_containment(SQ, SQ, F(1), Point(0.0, F(0)))
 
 
 def test_contains_fixed_examples():
@@ -161,6 +172,76 @@ def test_max_scale_x_examples():
     assert max_scale_x(SQ, strip).lambda_star == 1
     res = max_scale_x(SQ, WIDE)
     assert verify_containment(SQ, WIDE, res.lambda_star, res.witness)
+
+
+def _max_scale_x_reference(pattern, target):
+    """The x-only solver as a per-candidate loop over Fraction scales.
+
+    Candidates are the positive scales where two x side functions of the
+    forbidden rectangles meet, and those where a pair's activity changes:
+    with the bounding-box bottoms aligned, the placed pattern rect meets the
+    complement rect's open y extent. Each candidate at most the bbox cap,
+    largest first, is tested for a point of the target box's x extent that no
+    active pair's open x interval covers.
+    """
+    prob = _Problem(pattern, target)
+    qb, py_bottom = prob.box, prob.pat_box.y0
+    pairs = [(p, q) for p in prob.pcov.rects for q in prob.qcov.rects]
+    forms = {(F(0), qb.x0), (F(0), qb.x1)}
+    for p, q in pairs:
+        forms |= {(-p.x1, q.x0), (-p.x0, q.x1)}
+    meets = [(d - b, a - c) for (a, b), (c, d) in combinations(forms, 2)]
+    for p, q in pairs:
+        meets += [(q.y1 - qb.y0, p.y0 - py_bottom), (q.y0 - qb.y0, p.y1 - py_bottom)]
+    crits = sorted({num / den for num, den in meets if den != 0 and num / den > 0},
+                   reverse=True)
+    stats = SolveStats(criticals=len(crits))
+    for lam in crits:
+        if lam > prob.bbox_cap:
+            stats.skipped += 1
+            continue
+        stats.queries += 1
+        dy = qb.y0 - lam * py_bottom
+        x = qb.x0  # the smallest point of the box's x extent no active pair covers
+        for lo, hi in sorted((q.x0 - lam * p.x1, q.x1 - lam * p.x0) for p, q in pairs
+                             if max(lam * p.y0 + dy, q.y0) < min(lam * p.y1 + dy, q.y1)):
+            if lo >= x:
+                break
+            x = max(x, hi)
+        if x <= qb.x1:
+            return PlacementResult("feasible", lam, Point(x, dy), stats)
+    return PlacementResult("infeasible", stats=stats,
+                           lambda_sup=crits[-1] if crits else None)
+
+
+def test_max_scale_x_matches_reference():
+    rng = random.Random(4242)
+    pairs = [random_instance_pair(rng, 12, 12, 20) for _ in range(60)]
+    for _ in range(10):
+        n = rng.randint(3, 5)
+        inst = gen_average(rng.sample(range(-n ** 3, n ** 3 + 1), n))
+        pairs.append((inst.pattern, inst.target))
+    pairs.append((SQ, comb_polygon(50, random.Random(50))))
+    for pat, tgt in pairs:
+        got, want = max_scale_x(pat, tgt), _max_scale_x_reference(pat, tgt)
+        assert (got.status, got.lambda_star, got.witness, got.lambda_sup, got.stats) == \
+            (want.status, want.lambda_star, want.witness, want.lambda_sup, want.stats)
+
+
+def test_max_scale_x_builds_fractions_only_for_its_answer(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    gadget = gen_average([-5, 0, 7, 9])
+    monkeypatch.setattr(polyplace.solver, "Fraction", counting)
+    for pat, tgt in ((SQ, comb_polygon(50, random.Random(50))),
+                     (gadget.pattern, gadget.target)):
+        built.clear()
+        res = max_scale_x(pat, tgt)
+        assert res.stats.queries >= 1 and len(built) <= 2
 
 
 def test_x_variant_dominated(rng):
