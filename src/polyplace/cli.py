@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import dyncover, hardness, svg
-from .decompose import cover_complement, cover_interior, default_scale_cap, padded_frame
+from .decompose import cover_complement, cover_interior
 from .forbidden import build_sweep, read_trace, write_trace
 from .geometry import (OrthoPolygon, PolygonError, Point, load_polygon,
                        normalize_center, rat, rat_json, rat_str, save_polygon)
@@ -28,7 +28,7 @@ class CliError(Exception):
 def _load(path: str) -> OrthoPolygon:
     try:
         return load_polygon(path)
-    except (OSError, json.JSONDecodeError, PolygonError, ValueError) as exc:
+    except (OSError, PolygonError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CliError(f"invalid polygon file {path}: {exc}") from exc
 
 
@@ -126,18 +126,11 @@ def _cmd_gen(args) -> int:
 def _cmd_decompose(args) -> int:
     poly = _load(args.polygon)
     centered, _ = normalize_center(poly)
-    inner = cover_interior(centered)
-    pb = centered.bounding_box()
-    obj = {"interior": [[rat_json(r.x0), rat_json(r.x1), rat_json(r.y0), rat_json(r.y1)]
-                        for r in inner.rects]}
+    covers = {"interior": cover_interior(centered)}
     if args.complement:
-        frame, pad = padded_frame(centered, pb, default_scale_cap(pb, pb))
-        comp = cover_complement(centered, frame, pad)
-        obj["complement"] = [[rat_json(r.x0), rat_json(r.x1), rat_json(r.y0), rat_json(r.y1)]
-                             for r in comp.rects]
-        obj["frame"] = [rat_json(frame.x0), rat_json(frame.x1),
-                        rat_json(frame.y0), rat_json(frame.y1)]
-    print(json.dumps(obj))
+        covers["complement"] = cover_complement(centered)
+    print(json.dumps({name: [[rat_json(r.x0), rat_json(r.x1), rat_json(r.y0), rat_json(r.y1)]
+                             for r in cov.rects] for name, cov in covers.items()}))
     return 0
 
 

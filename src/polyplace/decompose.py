@@ -2,31 +2,24 @@
 
 The interior cover is a vertical-slab decomposition with a horizontal merge
 pass: at most one rectangle per slab interval, merged runs across slabs, so
-the cover size never exceeds the vertex count. The complement cover is four
-frame bands around the bounding box plus the slab decomposition of
-``bbox \\ polygon``. The complement is taken inside a finite frame; callers
-size the frame so that every consulted placement stays inside it.
+the cover size never exceeds the vertex count. The complement cover applies
+the same slab treatment to ``bbox \\ polygon``; a placement's scaled bounding
+box is kept inside the target's by its translation range, not by rectangles.
+:func:`padded_frame` supplies the four bands outside the bounding box for a
+pairwise check that needs the complement of the whole plane.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .geometry import AxisRect, OrthoPolygon, Rational
-
-
-class FrameTooSmall(ValueError):
-    """The complement frame must strictly exceed the bounding box on all sides."""
 
 
 @dataclass(frozen=True)
 class RectCover:
     rects: tuple[AxisRect, ...]
-    source: str  # "interior" | "complement"
-    frame: AxisRect | None = None
-    inflation: Rational | None = None  # audit: how far the frame exceeds bbox(Q)
 
     def __len__(self) -> int:
         return len(self.rects)
@@ -74,27 +67,18 @@ def cover_interior(poly: OrthoPolygon) -> RectCover:
     and the rectangle count is at most the vertex count.
     """
     xs, slabs = _slab_intervals(poly)
-    return RectCover(tuple(_merge_runs(xs, slabs)), source="interior")
+    return RectCover(tuple(_merge_runs(xs, slabs)))
 
 
-def cover_complement(poly: OrthoPolygon, frame: AxisRect,
-                     inflation: Rational | None = None) -> RectCover:
-    """Cover ``frame \\ polygon`` by rectangles (overlaps allowed).
 
-    Four bands cover ``frame \\ bbox``; the region ``bbox \\ polygon`` gets the
-    slab treatment. The frame must strictly contain the bounding box.
+
+def cover_complement(poly: OrthoPolygon) -> RectCover:
+    """Cover ``bbox \\ polygon`` by closed rectangles with disjoint interiors.
+
+    Each slab's gaps between the polygon's interior intervals, merged across
+    slabs as in :func:`cover_interior`; a rectangle's cover is empty.
     """
     b = poly.bounding_box()
-    if not (frame.x0 < b.x0 and b.x1 < frame.x1 and frame.y0 < b.y0 and b.y1 < frame.y1):
-        raise FrameTooSmall(f"frame {frame} does not strictly contain bbox {b}")
-
-    bands = [
-        AxisRect(frame.x0, b.x0, frame.y0, frame.y1),   # left
-        AxisRect(b.x1, frame.x1, frame.y0, frame.y1),   # right
-        AxisRect(frame.x0, frame.x1, frame.y0, b.y0),   # bottom
-        AxisRect(frame.x0, frame.x1, b.y1, frame.y1),   # top
-    ]
-
     xs, slabs = _slab_intervals(poly)
     gap_slabs: list[list[tuple[Rational, Rational]]] = []
     for intervals in slabs:
@@ -107,31 +91,20 @@ def cover_complement(poly: OrthoPolygon, frame: AxisRect,
         if cursor < b.y1:
             gaps.append((cursor, b.y1))
         gap_slabs.append(gaps)
-    inner = _merge_runs(xs, gap_slabs)
-
-    return RectCover(tuple(bands + inner), source="complement",
-                     frame=frame, inflation=inflation)
+    return RectCover(tuple(_merge_runs(xs, gap_slabs)))
 
 
 def padded_frame(target: OrthoPolygon, pattern_box: AxisRect,
-                 scale_cap: Rational) -> tuple[AxisRect, Rational]:
-    """Frame around ``bbox(target)`` valid for every scale up to ``scale_cap``.
+                 scale_cap: Rational) -> tuple[AxisRect, ...]:
+    """The bands left, right, bottom, top of a frame around ``bbox(target)``.
 
-    Any placement with translation inside bbox(target) and scale at most
-    ``scale_cap`` keeps the scaled pattern strictly inside the frame, so the
-    finite complement cover behaves like the complement of the whole plane
-    for those queries.
+    The frame is wide enough that any placement of the centered pattern with
+    translation inside bbox(target) and scale at most ``scale_cap`` stays
+    strictly inside it, so the bands plus :func:`cover_complement` act as the
+    complement of the whole plane for those placements.
     """
-    pad = (scale_cap + 1) * (pattern_box.width + pattern_box.height) + 1
-    pad = Fraction(math.ceil(pad))  # integer margin keeps integral inputs integral
-    return target.bounding_box().inflated(pad), pad
-
-
-def default_scale_cap(pattern_box: AxisRect, target_box: AxisRect) -> Rational:
-    """Upper bound used to size frames before any critical scale is known.
-
-    Four times the bounding-box perimeter ratio dominates the bbox-fit cap
-    min(width ratio, height ratio), which itself bounds every feasible scale.
-    """
-    ratio = 4 * (target_box.width + target_box.height) / (pattern_box.width + pattern_box.height)
-    return max(ratio, Fraction(1))
+    b = target.bounding_box()
+    # an integer margin keeps integral inputs integral
+    f = b.inflated(math.ceil((scale_cap + 1) * (pattern_box.width + pattern_box.height) + 1))
+    return (AxisRect(f.x0, b.x0, f.y0, f.y1), AxisRect(b.x1, f.x1, f.y0, f.y1),
+            AxisRect(f.x0, f.x1, f.y0, b.y0), AxisRect(f.x0, f.x1, b.y1, f.y1))

@@ -2,18 +2,20 @@
 
 For each interior rectangle of the pattern and each complement rectangle of
 the target, the translations that make them properly overlap form an open
-rectangle whose sides are linear functions of the scale factor. As the scale
+rectangle whose sides are linear functions of the scale factor. The
+translations that keep the scaled pattern's bounding box inside the target's
+form the box B(scale), whose sides are linear in the scale too. As the scale
 decreases, the sorted orders of all side functions change only at finitely
 many critical values; between criticals the combinatorial picture is frozen.
 Encoding each coordinate by its rank, with every rank split into an ``end``
 (2r-1) and a ``start`` (2r) cell, turns the open rectangles into closed
 integer ones whose union covers the rank-space box exactly when the real
-rectangles cover the target's bounding box.
+rectangles cover B(scale).
 
 Every side is normalized once, when :func:`coordinate_functions` builds the
 :class:`CoordSets`: an integer form alpha * scale + beta over one common
 denominator, deduplicated into weighted nodes per axis, with each cover
-pair's four integer sides and the box's. The critical scales, the snapshots,
+pair's four integer sides and B's. The critical scales, the snapshots,
 the sweep, the solvers' static test and the x-only solver all read that table.
 A critical scale is the integer pair (db, da), da > 0, ordered by an exact
 integer key; it becomes a ``Fraction`` only where a solver returns it.
@@ -21,7 +23,7 @@ integer key; it becomes a ``Fraction`` only where a solver returns it.
 The sweep below walks the criticals in descending order and emits the add /
 delete trace of the closed rank rectangles, touching only the rectangles
 whose defining forms participate in a tie at each critical. Rectangles are
-keyed 0..n-1, then n..n+3 for the bands L, R, B, T around the box; an
+keyed 0..n-1, then n..n+3 for the bands L, R, B, T around B(scale); an
 update is (key, RankRect) for an add and (key, None) for a delete.
 """
 
@@ -59,7 +61,7 @@ class _Axis:
 
     ``node_of`` maps every owner to its node. ``keys[node]`` lists the sweep
     keys of the forms merged into the node: the owning rect's index, or
-    ``band + k`` for the box constant ("box", k), where ``band`` is the key
+    ``band + k`` for the box side ("box", k), where ``band`` is the key
     of the axis's lower band (L on x, B on y).
     """
 
@@ -95,15 +97,17 @@ class CoordSets:
     """All side functions of both axes, with their integer normalization.
 
     ``x_entries`` / ``y_entries`` hold (form, owner) pairs where owner is
-    ("lo", rect_index), ("hi", rect_index), or ("box", 0|1) for the bounding
-    box constants: 2 * n_rects + 2 per axis, for ``n_rects`` cover pairs.
+    ("lo", rect_index), ("hi", rect_index), or ("box", 0|1) for the low and
+    high side of the translation box B(scale): 2 * n_rects + 2 per axis, for
+    ``n_rects`` cover pairs.
 
     The integer table is built here, once, on construction: ``scale`` is the
     lcm of all form denominators, ``xaxis`` / ``yaxis`` hold each axis's
     distinct forms times ``scale`` as integer nodes, ``rect_nodes[i]`` is the
     (x_lo, x_hi, y_lo, y_hi) node ids of rectangle i's sides, ``sides[i]``
     their integer (alpha, beta) pairs in that order, flattened, and
-    ``box_sides`` the betas (bx0, bx1, by0, by1) of the box constants.
+    ``box_sides`` the integer (alpha, beta) pairs of B's sides bx0, bx1, by0,
+    by1.
     """
 
     n_rects: int
@@ -115,7 +119,7 @@ class CoordSets:
     yaxis: _Axis = field(init=False, repr=False)
     rect_nodes: list[tuple[int, int, int, int]] = field(init=False, repr=False)
     sides: list[tuple[int, ...]] = field(init=False, repr=False)
-    box_sides: tuple[int, int, int, int] = field(init=False)
+    box_sides: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         self.rank_box = 2 * len(self.x_entries), 2 * len(self.y_entries)
@@ -134,17 +138,22 @@ class CoordSets:
         ya, yb = self.yaxis.alphas, self.yaxis.betas
         self.sides = [(xa[a], xb[a], xa[b], xb[b], ya[c], yb[c], ya[d], yb[d])
                       for a, b, c, d in self.rect_nodes]
-        self.box_sides = (xb[xn["box", 0]], xb[xn["box", 1]],
-                          yb[yn["box", 0]], yb[yn["box", 1]])
+        b0, b1, c0, c1 = xn["box", 0], xn["box", 1], yn["box", 0], yn["box", 1]
+        self.box_sides = ((xa[b0], xb[b0]), (xa[b1], xb[b1]),
+                          (ya[c0], yb[c0]), (ya[c1], yb[c1]))
 
 
 def coordinate_functions(pcov: RectCover, qcov: RectCover, box: AxisRect) -> CoordSets:
-    """Side functions of every cover pair's forbidden rectangle, plus the box's.
+    """Side functions of every cover pair's forbidden rectangle, plus B's.
 
     Pair i is the i-th (p, q) of pcov x qcov. The translations at which p,
     centered on the scaling reference point and scaled by lam, meets q's
     interior form the open rectangle (q.x0 - lam * p.x1, q.x1 - lam * p.x0)
     x (q.y0 - lam * p.y1, q.y1 - lam * p.y0); boundary contact is allowed.
+    With pb the bounding box of pcov and qb = ``box`` the target's, the
+    translations that keep the scaled pb inside qb form the closed box
+    B(lam) = [qb.x0 - lam * pb.x0, qb.x1 - lam * pb.x1]
+    x [qb.y0 - lam * pb.y0, qb.y1 - lam * pb.y1], empty above the bbox-fit ratio.
     """
     x_entries: list[tuple[LinearForm, tuple]] = []
     y_entries: list[tuple[LinearForm, tuple]] = []
@@ -153,10 +162,11 @@ def coordinate_functions(pcov: RectCover, qcov: RectCover, box: AxisRect) -> Coo
                       (LinearForm(-p.x0, q.x1), ("hi", idx)))
         y_entries += ((LinearForm(-p.y1, q.y0), ("lo", idx)),
                       (LinearForm(-p.y0, q.y1), ("hi", idx)))
-    x_entries += ((LinearForm(Fraction(0), box.x0), ("box", 0)),
-                  (LinearForm(Fraction(0), box.x1), ("box", 1)))
-    y_entries += ((LinearForm(Fraction(0), box.y0), ("box", 0)),
-                  (LinearForm(Fraction(0), box.y1), ("box", 1)))
+    pr = pcov.rects
+    x_entries += ((LinearForm(-min(p.x0 for p in pr), box.x0), ("box", 0)),
+                  (LinearForm(-max(p.x1 for p in pr), box.x1), ("box", 1)))
+    y_entries += ((LinearForm(-min(p.y0 for p in pr), box.y0), ("box", 0)),
+                  (LinearForm(-max(p.y1 for p in pr), box.y1), ("box", 1)))
     return CoordSets(len(pcov) * len(qcov), x_entries, y_entries)
 
 
@@ -229,7 +239,7 @@ def _rank_rule(cs: CoordSets, xranks: tuple[list[int], list[int]],
     rank; the rule reads them on every call, so they may change in place. An
     open side interval (a, b) becomes [start(max rank of a), end(min rank of
     b)]; the bands n..n+3 (L, R, B, T) cover the rank box outside the
-    target's bounding box.
+    translation box B(scale).
     """
     (xlo, xhi), (ylo, yhi) = xranks, yranks
     nodes = cs.rect_nodes

@@ -23,12 +23,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from . import dyncover
-from .decompose import (RectCover, cover_complement, cover_interior,
-                        default_scale_cap, padded_frame)
+from .decompose import cover_complement, cover_interior, padded_frame
 from .forbidden import (SweepPlan, _axis_events, _key_scale, build_sweep,
                         coordinate_functions, critical_values)
 from .geometry import (AxisRect, NonPositiveScale, OrthoPolygon, Point,
@@ -72,24 +72,31 @@ class PlacementResult:
 
 
 class _Problem:
-    """Centered covers and their coordinate functions ``cs``."""
+    """Centered covers, their coordinate functions ``cs`` and the bbox-fit cap.
+
+    The translation box is B(lam) (see :func:`coordinate_functions`): it keeps
+    the scaled pattern's bounding box inside the target's, so only the cover
+    of ``bbox(target) \\ target`` is needed. B(lam) is empty above
+    ``bbox_cap``, so no larger scale is feasible.
+    """
 
     __slots__ = ("pcov", "qcov", "box", "cs", "bbox_cap", "pat_box")
 
     def __init__(self, pattern: OrthoPolygon, target: OrthoPolygon):
         pattern, _ = normalize_center(pattern)
         target, _ = normalize_center(target)
-        pb = pattern.bounding_box()
-        qb = target.bounding_box()
-        self.pat_box = pb
-        frame, pad = padded_frame(target, pb, default_scale_cap(pb, qb))
+        self.pat_box = pb = pattern.bounding_box()
+        self.box = qb = target.bounding_box()
         self.pcov = cover_interior(pattern)
-        self.qcov = cover_complement(target, frame, pad)
-        self.box = qb
+        self.qcov = cover_complement(target)
         self.cs = coordinate_functions(self.pcov, self.qcov, qb)
-        # no scale above the bbox-fit ratio can be feasible; queries past it
-        # would also outrun the finite frame, so they are answered by this cap
         self.bbox_cap = min(qb.width / pb.width, qb.height / pb.height)
+
+    def fit_box(self, lam: Rational) -> AxisRect:
+        """B(lam) in rationals; ``lam`` must be at most ``bbox_cap``."""
+        pb, qb = self.pat_box, self.box
+        return AxisRect(qb.x0 - lam * pb.x0, qb.x1 - lam * pb.x1,
+                        qb.y0 - lam * pb.y0, qb.y1 - lam * pb.y1)
 
 
 def _item_span(vals: list[int], lo: int, hi: int) -> tuple[int, int]:
@@ -115,13 +122,16 @@ def _item_value(vals: list[int], item: int, den: int) -> Rational:
 def find_hole(prob: _Problem, lam: Rational) -> Point | None:
     """Exact per-scale coverage test on the tie-refined item grid.
 
-    Returns a translation (in centered frames) that avoids every open
-    forbidden rectangle, or None when the bounding box is fully covered.
-    Point-sized holes at shared boundaries are represented by the zero-width
-    value items, so boundary-contact placements are found exactly.
+    Returns a translation (in centered frames) in the box B(lam) that avoids
+    every open forbidden rectangle, or None when B(lam) is fully covered or,
+    above the bbox-fit cap, empty. Point-sized holes at shared boundaries are
+    represented by the zero-width value items, so boundary-contact placements
+    are found exactly.
     """
     num, den = lam.numerator, lam.denominator
-    bx0, bx1, by0, by1 = (b * den for b in prob.cs.box_sides)
+    bx0, bx1, by0, by1 = (a * num + b * den for a, b in prob.cs.box_sides)
+    if bx0 > bx1 or by0 > by1:
+        return None
     rects = []
     for (xa, xb, Xa, Xb, ya, yb, Ya, Yb) in prob.cs.sides:
         lo = xa * num + xb * den
@@ -182,22 +192,22 @@ def find_hole(prob: _Problem, lam: Rational) -> Point | None:
     return None
 
 
-def _fits(pcov: RectCover, qcov: RectCover, box: AxisRect,
+def _fits(prects: Sequence[AxisRect], qrects: Sequence[AxisRect], box: AxisRect,
           lam: Rational, tau: Point) -> bool:
     """Pairwise check of a placement between centered covers.
 
-    True iff ``tau`` lies in the target's bounding box and no interior
-    rectangle of the pattern, scaled by ``lam`` and translated by ``tau``,
-    meets the interior of a complement rectangle (boundary contact allowed).
+    True iff ``tau`` lies in ``box`` and no interior rectangle of the
+    pattern, scaled by ``lam`` and translated by ``tau``, meets the interior
+    of a complement rectangle (boundary contact allowed).
     """
     if not box.contains_point(tau):
         return False
-    for pr in pcov.rects:
+    for pr in prects:
         sx0 = lam * pr.x0 + tau.x
         sx1 = lam * pr.x1 + tau.x
         sy0 = lam * pr.y0 + tau.y
         sy1 = lam * pr.y1 + tau.y
-        for qr in qcov.rects:
+        for qr in qrects:
             if (max(sx0, qr.x0) < min(sx1, qr.x1)
                     and max(sy0, qr.y0) < min(sy1, qr.y1)):
                 return False
@@ -209,8 +219,11 @@ def verify_containment(pattern: OrthoPolygon, target: OrthoPolygon,
     """Exact containment check of the placement, independent of the sweep.
 
     Both polygons are centered internally; ``tau`` translates the centered
-    scaled pattern within the centered target. The covers are built afresh
-    for ``lam`` and checked pairwise (see :func:`_fits`).
+    scaled pattern within the centered target. Unlike the solvers, the check
+    does not use the translation box B(lam): it requires ``tau`` in the
+    target's bounding box and tests the pattern's cover pairwise (see
+    :func:`_fits`) against the cover of ``bbox \\ target`` plus the four bands
+    of a frame padded for ``lam``.
     """
     lam = rat(lam)
     if lam <= 0:
@@ -218,12 +231,9 @@ def verify_containment(pattern: OrthoPolygon, target: OrthoPolygon,
     tau = Point(rat(tau.x), rat(tau.y))
     pattern_c, _ = normalize_center(pattern)
     target_c, _ = normalize_center(target)
-    pb = pattern_c.bounding_box()
-    qb = target_c.bounding_box()
-    cap = max(default_scale_cap(pb, qb), lam)
-    frame, pad = padded_frame(target_c, pb, cap)
-    return _fits(cover_interior(pattern_c), cover_complement(target_c, frame, pad),
-                 qb, lam, tau)
+    bands = padded_frame(target_c, pattern_c.bounding_box(), lam)
+    return _fits(cover_interior(pattern_c).rects, cover_complement(target_c).rects + bands,
+                 target_c.bounding_box(), lam, tau)
 
 
 def contains_fixed(pattern: OrthoPolygon, target: OrthoPolygon) -> Point | None:
@@ -269,7 +279,7 @@ def _max_scale_and_plan(pattern: OrthoPolygon, target: OrthoPolygon,
     if tau is None:
         raise RuntimeError("internal inconsistency: the sweep reported a hole "
                            "the static test cannot find")
-    if not _fits(prob.pcov, prob.qcov, prob.box, lam, tau):
+    if not _fits(prob.pcov.rects, prob.qcov.rects, prob.fit_box(lam), lam, tau):
         raise RuntimeError("internal inconsistency: witness fails verification")
     return PlacementResult("feasible", lam, tau, stats), plan
 
@@ -295,35 +305,35 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
     """Largest scale with translation restricted to the x axis.
 
     The vertical translation is forced to keep the bounding-box bottoms
-    aligned, so each cover pair is active on a scale interval (two strict
-    linear inequalities) and forbids an open x interval while active. The
-    candidate scales are the activity endpoints plus all pairwise meeting
-    points of the x side functions, as integer pairs (db, da) in the exact
-    key order of :func:`~polyplace.forbidden._key_scale`; a 1D sweep tests
-    coverage of the target box's x extent at each, largest first.
+    aligned: it is the bottom side of the translation box B(lam). So each
+    cover pair is active on a scale interval (two strict linear
+    inequalities) and forbids an open x interval while active. The candidate
+    scales are the activity endpoints, all pairwise meeting points of the x
+    side functions (B's included) and the scale where B's bottom and top
+    meet, as integer pairs (db, da) in the exact key order of
+    :func:`~polyplace.forbidden._key_scale`; a 1D sweep tests coverage of
+    B's x extent at each, largest first.
     """
     prob = _Problem(pattern, target)
     cs = prob.cs
-    s = cs.scale
-    py_bottom = prob.pat_box.y0  # centered pattern's bbox bottom
-    pb_s = int(py_bottom * s)
-    bx0, bx1, by0, _ = cs.box_sides
-    # placed rect's vertical extent is lam*(y - py_bottom) + target_box.y0;
-    # the pair is active when that open extent meets the complement rect's
-    # y interior: a1*lam < c1 and a2*lam > c2 in integer form. -pb_s is the
-    # largest y alpha, so a1 and a2 are y alpha differences: the keys are exact.
-    acts = []
-    for (xa, xb, Xa, Xb, ya, yb, Ya, Yb) in cs.sides:
-        acts.append((-Ya - pb_s, Yb - by0, -ya - pb_s, yb - by0, xa, xb, Xa, Xb))
+    (xa0, xb0), (xa1, xb1), (ya0, yb0), (ya1, yb1) = cs.box_sides
+    # the pair is active when B's bottom ya0*lam + yb0 lies inside its open y
+    # interval: a1*lam < c1 and a2*lam > c2. ya0 is the largest y alpha, so
+    # a1 and a2 are y alpha differences: the keys are exact.
+    acts = [(ya0 - Ya, Yb - yb0, ya0 - ya, yb - yb0, xa, xb, Xa, Xb)
+            for (xa, xb, Xa, Xb, ya, yb, Ya, Yb) in cs.sides]
 
     m = _key_scale(cs.xaxis, cs.yaxis)
     cands = {db * m // da: (db, da) for db, da, _, _ in _axis_events(cs.xaxis)}
+    # B's bottom and top meet at h_Q / h_P, where ya0 - ya1 is a y alpha difference
+    ends = [(yb1 - yb0, ya0 - ya1)]
     for (a1, c1, a2, c2, *_x) in acts:
-        for db, da in ((c1, a1), (c2, a2)):
-            if da < 0:
-                da, db = -da, -db
-            if da and db > 0:
-                cands[db * m // da] = (db, da)
+        ends += ((c1, a1), (c2, a2))
+    for db, da in ends:
+        if da < 0:
+            da, db = -da, -db
+        if da and db > 0:
+            cands[db * m // da] = (db, da)
 
     crits = [cands[key] for key in sorted(cands, reverse=True)]
     cap_num, cap_den = prob.bbox_cap.numerator, prob.bbox_cap.denominator
@@ -340,12 +350,12 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
                 hi = Xa * num + Xb * den
                 if lo < hi:
                     intervals.append((lo, hi))
-        hole = _open_cover_hole(intervals, bx0 * den, bx1 * den)
+        hole = _open_cover_hole(intervals, xa0 * num + xb0 * den, xa1 * num + xb1 * den)
         if hole is not None:
             lam = Fraction(num, den)
-            tau = Point(Fraction(hole, den * s),
-                        prob.box.y0 - lam * py_bottom)
-            if not _fits(prob.pcov, prob.qcov, prob.box, lam, tau):
+            box = prob.fit_box(lam)
+            tau = Point(Fraction(hole, den * cs.scale), box.y0)
+            if not _fits(prob.pcov.rects, prob.qcov.rects, box, lam, tau):
                 raise RuntimeError("internal inconsistency: 1D witness fails verification")
             return PlacementResult("feasible", lam, tau, stats)
     return PlacementResult("infeasible", stats=stats,

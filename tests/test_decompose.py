@@ -1,11 +1,9 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from conftest import cell_grid_union_area, point_in_polygon
-from polyplace.decompose import (FrameTooSmall, cover_complement, cover_interior,
-                                 default_scale_cap, padded_frame)
+from polyplace.coverage import union_area
+from polyplace.decompose import cover_complement, cover_interior, padded_frame
 from polyplace.geometry import AxisRect, Point, validate_polygon
 from polyplace.instances import random_orthogonal_polygon
 
@@ -42,35 +40,26 @@ def test_staircase_three_rects():
 
 def test_complement_unit_square():
     sq = validate_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-    cov = cover_complement(sq, AxisRect(*map(Fraction, (-1, 2, -1, 2))))
-    assert len(cov) == 4  # four bands, nothing inside the bbox
+    assert len(cover_complement(sq)) == 0  # nothing inside the bbox
 
 
 def test_complement_l_shape():
-    cov = cover_complement(LSHAPE, AxisRect(*map(Fraction, (-1, 3, -1, 3))))
-    assert len(cov) == 5
-    inner = [r for r in cov.rects if r == AxisRect(*map(Fraction, (1, 2, 1, 2)))]
-    assert len(inner) == 1
+    cov = cover_complement(LSHAPE)
+    assert cov.rects == (AxisRect(*map(Fraction, (1, 2, 1, 2))),)
 
 
 def test_complement_comb_area_identity():
-    # comb with k equal teeth: 4 bands plus k-1 gap rectangles
+    # comb with k equal teeth: k-1 gap rectangles
     k = 5
     verts = [(0, 0), (2 * k - 1, 0), (2 * k - 1, 4)]
     for i in range(k - 1, 0, -1):
         verts += [(2 * i, 4), (2 * i, 1), (2 * i - 1, 1), (2 * i - 1, 4)]
     verts.append((0, 4))
     comb = validate_polygon(verts)
-    frame = comb.bounding_box().inflated(Fraction(3))
-    cov = cover_complement(comb, frame)
-    assert len(cov) == 4 + (k - 1)
-    from polyplace.coverage import union_area
-    assert union_area(cov.rects, frame) == frame.area - comb.area()
-
-
-def test_frame_too_small():
-    with pytest.raises(FrameTooSmall):
-        cover_complement(LSHAPE, LSHAPE.bounding_box())
+    box = comb.bounding_box()
+    cov = cover_complement(comb)
+    assert len(cov) == k - 1
+    assert union_area(cov.rects, box) == box.area - comb.area()
 
 
 def test_count_bounds_and_disjointness(rng):
@@ -85,22 +74,18 @@ def test_count_bounds_and_disjointness(rng):
                 a, b = rects[i], rects[j]
                 assert not (max(a.x0, b.x0) < min(a.x1, b.x1)
                             and max(a.y0, b.y0) < min(a.y1, b.y1))
-        frame = poly.bounding_box().inflated(Fraction(5))
-        comp = cover_complement(poly, frame)
-        assert len(comp) <= len(poly) + 4
+        assert len(cover_complement(poly)) <= len(poly)
 
 
 def test_membership_sampling(rng):
     poly = random_orthogonal_polygon(rng, 20, span=20)
-    frame = poly.bounding_box().inflated(Fraction(4))
+    box = poly.bounding_box()
     interior = cover_interior(poly)
-    comp = cover_complement(poly, frame)
+    comp = cover_complement(poly)
     inside = outside = 0
     while inside < 1000 or outside < 1000:
-        p = Point(Fraction(rng.randint(int(frame.x0) * 7, int(frame.x1) * 7), 7),
-                  Fraction(rng.randint(int(frame.y0) * 9, int(frame.y1) * 9), 9))
-        if not frame.contains_point(p):
-            continue
+        p = Point(Fraction(rng.randint(int(box.x0) * 7, int(box.x1) * 7), 7),
+                  Fraction(rng.randint(int(box.y0) * 9, int(box.y1) * 9), 9))
         if point_in_polygon(poly, p):
             if inside >= 1000:
                 continue
@@ -116,18 +101,25 @@ def test_membership_sampling(rng):
 def test_complement_area_identity(rng):
     for _ in range(10):
         poly = random_orthogonal_polygon(rng, 16, span=15)
-        frame = poly.bounding_box().inflated(Fraction(2))
-        comp = cover_complement(poly, frame)
-        assert cell_grid_union_area(list(comp.rects), frame) == \
-            frame.area - poly.area()
+        box = poly.bounding_box()
+        comp = cover_complement(poly)
+        assert cell_grid_union_area(list(comp.rects), box) == box.area - poly.area()
 
 
 def test_padded_frame_covers_cap():
     poly = validate_polygon([(0, 0), (4, 0), (4, 4), (0, 4)])
     pattern_box = AxisRect(*map(Fraction, (-1, 1, -1, 1)))
-    cap = default_scale_cap(pattern_box, poly.bounding_box())
-    frame, pad = padded_frame(poly, pattern_box, cap)
-    assert pad >= (cap + 1) * (pattern_box.width + pattern_box.height)
+    cap = Fraction(8)
+    bands = padded_frame(poly, pattern_box, cap)
     b = poly.bounding_box()
-    assert frame.x0 <= b.x0 and b.x1 <= frame.x1
-    assert frame.y0 <= b.y0 and b.y1 <= frame.y1
+    frame = AxisRect(min(r.x0 for r in bands), max(r.x1 for r in bands),
+                     min(r.y0 for r in bands), max(r.y1 for r in bands))
+    # the bands cover exactly frame \ bbox ...
+    assert union_area(bands, frame) == frame.area - b.area
+    assert union_area(bands, b) == 0
+    # ... and the frame holds every placement with translation in the bbox
+    # and scale up to the cap strictly inside
+    reach = AxisRect(b.x0 + cap * pattern_box.x0, b.x1 + cap * pattern_box.x1,
+                     b.y0 + cap * pattern_box.y0, b.y1 + cap * pattern_box.y1)
+    assert frame.x0 < reach.x0 and reach.x1 < frame.x1
+    assert frame.y0 < reach.y0 and reach.y1 < frame.y1

@@ -5,8 +5,7 @@ import pytest
 
 import polyplace.forbidden
 from polyplace.coverage import covers_box
-from polyplace.decompose import (RectCover, cover_complement, cover_interior,
-                                padded_frame)
+from polyplace.decompose import RectCover, cover_complement, cover_interior
 from polyplace.forbidden import (CoordSets, LinearForm, _Axis, _AxisState,
                                  _axis_events, _critical_events, build_sweep,
                                  coordinate_functions, critical_values,
@@ -27,8 +26,7 @@ def F(n, d=1):
 
 def _pair_forms(p_rect, q_rect):
     """The (x_lo, x_hi, y_lo, y_hi) forms that coordinate_functions gives one pair."""
-    cs = coordinate_functions(RectCover((p_rect,), "interior"),
-                              RectCover((q_rect,), "complement"), R(-9, 9, -9, 9))
+    cs = coordinate_functions(RectCover((p_rect,)), RectCover((q_rect,)), R(-9, 9, -9, 9))
     x = {owner: form for form, owner in cs.x_entries}
     y = {owner: form for form, owner in cs.y_entries}
     return x["lo", 0], x["hi", 0], y["lo", 0], y["hi", 0]
@@ -66,39 +64,41 @@ def test_forbidden_rect_empty_at_closing_scale():
     assert not a < 10 < b
 
 
-def _square_pair():
-    sq = validate_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-    p, _ = normalize_center(sq)
-    q, _ = normalize_center(sq)
-    pcov = cover_interior(p)
-    frame, pad = padded_frame(q, p.bounding_box(), F(4))
-    qcov = cover_complement(q, frame, pad)
-    return pcov, qcov, q.bounding_box()
+def _square_pair(target):
+    """Centered covers of the unit square and ``target``, and their bboxes."""
+    p, _ = normalize_center(unit_square())
+    q, _ = normalize_center(target)
+    return cover_interior(p), cover_complement(q), p.bounding_box(), q.bounding_box()
 
 
 def test_coordinate_counts():
-    pcov, qcov, box = _square_pair()
-    assert len(pcov) == 1 and len(qcov) == 4
-    cs = coordinate_functions(pcov, qcov, box)
-    assert len(cs.x_entries) == 2 * 1 * 4 + 2 == 10
-    assert len(cs.y_entries) == 10
-    consts = [f for f, o in cs.x_entries if o[0] == "box"]
-    assert all(f.alpha == 0 for f in consts)
-    # every pair's lo/hi entries are its forbidden rectangle's sides
-    pairs = [(p, q) for p in pcov.rects for q in qcov.rects]
-    assert cs.n_rects == len(pairs)
-    for entries, lo_hi in ((cs.x_entries, lambda p, q: ((-p.x1, q.x0), (-p.x0, q.x1))),
-                           (cs.y_entries, lambda p, q: ((-p.y1, q.y0), (-p.y0, q.y1)))):
-        for form, owner in entries:
-            if owner[0] != "box":
-                lo, hi = lo_hi(*pairs[owner[1]])
-                assert form == LinearForm(*(lo if owner[0] == "lo" else hi))
-    # and the integer table holds each pair's sides, and the box's, times the scale
-    s = cs.scale
-    for (p, q), sides in zip(pairs, cs.sides, strict=True):
-        assert sides == tuple(v * s for v in (-p.x1, q.x0, -p.x0, q.x1,
-                                              -p.y1, q.y0, -p.y0, q.y1))
-    assert cs.box_sides == tuple(v * s for v in (box.x0, box.x1, box.y0, box.y1))
+    lshape = validate_polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+    for target, n_q in ((unit_square(), 0), (lshape, 1)):
+        pcov, qcov, pb, qb = _square_pair(target)
+        assert len(pcov) == 1 and len(qcov) == n_q
+        cs = coordinate_functions(pcov, qcov, qb)
+        assert len(cs.x_entries) == len(cs.y_entries) == 2 * n_q + 2
+        # the box entries are B(lam)'s sides: alpha = -pb side, beta = qb side
+        box = {(axis, o[1]): f for axis, entries in (("x", cs.x_entries), ("y", cs.y_entries))
+               for f, o in entries if o[0] == "box"}
+        assert box == {("x", 0): LinearForm(-pb.x0, qb.x0), ("x", 1): LinearForm(-pb.x1, qb.x1),
+                       ("y", 0): LinearForm(-pb.y0, qb.y0), ("y", 1): LinearForm(-pb.y1, qb.y1)}
+        # every pair's lo/hi entries are its forbidden rectangle's sides
+        pairs = [(p, q) for p in pcov.rects for q in qcov.rects]
+        assert cs.n_rects == len(pairs)
+        for entries, lo_hi in ((cs.x_entries, lambda p, q: ((-p.x1, q.x0), (-p.x0, q.x1))),
+                               (cs.y_entries, lambda p, q: ((-p.y1, q.y0), (-p.y0, q.y1)))):
+            for form, owner in entries:
+                if owner[0] != "box":
+                    lo, hi = lo_hi(*pairs[owner[1]])
+                    assert form == LinearForm(*(lo if owner[0] == "lo" else hi))
+        # and the integer table holds each pair's sides, and B's, times the scale
+        s = cs.scale
+        for (p, q), sides in zip(pairs, cs.sides, strict=True):
+            assert sides == tuple(v * s for v in (-p.x1, q.x0, -p.x0, q.x1,
+                                                  -p.y1, q.y0, -p.y0, q.y1))
+        assert cs.box_sides == tuple((-a * s, b * s) for a, b in (
+            (pb.x0, qb.x0), (pb.x1, qb.x1), (pb.y0, qb.y0), (pb.y1, qb.y1)))
 
 
 def _coordsets_from_forms(x_forms, y_forms):

@@ -177,22 +177,26 @@ def test_max_scale_x_examples():
 def _max_scale_x_reference(pattern, target):
     """The x-only solver as a per-candidate loop over Fraction scales.
 
-    Candidates are the positive scales where two x side functions of the
-    forbidden rectangles meet, and those where a pair's activity changes:
-    with the bounding-box bottoms aligned, the placed pattern rect meets the
-    complement rect's open y extent. Each candidate at most the bbox cap,
-    largest first, is tested for a point of the target box's x extent that no
-    active pair's open x interval covers.
+    The translation box is B(lam) = [qb.x0 - lam * pb.x0, qb.x1 - lam * pb.x1]
+    x [qb.y0 - lam * pb.y0, qb.y1 - lam * pb.y1], and the vertical translation
+    is its bottom, which aligns the bounding-box bottoms. Candidates are the
+    positive scales where two x side functions meet (of the forbidden
+    rectangles and of B), those where a pair's activity changes (the placed
+    pattern rect meets the complement rect's open y extent), and the one
+    where B's bottom and top meet. Each candidate at most the bbox cap,
+    largest first, is tested for a point of B's x extent that no active
+    pair's open x interval covers.
     """
     prob = _Problem(pattern, target)
-    qb, py_bottom = prob.box, prob.pat_box.y0
+    pb, qb = prob.pat_box, prob.box
     pairs = [(p, q) for p in prob.pcov.rects for q in prob.qcov.rects]
-    forms = {(F(0), qb.x0), (F(0), qb.x1)}
+    forms = {(-pb.x0, qb.x0), (-pb.x1, qb.x1)}
     for p, q in pairs:
         forms |= {(-p.x1, q.x0), (-p.x0, q.x1)}
     meets = [(d - b, a - c) for (a, b), (c, d) in combinations(forms, 2)]
+    meets.append((qb.y1 - qb.y0, pb.y1 - pb.y0))
     for p, q in pairs:
-        meets += [(q.y1 - qb.y0, p.y0 - py_bottom), (q.y0 - qb.y0, p.y1 - py_bottom)]
+        meets += [(q.y1 - qb.y0, p.y0 - pb.y0), (q.y0 - qb.y0, p.y1 - pb.y0)]
     crits = sorted({num / den for num, den in meets if den != 0 and num / den > 0},
                    reverse=True)
     stats = SolveStats(criticals=len(crits))
@@ -201,14 +205,14 @@ def _max_scale_x_reference(pattern, target):
             stats.skipped += 1
             continue
         stats.queries += 1
-        dy = qb.y0 - lam * py_bottom
-        x = qb.x0  # the smallest point of the box's x extent no active pair covers
+        dy = qb.y0 - lam * pb.y0
+        x = qb.x0 - lam * pb.x0  # the smallest point of B's x extent no active pair covers
         for lo, hi in sorted((q.x0 - lam * p.x1, q.x1 - lam * p.x0) for p, q in pairs
                              if max(lam * p.y0 + dy, q.y0) < min(lam * p.y1 + dy, q.y1)):
             if lo >= x:
                 break
             x = max(x, hi)
-        if x <= qb.x1:
+        if x <= qb.x1 - lam * pb.x1:
             return PlacementResult("feasible", lam, Point(x, dy), stats)
     return PlacementResult("infeasible", stats=stats,
                            lambda_sup=crits[-1] if crits else None)
@@ -226,6 +230,29 @@ def test_max_scale_x_matches_reference():
         got, want = max_scale_x(pat, tgt), _max_scale_x_reference(pat, tgt)
         assert (got.status, got.lambda_star, got.witness, got.lambda_sup, got.stats) == \
             (want.status, want.lambda_star, want.witness, want.lambda_sup, want.stats)
+
+
+def _rect(w, h):
+    return validate_polygon([(0, 0), (w, 0), (w, h), (0, h)])
+
+
+@pytest.mark.parametrize("pattern, target, lam, tau, fixed", [
+    # the x-only answer is the scale where B's bottom and top meet
+    (_rect(5, 7), _rect(20, 8), F(8, 7), P(F(-50, 7), 0), P(F(-15, 2), F(-1, 2))),
+    (SQ, SQ, F(1), P(0, 0), P(0, 0)),
+    (_rect(20, 8), _rect(5, 7), F(1, 4), P(0, F(-5, 2)), None),
+])
+def test_rectangles_fit_at_the_bbox_ratio(pattern, target, lam, tau, fixed):
+    # a rectangular target leaves no forbidden rectangle: only B(lam) decides
+    for solve in (max_scale, max_scale_baseline, max_scale_x):
+        res = solve(pattern, target)
+        assert (res.status, res.lambda_star, res.witness) == ("feasible", lam, tau)
+    assert verify_containment(pattern, target, lam, tau)
+    prob = _Problem(pattern, target)
+    assert not prob.qcov.rects and prob.bbox_cap == lam
+    # B(lam) is inverted above the cap, so the static test finds no hole there
+    assert find_hole(prob, lam * F(11, 10)) is None
+    assert contains_fixed(pattern, target) == fixed  # asks at lam = 1, whatever the cap
 
 
 def test_max_scale_x_builds_fractions_only_for_its_answer(monkeypatch):

@@ -13,3 +13,12 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_no_float_outside_svg():
+    # exactness: only the SVG renderer may turn a rational into a float
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "svg.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Name) and node.id == "float"]
+    assert not found, f"float used outside svg.py: {found}"
