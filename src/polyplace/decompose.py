@@ -12,6 +12,7 @@ pairwise check that needs the complement of the whole plane.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .geometry import AxisRect, OrthoPolygon, Rational
@@ -26,19 +27,23 @@ class RectCover:
 
 
 def _slab_intervals(poly: OrthoPolygon) -> tuple[list[Rational], list[list[tuple[Rational, Rational]]]]:
-    """Distinct vertex x-values and, per slab, the interior y-intervals."""
+    """Distinct vertex x-values and, per slab, the interior y-intervals.
+
+    Slab k lies between xs[k] and xs[k + 1]; a horizontal edge from xs[i] to
+    xs[j] crosses slabs i..j-1, so each slab collects exactly its crossings.
+    """
     xs = sorted({v.x for v in poly.vertices})
-    hedges = []
+    crossings: list[list[Rational]] = [[] for _ in range(len(xs) - 1)]
     for a, b in poly.edges():
         if a.y == b.y:
-            hedges.append((a.y, min(a.x, b.x), max(a.x, b.x)))
+            for k in range(bisect_left(xs, min(a.x, b.x)), bisect_left(xs, max(a.x, b.x))):
+                crossings[k].append(a.y)
     slabs: list[list[tuple[Rational, Rational]]] = []
-    for k in range(len(xs) - 1):
-        lo, hi = xs[k], xs[k + 1]
-        ys = sorted(y for (y, xl, xr) in hedges if xl <= lo and xr >= hi)
+    for ys in crossings:
         if len(ys) % 2:
             raise RuntimeError("odd number of boundary crossings in a slab")
-        slabs.append([(ys[i], ys[i + 1]) for i in range(0, len(ys), 2)])
+        ys.sort()
+        slabs.append(list(zip(ys[::2], ys[1::2])))
     return xs, slabs
 
 

@@ -393,6 +393,24 @@ class SweepPlan:
     skipped_above: int = 0
 
 
+def _start_scale(above: tuple[int, int] | None,
+                 below: tuple[int, int] | None) -> tuple[int, int]:
+    """A scale num / den (den > 0) inside the region just above ``below``.
+
+    ``above`` is the smallest critical (db, da) skipped above the sweep and
+    ``below`` the first kept one, None where there is none: the start is
+    midway between them, else one above the critical given, else 1. No pair
+    meets there.
+    """
+    if above and below:
+        (a, b), (c, d) = above, below
+        return a * d + c * b, 2 * b * d
+    if above or below:
+        a, b = above or below
+        return a + b, b
+    return 1, 1
+
+
 def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan:
     """Construct the descending-sweep trace with embedded query points.
 
@@ -408,16 +426,8 @@ def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan
         while (skipped < len(events)
                and events[skipped][0] * cap_den > cap_num * events[skipped][1]):
             skipped += 1
-    # start at a scale num / den inside the region just above the first kept
-    # critical, where no pair meets
-    if not events:
-        num, den = 1, 1
-    elif 0 < skipped < len(events):  # midway to the smallest dropped critical
-        (a, b, _, _), (c, d, _, _) = events[skipped - 1], events[skipped]
-        num, den = a * d + c * b, 2 * b * d
-    else:  # one above the smallest dropped critical, or above the largest
-        a, b, _, _ = events[skipped - 1 if skipped else 0]
-        num, den = a + b, b
+    num, den = _start_scale(events[skipped - 1][:2] if skipped else None,
+                            events[skipped][:2] if skipped < len(events) else None)
     events = events[skipped:]
 
     xstate = _AxisState(xaxis, num, den)

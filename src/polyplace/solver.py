@@ -23,14 +23,17 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from . import dyncover
 from .decompose import cover_complement, cover_interior, padded_frame
-from .forbidden import (SweepPlan, _axis_events, _key_scale, build_sweep,
-                        coordinate_functions, critical_values)
+from .forbidden import (CoordSets, SweepPlan, _AxisState, _axis_events, _key_scale,
+                        _start_scale, build_sweep, coordinate_functions,
+                        critical_values)
 from .geometry import (AxisRect, NonPositiveScale, OrthoPolygon, Point,
                        Rational, normalize_center, rat, rat_str)
 
@@ -301,65 +304,150 @@ def max_scale_baseline(pattern: OrthoPolygon, target: OrthoPolygon) -> Placement
                            lambda_sup=crits[-1] if crits else None)
 
 
+_OPEN, _CLOSE, _MARK = -1, -2, -3  # tags of the x-only events other than meets
+
+
+def _x_events(cs: CoordSets, acts: list[tuple[int, int, int, int]]) -> list[tuple]:
+    """The x-only candidates as flat events, largest scale first.
+
+    An event is (key, db, da, i, j) at the scale db / da, keyed as in
+    :func:`~polyplace.forbidden._key_scale`: x nodes i and j meet there (i >= 0);
+    pair j's activity interval opens (``_OPEN``) or closes (``_CLOSE``) there;
+    or the scale is a candidate that changes nothing (``_MARK``). ``acts[j]``
+    is pair j's activity (a1, c1, a2, c2): it is active iff a1*lam < c1 and
+    a2*lam > c2.
+    """
+    m = _key_scale(cs.xaxis, cs.yaxis)
+    events = [(db * m // da, db, da, i, j) for db, da, i, j in _axis_events(cs.xaxis)]
+    # B's bottom and top meet at h_Q / h_P, where ya0 - ya1 is a y alpha difference
+    (ya0, yb0), (ya1, yb1) = cs.box_sides[2:]
+    events.append(((yb1 - yb0) * m // (ya0 - ya1), yb1 - yb0, ya0 - ya1, _MARK, 0))
+    for j, (a1, c1, a2, c2) in enumerate(acts):
+        # ya0 is the largest y alpha, so the slopes are alpha differences >= 0
+        # and the keys are exact; as the scale falls, the activity interval
+        # (c2 / a2, c1 / a1) opens at c1 / a1 and closes at c2 / a2
+        if a1 < 0 or a2 < 0:
+            raise RuntimeError("internal inconsistency: negative activity slope")
+        live = c2 * a1 < c1 * a2  # the interval is not empty
+        if a1 and c1 > 0:
+            events.append((c1 * m // a1, c1, a1, _OPEN if live else _MARK, j))
+        if a2 and c2 > 0:
+            events.append((c2 * m // a2, c2, a2, _CLOSE if live else _MARK, j))
+    events.sort(key=itemgetter(0), reverse=True)
+    return events
+
+
 def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
     """Largest scale with translation restricted to the x axis.
 
     The vertical translation is forced to keep the bounding-box bottoms
-    aligned: it is the bottom side of the translation box B(lam). So each
-    cover pair is active on a scale interval (two strict linear
-    inequalities) and forbids an open x interval while active. The candidate
-    scales are the activity endpoints, all pairwise meeting points of the x
-    side functions (B's included) and the scale where B's bottom and top
-    meet, as integer pairs (db, da) in the exact key order of
-    :func:`~polyplace.forbidden._key_scale`; a 1D sweep tests coverage of
-    B's x extent at each, largest first.
+    aligned: it is the bottom side of the translation box B(lam). Cover pair
+    i is active while B's bottom lies inside its open y interval, that is on
+    an open scale interval (c2 / a2, c1 / a1), and then forbids its open x
+    interval. The candidate scales are the activity endpoints, all pairwise
+    meeting points of the x side functions (B's included) and the scale
+    where B's bottom and top meet (see :func:`_x_events`).
+
+    A descending sweep visits the candidates at most the bbox-fit cap. It
+    keeps the x order in an ``_AxisState`` and a count of the active pairs
+    over the x rank cells, each open interval encoded as in the 2-D sweep.
+    At each candidate it deactivates the pairs whose interval closes there,
+    re-puts the pairs of the tied x nodes and asks whether B's x cells hold
+    a zero; then it resolves the ties below the candidate and activates the
+    pairs whose interval opens there. So a candidate touches only its own
+    pairs. At the first hole, the witness is the smallest point of B's x
+    extent that the open x intervals of the pairs active at lam* leave
+    uncovered, checked pairwise.
     """
     prob = _Problem(pattern, target)
     cs = prob.cs
-    (xa0, xb0), (xa1, xb1), (ya0, yb0), (ya1, yb1) = cs.box_sides
-    # the pair is active when B's bottom ya0*lam + yb0 lies inside its open y
-    # interval: a1*lam < c1 and a2*lam > c2. ya0 is the largest y alpha, so
-    # a1 and a2 are y alpha differences: the keys are exact.
-    acts = [(ya0 - Ya, Yb - yb0, ya0 - ya, yb - yb0, xa, xb, Xa, Xb)
-            for (xa, xb, Xa, Xb, ya, yb, Ya, Yb) in cs.sides]
+    xaxis = cs.xaxis
+    (xa0, xb0), (xa1, xb1), (ya0, yb0), _ = cs.box_sides
+    acts = [(ya0 - Ya, Yb - yb0, ya0 - ya, yb - yb0)
+            for (_, _, _, _, ya, yb, Ya, Yb) in cs.sides]
 
-    m = _key_scale(cs.xaxis, cs.yaxis)
-    cands = {db * m // da: (db, da) for db, da, _, _ in _axis_events(cs.xaxis)}
-    # B's bottom and top meet at h_Q / h_P, where ya0 - ya1 is a y alpha difference
-    ends = [(yb1 - yb0, ya0 - ya1)]
-    for (a1, c1, a2, c2, *_x) in acts:
-        ends += ((c1, a1), (c2, a2))
-    for db, da in ends:
-        if da < 0:
-            da, db = -da, -db
-        if da and db > 0:
-            cands[db * m // da] = (db, da)
+    def active_at(num: int, den: int) -> list[bool]:
+        return [a1 * num < c1 * den and a2 * num > c2 * den for a1, c1, a2, c2 in acts]
 
-    crits = [cands[key] for key in sorted(cands, reverse=True)]
+    events = _x_events(cs, acts)
+    stats = SolveStats(criticals=sum(1 for _ in groupby(events, itemgetter(0))))
     cap_num, cap_den = prob.bbox_cap.numerator, prob.bbox_cap.denominator
-    stats = SolveStats(criticals=len(crits))
-    for num, den in crits:
-        if num * cap_den > cap_num * den:
-            stats.skipped += 1
-            continue
+    first = 0
+    while first < len(events) and events[first][1] * cap_den > cap_num * events[first][2]:
+        first += 1
+    stats.skipped = sum(1 for _ in groupby(islice(events, first), itemgetter(0)))
+    num, den = _start_scale(events[first - 1][1:3] if first else None,
+                            events[first][1:3] if first < len(events) else None)
+
+    xstate = _AxisState(xaxis, num, den)
+    lo, hi = xstate.lo, xstate.hi
+    bx0, bx1 = xaxis.node_of["box", 0], xaxis.node_of["box", 1]
+    n = cs.n_rects
+    pairs_of = [[k for k in keys if k < n] for keys in xaxis.keys]
+    rect_nodes = cs.rect_nodes
+    active = active_at(num, den)
+    cnt = np.zeros(cs.rank_box[0] + 1, dtype=np.int32)  # cells 1..wx2
+    cells: list[tuple[int, int] | None] = [None] * n  # what each pair adds to cnt
+
+    def reput(i: int) -> None:
+        new = None
+        if active[i]:
+            x_lo, x_hi = 2 * hi[rect_nodes[i][0]], 2 * lo[rect_nodes[i][1]] - 1
+            if x_lo <= x_hi:
+                new = (x_lo, x_hi)
+        old = cells[i]
+        if new != old:
+            if old is not None:
+                cnt[old[0]:old[1] + 1] -= 1
+            if new is not None:
+                cnt[new[0]:new[1] + 1] += 1
+            cells[i] = new
+
+    for i in range(n):
+        reput(i)
+
+    for _, group in groupby(islice(events, first, None), itemgetter(0)):
+        met: set[int] = set()
+        opens, closes = [], []
+        for _, db, da, i, j in group:
+            if i >= 0:
+                met.update((i, j))
+            elif i == _OPEN:
+                opens.append(j)
+            elif i == _CLOSE:
+                closes.append(j)
+        groups = xstate.tie_groups(met, db, da)
+        tied = {p for node in met for p in pairs_of[node]}
+        for p in closes:
+            active[p] = False
+        for p in tied.union(closes):
+            reput(p)
         stats.queries += 1
-        intervals = []
-        for (a1, c1, a2, c2, xa, xb, Xa, Xb) in acts:
-            if a1 * num < c1 * den and a2 * num > c2 * den:
-                lo = xa * num + xb * den
-                hi = Xa * num + Xb * den
-                if lo < hi:
-                    intervals.append((lo, hi))
-        hole = _open_cover_hole(intervals, xa0 * num + xb0 * den, xa1 * num + xb1 * den)
-        if hole is not None:
-            lam = Fraction(num, den)
-            box = prob.fit_box(lam)
-            tau = Point(Fraction(hole, den * cs.scale), box.y0)
-            if not _fits(prob.pcov.rects, prob.qcov.rects, box, lam, tau):
-                raise RuntimeError("internal inconsistency: 1D witness fails verification")
-            return PlacementResult("feasible", lam, tau, stats)
-    return PlacementResult("infeasible", stats=stats,
-                           lambda_sup=Fraction(*crits[-1]) if crits else None)
+        if not cnt[2 * lo[bx0]:2 * hi[bx1]].all():
+            break
+        xstate.reorder_below(groups)
+        for p in opens:
+            active[p] = True
+        for p in tied.union(opens):
+            reput(p)
+    else:
+        # events is never empty: h_Q / h_P is always a candidate
+        return PlacementResult("infeasible", stats=stats,
+                               lambda_sup=Fraction(events[-1][1], events[-1][2]))
+
+    spans = ((xa * db + xb * da, Xa * db + Xb * da)
+             for (xa, xb, Xa, Xb, *_), on in zip(cs.sides, active_at(db, da)) if on)
+    hole = _open_cover_hole([sp for sp in spans if sp[0] < sp[1]],
+                            xa0 * db + xb0 * da, xa1 * db + xb1 * da)
+    if hole is None:
+        raise RuntimeError("internal inconsistency: the sweep reported a hole "
+                           "the 1D test cannot find")
+    lam = Fraction(db, da)
+    box = prob.fit_box(lam)
+    tau = Point(Fraction(hole, da * cs.scale), box.y0)
+    if not _fits(prob.pcov.rects, prob.qcov.rects, box, lam, tau):
+        raise RuntimeError("internal inconsistency: 1D witness fails verification")
+    return PlacementResult("feasible", lam, tau, stats)
 
 
 def _open_cover_hole(intervals: list[tuple[int, int]], lo: int, hi: int):

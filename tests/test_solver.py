@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyplace.solver
-from polyplace.forbidden import critical_values
+from polyplace.forbidden import _axis_events, critical_values
 from polyplace.geometry import (Placement, Point, transform, validate_polygon)
 from polyplace.hardness import gen_average, gen_foursum
 from polyplace.instances import comb_polygon, random_instance_pair, unit_square
@@ -218,6 +218,20 @@ def _max_scale_x_reference(pattern, target):
                            lambda_sup=crits[-1] if crits else None)
 
 
+def _average_gadget(rng, k):
+    """Criterion 2a's gadget: n = 3..8 values in [-n**3, n**3], a progression planted for even k."""
+    n = rng.randint(3, 8)
+    u = n ** 3
+    if k % 2:
+        return gen_average(rng.sample(range(-u, u + 1), n))
+    d = rng.randint(1, u // 3)
+    a = rng.randint(-u, u - 2 * d)
+    chosen = {a, a + d, a + 2 * d}
+    while len(chosen) < n:
+        chosen.add(rng.randint(-u, u))
+    return gen_average(sorted(chosen))
+
+
 def test_max_scale_x_matches_reference():
     rng = random.Random(4242)
     pairs = [random_instance_pair(rng, 12, 12, 20) for _ in range(60)]
@@ -225,11 +239,35 @@ def test_max_scale_x_matches_reference():
         n = rng.randint(3, 5)
         inst = gen_average(rng.sample(range(-n ** 3, n ** 3 + 1), n))
         pairs.append((inst.pattern, inst.target))
-    pairs.append((SQ, comb_polygon(50, random.Random(50))))
+    pairs += [(SQ, comb_polygon(q, random.Random(q))) for q in (50, 100)]
+    for k in range(10):
+        inst = _average_gadget(rng, k)
+        pairs.append((inst.pattern, inst.target))
     for pat, tgt in pairs:
         got, want = max_scale_x(pat, tgt), _max_scale_x_reference(pat, tgt)
         assert (got.status, got.lambda_star, got.witness, got.lambda_sup, got.stats) == \
             (want.status, want.lambda_star, want.witness, want.lambda_sup, want.stats)
+
+
+def test_max_scale_x_at_a_mixed_critical():
+    # lam* = 4 is where two x side functions meet and also where a pair's
+    # activity interval closes: the query there must see that pair inactive.
+    # Querying before the close gives 11/3 instead.
+    pat = validate_polygon([(-1, 0), (0, 0), (0, -1), (1, -1), (1, 0), (2, 0), (2, 1), (-1, 1)])
+    tgt = validate_polygon([(-7, -16), (16, -16), (16, -8), (12, -8), (12, -2), (1, -2),
+                            (1, -8), (-7, -8)])
+    res = max_scale_x(pat, tgt)
+    assert (res.status, res.lambda_star, res.witness, res.stats) == \
+        ("feasible", F(4), P(F(-11, 2), -3),
+         SolveStats(criticals=17, queries=5, skipped=10))
+    assert verify_containment(pat, tgt, res.lambda_star, res.witness)
+    want = _max_scale_x_reference(pat, tgt)
+    assert (want.lambda_star, want.witness, want.stats) == (res.lambda_star, res.witness, res.stats)
+    cs = _Problem(pat, tgt).cs
+    meets = {F(db, da) for db, da, _, _ in _axis_events(cs.xaxis)}
+    ya0, yb0 = cs.box_sides[2]  # B's bottom
+    closes = {F(yb - yb0, ya0 - ya) for (_, _, _, _, ya, yb, _, _) in cs.sides if ya0 != ya}
+    assert F(4) in meets and F(4) in closes
 
 
 def _rect(w, h):
