@@ -6,11 +6,15 @@ after which the box is no longer fully covered. An update is (id, RankRect)
 for an add and (id, None) for a delete. Two interchangeable engines:
 
 * ``naive`` (the default of :func:`polyplace.solver.max_scale`): a counting
-  grid, one vectorized slice ``+=``/``-=`` per update, in int16 when the
-  live bound fits it and int32 otherwise. Holes are found on query: the
-  first query checks the whole grid; after a query that found the box full,
-  a cell can only have dropped to zero inside a rectangle removed since, so
-  the next query checks just those rectangles' slices.
+  grid in int16 when the live bound fits it and int32 otherwise, changed by
+  vectorized slice ``+=``/``-=``. A delete followed by the add of an
+  overlapping rectangle (a sweep key re-emitted at a critical) applies only
+  their symmetric difference, at most four slices each way, so it touches
+  the strips the rectangle lost and gained; any other update is one slice.
+  Holes are found on query: the first query checks the whole grid; after a
+  query that found the box full, a cell can only have dropped to zero where
+  its count fell since, so the next query checks just the slices that were
+  subtracted.
 * ``oy``: an Overmars-Yap structure on integer numpy arrays: about sqrt(n)
   vertical slabs cut at the upcoming batch's x edges, a count array of
   slab-crossing rectangles per slab and row, a count array of the other
@@ -46,43 +50,87 @@ class TraceProblem:
     updates: list[Update]
 
 
+def _minus(a: RankRect, b: RankRect) -> list[tuple[int, int, int, int]]:
+    """The cells of a outside b, for overlapping a and b, as at most four
+    disjoint grid slices (x0, x1, y0, y1), zero-based and half-open."""
+    ax0, ax1, ay0, ay1 = a.x_lo - 1, a.x_hi, a.y_lo - 1, a.y_hi
+    bx0, bx1, by0, by1 = b.x_lo - 1, b.x_hi, b.y_lo - 1, b.y_hi
+    pieces = []
+    if ax0 < bx0:
+        pieces.append((ax0, bx0, ay0, ay1))
+    if bx1 < ax1:
+        pieces.append((bx1, ax1, ay0, ay1))
+    mx0, mx1 = max(ax0, bx0), min(ax1, bx1)
+    if ay0 < by0:
+        pieces.append((mx0, mx1, ay0, by0))
+    if by1 < ay1:
+        pieces.append((mx0, mx1, by1, ay1))
+    return pieces
+
+
 class _NaiveGrid:
     """Counting-grid engine: per-cell cover counts, checked for holes on query.
 
     ``bound`` caps every cell count (the live-set bound), so it picks the
-    count type. ``_removed`` lists the rectangles removed since the last
-    query that found the box full; it is None before the first query and
-    after one that found a hole, when the next query checks the whole grid.
+    count type. A remove is held back until the next call: an add of a
+    rectangle that overlaps it applies only their symmetric difference (the
+    strips a re-emitted rectangle lost and gained), and anything else first
+    applies the remove in full. ``_removed`` lists the slices whose counts
+    fell since the last query that found the box full; it is None before
+    the first query and after one that found a hole, when the next query
+    checks the whole grid.
     """
 
     def __init__(self, nx: int, ny: int, bound: int):
         dtype = np.int16 if bound <= np.iinfo(np.int16).max else np.int32
         self.grid = np.zeros((nx, ny), dtype=dtype)
-        self._removed: list[RankRect] | None = None
+        self._removed: list[tuple[int, int, int, int]] | None = None
+        self._pending: RankRect | None = None
 
-    def _cells(self, r: RankRect) -> np.ndarray:
-        return self.grid[r.x_lo - 1:r.x_hi, r.y_lo - 1:r.y_hi]
-
-    def add(self, r: RankRect) -> None:
-        cells = self._cells(r)
-        cells += 1
-
-    def remove(self, r: RankRect) -> None:
-        cells = self._cells(r)
+    def _lower(self, x0: int, x1: int, y0: int, y1: int) -> None:
+        cells = self.grid[x0:x1, y0:y1]
         cells -= 1
         if self._removed is not None:
-            self._removed.append(r)
+            self._removed.append((x0, x1, y0, y1))
+
+    def _flush(self) -> None:
+        r = self._pending
+        if r is not None:
+            self._pending = None
+            self._lower(r.x_lo - 1, r.x_hi, r.y_lo - 1, r.y_hi)
+
+    def add(self, r: RankRect) -> None:
+        old = self._pending
+        if (old is None or old.x_hi < r.x_lo or r.x_hi < old.x_lo
+                or old.y_hi < r.y_lo or r.y_hi < old.y_lo):
+            self._flush()
+            cells = self.grid[r.x_lo - 1:r.x_hi, r.y_lo - 1:r.y_hi]
+            cells += 1
+            return
+        self._pending = None
+        for piece in _minus(old, r):
+            self._lower(*piece)
+        for x0, x1, y0, y1 in _minus(r, old):
+            cells = self.grid[x0:x1, y0:y1]
+            cells += 1
+
+    def remove(self, r: RankRect) -> None:
+        self._flush()
+        self._pending = r
 
     def has_hole(self) -> bool:
+        self._flush()
         if self._removed is None:
             hole = not self.grid.all()
         else:
-            hole = not all(self._cells(r).all() for r in self._removed)
+            grid = self.grid
+            hole = not all(grid[x0:x1, y0:y1].all() for x0, x1, y0, y1 in self._removed)
         self._removed = None if hole else []
         return hole
 
     @property
     def covered_cells(self) -> int:
+        self._flush()
         return int(np.count_nonzero(self.grid))
 
 

@@ -342,30 +342,42 @@ class _AxisState:
 
     def tie_groups(self, involved: set[int], num: int, den: int):
         """Group the involved nodes by value at num/den; each shares its group's ranks."""
-        byval: dict[int, list[int]] = {}
-        alphas, betas = self.axis.alphas, self.axis.betas
-        for node in involved:
-            byval.setdefault(alphas[node] * num + betas[node] * den, []).append(node)
+        alphas, betas, pos, order = self.axis.alphas, self.axis.betas, self.pos, self.order
+        if len(involved) == 2:  # the common case, a single pair: no grouping needed
+            a, b = pair = list(involved)
+            if alphas[a] * num + betas[a] * den != alphas[b] * num + betas[b] * den:
+                raise RuntimeError("critical without a coinciding pair")
+            tied = [pair]
+        else:
+            byval: dict[int, list[int]] = {}
+            for node in involved:
+                byval.setdefault(alphas[node] * num + betas[node] * den, []).append(node)
+            tied = byval.values()
         groups: list[tuple[int, list[int]]] = []
-        for nodes in byval.values():
+        for nodes in tied:
             if len(nodes) < 2:
                 raise RuntimeError("critical without a coinciding pair")
-            ps = sorted(self.pos[n] for n in nodes)
-            if ps[-1] - ps[0] != len(ps) - 1:
+            ps = [pos[n] for n in nodes]
+            start, last = min(ps), max(ps)
+            if last - start != len(ps) - 1:
                 raise RuntimeError("tie group not contiguous")
-            lo, hi = self.lo[self.order[ps[0]]], self.hi[self.order[ps[-1]]]
+            lo, hi = self.lo[order[start]], self.hi[order[last]]
             for n in nodes:
                 self.lo[n], self.hi[n] = lo, hi
-            groups.append((ps[0], nodes))
+            groups.append((start, nodes))
         return groups
 
     def reorder_below(self, groups) -> None:
         """Resolve each tie for scales just below the critical value."""
-        alphas = self.axis.alphas
+        alphas, order = self.axis.alphas, self.order
         for start, nodes in groups:
             taken = self.lo[nodes[0]] - 1  # the group's shared interval starts here
             # value just below the critical is v - alpha*eps: descending alpha
-            self.order[start:start + len(nodes)] = sorted(nodes, key=lambda n: -alphas[n])
+            if len(nodes) == 2:
+                a, b = nodes
+                order[start], order[start + 1] = (a, b) if alphas[a] >= alphas[b] else (b, a)
+            else:
+                order[start:start + len(nodes)] = sorted(nodes, key=lambda n: -alphas[n])
             self._rerank(start, start + len(nodes), taken)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import dyncover
 from .decompose import cover_complement, cover_interior, padded_frame
-from .forbidden import (CoordSets, SweepPlan, _AxisState, _axis_events, _key_scale,
+from .forbidden import (CoordSets, SweepPlan, _Axis, _AxisState, _axis_events, _key_scale,
                         _start_scale, build_sweep, coordinate_functions,
                         critical_values)
 from .geometry import (AxisRect, NonPositiveScale, OrthoPolygon, Point,
@@ -310,15 +310,17 @@ _OPEN, _CLOSE, _MARK = -1, -2, -3  # tags of the x-only events other than meets
 def _x_events(cs: CoordSets, acts: list[tuple[int, int, int, int]]) -> list[tuple]:
     """The x-only candidates as flat events, largest scale first.
 
-    An event is (key, db, da, i, j) at the scale db / da, keyed as in
-    :func:`~polyplace.forbidden._key_scale`: x nodes i and j meet there (i >= 0);
-    pair j's activity interval opens (``_OPEN``) or closes (``_CLOSE``) there;
-    or the scale is a candidate that changes nothing (``_MARK``). ``acts[j]``
-    is pair j's activity (a1, c1, a2, c2): it is active iff a1*lam < c1 and
-    a2*lam > c2.
+    Events are keyed by their scale as in
+    :func:`~polyplace.forbidden._key_scale`. A meet (key, i, j) says that x
+    nodes i and j meet there; it leaves out the scale, which follows from
+    the two nodes (see :func:`_event_scale`). Any other event is (key, db,
+    da, tag, j) at the scale db / da: pair j's activity interval opens
+    (``_OPEN``) or closes (``_CLOSE``) there, or the scale is a candidate
+    that changes nothing (``_MARK``). ``acts[j]`` is pair j's activity (a1,
+    c1, a2, c2): it is active iff a1*lam < c1 and a2*lam > c2.
     """
     m = _key_scale(cs.xaxis, cs.yaxis)
-    events = [(db * m // da, db, da, i, j) for db, da, i, j in _axis_events(cs.xaxis)]
+    events = [(db * m // da, i, j) for db, da, i, j in _axis_events(cs.xaxis)]
     # B's bottom and top meet at h_Q / h_P, where ya0 - ya1 is a y alpha difference
     (ya0, yb0), (ya1, yb1) = cs.box_sides[2:]
     events.append(((yb1 - yb0) * m // (ya0 - ya1), yb1 - yb0, ya0 - ya1, _MARK, 0))
@@ -335,6 +337,15 @@ def _x_events(cs: CoordSets, acts: list[tuple[int, int, int, int]]) -> list[tupl
             events.append((c2 * m // a2, c2, a2, _CLOSE if live else _MARK, j))
     events.sort(key=itemgetter(0), reverse=True)
     return events
+
+
+def _event_scale(xaxis: _Axis, ev: tuple) -> tuple[int, int]:
+    """The scale (db, da), da > 0, of an event of :func:`_x_events`."""
+    if len(ev) > 3:
+        return ev[1], ev[2]
+    _, i, j = ev
+    da, db = xaxis.alphas[i] - xaxis.alphas[j], xaxis.betas[j] - xaxis.betas[i]
+    return (db, da) if da > 0 else (-db, -da)
 
 
 def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
@@ -372,12 +383,12 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
     events = _x_events(cs, acts)
     stats = SolveStats(criticals=sum(1 for _ in groupby(events, itemgetter(0))))
     cap_num, cap_den = prob.bbox_cap.numerator, prob.bbox_cap.denominator
-    first = 0
-    while first < len(events) and events[first][1] * cap_den > cap_num * events[first][2]:
-        first += 1
+    scales = (_event_scale(xaxis, ev) for ev in events)
+    first = next((k for k, (db, da) in enumerate(scales) if db * cap_den <= cap_num * da),
+                 len(events))
     stats.skipped = sum(1 for _ in groupby(islice(events, first), itemgetter(0)))
-    num, den = _start_scale(events[first - 1][1:3] if first else None,
-                            events[first][1:3] if first < len(events) else None)
+    num, den = _start_scale(_event_scale(xaxis, events[first - 1]) if first else None,
+                            _event_scale(xaxis, events[first]) if first < len(events) else None)
 
     xstate = _AxisState(xaxis, num, den)
     lo, hi = xstate.lo, xstate.hi
@@ -409,13 +420,14 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
     for _, group in groupby(islice(events, first, None), itemgetter(0)):
         met: set[int] = set()
         opens, closes = [], []
-        for _, db, da, i, j in group:
-            if i >= 0:
-                met.update((i, j))
-            elif i == _OPEN:
-                opens.append(j)
-            elif i == _CLOSE:
-                closes.append(j)
+        for ev in group:
+            if len(ev) == 3:
+                met.update(ev[1:])
+            elif ev[3] == _OPEN:
+                opens.append(ev[4])
+            elif ev[3] == _CLOSE:
+                closes.append(ev[4])
+        db, da = _event_scale(xaxis, ev)  # every event of the group has this scale
         groups = xstate.tie_groups(met, db, da)
         tied = {p for node in met for p in pairs_of[node]}
         for p in closes:
@@ -433,7 +445,7 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
     else:
         # events is never empty: h_Q / h_P is always a candidate
         return PlacementResult("infeasible", stats=stats,
-                               lambda_sup=Fraction(events[-1][1], events[-1][2]))
+                               lambda_sup=Fraction(*_event_scale(xaxis, events[-1])))
 
     spans = ((xa * db + xb * da, Xa * db + Xb * da)
              for (xa, xb, Xa, Xb, *_), on in zip(cs.sides, active_at(db, da)) if on)

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
-from polyplace.dyncover import (MalformedTrace, TraceProblem, area_after_each,
+from polyplace.dyncover import (MalformedTrace, TraceProblem, _execute, area_after_each,
                                 first_uncover, run_plan, trace_problem)
-from polyplace.forbidden import RankRect
+from polyplace.forbidden import RankRect, build_sweep
+from polyplace.hardness import gen_foursum
+from polyplace.instances import comb_polygon, unit_square
+from polyplace.solver import _Problem
 
 
 def A(uid, x0, x1, y0, y1):
@@ -172,7 +175,7 @@ def random_plan(rng, n, length, width):
 
 
 def test_sparse_queries_differential(rng):
-    # the naive grid checks only the rectangles removed since the last query;
+    # the naive grid checks only the slices subtracted since the last query;
     # the slab structure and a full recount after every update must agree
     outcomes = set()
     for _ in range(60):
@@ -227,3 +230,135 @@ def test_trace_problem_infers_bound():
     ups = [A(0, 1, 1, 1, 1), A(1, 1, 1, 1, 1), D(0), A(2, 2, 2, 2, 2)]
     tp = trace_problem((3, 3), ups)
     assert tp.n == 2
+
+
+# --- a delete followed by the re-add of an overlapping rectangle -----------
+
+SHAPES = ("identical", "grow", "shrink", "disjoint", "shift",
+          "left", "right", "bottom", "top")
+
+
+def _nested(rng, x0, x1, y0, y1):
+    a = rng.randint(x0, x1)
+    b = rng.randint(y0, y1)
+    return RankRect(a, rng.randint(a, x1), b, rng.randint(b, y1))
+
+
+def _reshape(rng, r, shape, width):
+    """A rectangle in the width x width box related to r by ``shape``."""
+    x0, x1, y0, y1 = r
+    d = rng.randint(1, 3)
+    if shape == "grow":       # r nested in the new rectangle
+        return RankRect(rng.randint(max(1, x0 - d), x0), rng.randint(x1, min(width, x1 + d)),
+                        rng.randint(max(1, y0 - d), y0), rng.randint(y1, min(width, y1 + d)))
+    if shape == "shrink":     # the new rectangle nested in r
+        return _nested(rng, x0, x1, y0, y1)
+    if shape == "disjoint":   # one cell outside r, if r leaves one
+        outside = [(x, y) for x in range(1, width + 1) for y in range(1, width + 1)
+                   if not (x0 <= x <= x1 and y0 <= y <= y1)]
+        if outside:
+            x, y = rng.choice(outside)
+            return RankRect(x, x, y, y)
+        return r
+    if shape == "shift":      # both axes move, so two sides change
+        dx, dy = rng.randint(-d, d), rng.randint(-d, d)
+        new = RankRect(max(1, x0 + dx), min(width, x1 + dx), max(1, y0 + dy), min(width, y1 + dy))
+        return new if new.x_lo <= new.x_hi and new.y_lo <= new.y_hi else r
+    if shape == "identical":
+        return r
+    # one side moves in or out by up to d cells; the rectangle stays non-empty
+    side = ("left", "right", "bottom", "top").index(shape)
+    lo, hi = (x0, x1) if side < 2 else (y0, y1)
+    if side % 2 == 0:
+        lo = rng.randint(max(1, lo - d), min(hi, lo + d))
+    else:
+        hi = rng.randint(max(lo, hi - d), min(width, hi + d))
+    return RankRect(lo, hi, y0, y1) if side < 2 else RankRect(x0, x1, lo, hi)
+
+
+def _pair_trace(rng, width, pairs, shapes, same_id):
+    """Preloaded rectangles (the first one the whole box), then delete/re-add
+    pairs of reshaped rectangles; with ``same_id`` false the re-add takes a
+    fresh id."""
+    live = {0: RankRect(1, width, 1, width)}
+    for uid in range(1, rng.randint(1, 6)):
+        live[uid] = _nested(rng, 1, width, 1, width)
+    initial = list(live.items())
+    updates, uid = [], len(live)
+    for _ in range(pairs):
+        old = rng.choice(sorted(live))
+        new = _reshape(rng, live.pop(old), rng.choice(shapes), width)
+        updates.append(D(old))
+        if not same_id:
+            old, uid = uid, uid + 1
+        updates.append((old, new))
+        live[old] = new
+    return initial, updates
+
+
+def _brute_areas(box, initial, updates):
+    """Covered cells after each update, counted cell by cell."""
+    live = dict(initial)
+    areas = []
+    for uid, r in updates:
+        if r is None:
+            del live[uid]
+        else:
+            live[uid] = r
+        areas.append(sum(1 for x in range(1, box[0] + 1) for y in range(1, box[1] + 1)
+                         if any(q.x_lo <= x <= q.x_hi and q.y_lo <= y <= q.y_hi
+                                for q in live.values())))
+    return areas
+
+
+@pytest.mark.parametrize("same_id", [True, False])
+@pytest.mark.parametrize("shape", SHAPES + ("mixed",))
+def test_readd_pairs_differential(rng, shape, same_id):
+    # the naive grid applies a delete and an overlapping re-add as their
+    # symmetric difference; every observed state must be the plain one
+    shapes = SHAPES if shape == "mixed" else (shape,)
+    for _ in range(12):
+        width = rng.randint(1, 8)
+        box = (width, width)
+        initial, updates = _pair_trace(rng, width, rng.randint(1, 20), shapes, same_id)
+        n = len(initial) + 1
+        expected = _brute_areas(box, initial, updates)
+        full = list(initial) + updates  # the preload as plain adds
+        for impl in ("naive", "oy"):
+            # covered cells after every update, and (with nothing read between
+            # a delete and its re-add) after every re-add
+            assert area_after_each(TraceProblem(n, box, full), impl)[len(initial):] == expected
+            after_pairs = [struct.covered_cells for k, struct, _ in
+                           _execute(box, n, initial, updates, impl) if k % 2 == 0 and k]
+            assert after_pairs == expected[1::2]
+        # queries after re-adds, between a delete and its re-add, and repeated
+        pos = sorted(rng.choices(range(len(updates) + 1), k=rng.randint(1, len(updates))))
+        first = next((q for q, k in enumerate(pos)
+                      if (expected[k - 1] if k else width * width) < width * width), None)
+        for impl in ("naive", "oy"):
+            assert run_plan(box, n, initial, updates, pos, impl)[0] == first
+
+
+@pytest.mark.parametrize("impl", ["naive", "oy"])
+def test_hole_only_in_a_shrink_strip(impl):
+    # the first query finds the box full; the re-add then gives up the top
+    # row, which nothing else covers, while the rest keeps its count
+    initial = [(0, RankRect(1, 4, 1, 2)), (1, RankRect(1, 4, 1, 1))]
+    updates = [D(0), A(0, 1, 4, 1, 1), D(0), A(0, 1, 4, 1, 2)]
+    assert run_plan((4, 2), 2, initial, updates, [0, 2, 4], impl) == (
+        1, {0: RankRect(1, 4, 1, 1), 1: RankRect(1, 4, 1, 1)})
+    # a strip opened and closed again between two queries is no hole
+    updates = [D(0), A(0, 1, 3, 1, 2), D(1), A(1, 1, 4, 1, 1), D(1), A(1, 4, 4, 1, 2)]
+    assert run_plan((4, 2), 2, initial, updates, [0, 6], impl) == (None, None)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (unit_square(), comb_polygon(50, random.Random(50))),
+    lambda: (lambda g: (g.pattern, g.target))(gen_foursum([0], [3], [1], [4])),
+])
+def test_seed_plans_agree_across_engines(make):
+    prob = _Problem(*make())
+    plan = build_sweep(prob.cs, start_below=prob.bbox_cap)
+    got = [run_plan(plan.box_cells, plan.live_bound, plan.initial, plan.updates,
+                    plan.query_pos, impl) for impl in ("naive", "oy")]
+    assert got[0][0] is not None and got[0] == got[1]
