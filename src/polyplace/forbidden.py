@@ -20,11 +20,15 @@ the sweep, the solvers' static test and the x-only solver all read that table.
 A critical scale is the integer pair (db, da), da > 0, ordered by an exact
 integer key; it becomes a ``Fraction`` only where a solver returns it.
 
-The sweep below walks the criticals in descending order and emits the add /
-delete trace of the closed rank rectangles, touching only the rectangles
-whose defining forms participate in a tie at each critical. Rectangles are
-keyed 0..n-1, then n..n+3 for the bands L, R, B, T around B(scale); an
-update is (key, RankRect) for an add and (key, None) for a delete.
+One descending walk, :class:`Descent`, visits the criticals at most a cap,
+largest first, keeping each axis's sorted order and handing over the nodes
+that meet and the caller's own events at each. Both sweeps consume it: the
+2-D plan (:func:`build_sweep`) emits the add / delete trace of the closed
+rank rectangles, touching only the rectangles whose defining forms
+participate in a tie at each critical, and the x-only solver counts its
+active pairs over the x cells. Rectangles are keyed 0..n-1, then n..n+3 for
+the bands L, R, B, T around B(scale); an update is (key, RankRect) for an
+add and (key, None) for a delete.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import groupby, islice, product
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .decompose import RectCover
@@ -203,28 +208,12 @@ def _key_scale(xaxis: _Axis, yaxis: _Axis) -> int:
     return span * span
 
 
-def _critical_events(xaxis: _Axis, yaxis: _Axis) -> list[tuple[int, int, set, set]]:
-    """Each critical scale db / da with the x and y nodes that meet there.
-
-    Returned in descending order of scale as (db, da, x_nodes, y_nodes),
-    keyed as in :func:`_key_scale`: every da is an alpha difference.
-    """
-    m = _key_scale(xaxis, yaxis)
-    events: dict[int, tuple[int, int, set, set]] = {}
-    for slot, axis in enumerate((xaxis, yaxis), 2):
-        for db, da, i, j in _axis_events(axis):
-            key = db * m // da
-            ev = events.get(key)
-            if ev is None:
-                ev = events[key] = (db, da, set(), set())
-            ev[slot].add(i)
-            ev[slot].add(j)
-    return [events[key] for key in sorted(events, reverse=True)]
-
-
 def critical_values(cs: CoordSets) -> list[Rational]:
     """All positive scales where two same-axis forms meet, strictly descending."""
-    return [Fraction(db, da) for db, da, _, _ in _critical_events(cs.xaxis, cs.yaxis)]
+    m = _key_scale(cs.xaxis, cs.yaxis)
+    scales = {db * m // da: (db, da) for axis in (cs.xaxis, cs.yaxis)
+              for db, da, _, _ in _axis_events(axis)}
+    return [Fraction(*scales[key]) for key in sorted(scales, reverse=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +370,81 @@ class _AxisState:
             self._rerank(start, start + len(nodes), taken)
 
 
+class Descent:
+    """The descending walk over the critical scales at most ``cap`` (None: all).
+
+    The meets of ``axes`` and the caller's events (db, da, ...) of ``extra``
+    are keyed as in :func:`_key_scale` (each da an alpha difference of
+    ``cs``) and sorted once, as one list. ``total`` counts their scales and
+    ``skipped`` those above the cap. ``states`` hold each axis's order from
+    ``start``, a scale (num, den) just above the first kept critical.
+
+    Iterating yields each kept critical, largest first, as (db, da, met,
+    extras): the scale of its first listed event (x meets first), each axis's
+    set of nodes that meet there, and its extra events. Its tie groups are
+    applied, tied nodes sharing their group's ranks; :meth:`below` resolves
+    them for the scales just below, as does resuming the walk.
+    """
+
+    def __init__(self, cs: CoordSets, axes: Sequence[_Axis],
+                 cap: Rational | None, extra: Sequence[tuple] = ()):
+        m = _key_scale(cs.xaxis, cs.yaxis)
+        events = [(db * m // da, s, i, j)
+                  for s, axis in enumerate(axes) for db, da, i, j in _axis_events(axis)]
+        events += [(ev[0] * m // ev[1], -1, ev, None) for ev in extra]
+        # reversed first, the stable sort lists each key's first event last
+        events.reverse()
+        events.sort(key=itemgetter(0), reverse=True)
+        self.axes = axes
+        first = next((k for k, (db, da) in enumerate(map(self._scale, events))
+                      if cap is None or db * cap.denominator <= cap.numerator * da), len(events))
+        self.total = sum(1 for _ in groupby(events, itemgetter(0)))
+        self.skipped = sum(1 for _ in groupby(islice(events, first), itemgetter(0)))
+        num, den = 1, 1
+        if events:  # midway between the last skipped and first kept; with one, a/b and a/b + 2
+            a, b = self._scale(events[max(first - 1, 0)])
+            c, d = self._scale(events[first]) if 0 < first < len(events) else (a + 2 * b, b)
+            num, den = a * d + c * b, 2 * b * d
+        self.start = num, den
+        self.states = [_AxisState(axis, num, den) for axis in axes]
+        self._events, self._first, self._ties = events, first, ()
+
+    def _scale(self, ev: tuple) -> tuple[int, int]:
+        _, s, i, j = ev
+        if s < 0:
+            return i[0], i[1]
+        axis = self.axes[s]
+        da, db = axis.alphas[i] - axis.alphas[j], axis.betas[j] - axis.betas[i]
+        return (db, da) if da > 0 else (-db, -da)
+
+    def __iter__(self):
+        states, scale, blank = self.states, self._scale, [()] * len(self.states)
+        for _, group in groupby(islice(self._events, self._first, None), itemgetter(0)):
+            met, extras = tuple(map(set, blank)), []
+            for ev in group:
+                _, s, i, j = ev
+                if s < 0:
+                    extras.append(i)
+                else:
+                    nodes = met[s]
+                    nodes.add(i)
+                    nodes.add(j)
+            db, da = scale(ev)  # the group's first listed event
+            self._ties = ties = []
+            for st, nodes in zip(states, met):
+                if nodes:
+                    ties.append((st, st.tie_groups(nodes, db, da)))
+            yield db, da, met, extras
+            if self._ties:
+                self.below()
+
+    def below(self) -> None:
+        """Resolve the current critical's ties for the scales just below it."""
+        for state, groups in self._ties:
+            state.reorder_below(groups)
+        self._ties = ()
+
+
 @dataclass
 class SweepPlan:
     """Preplanned offline trace of the rank-space cover across the criticals.
@@ -405,49 +469,24 @@ class SweepPlan:
     skipped_above: int = 0
 
 
-def _start_scale(above: tuple[int, int] | None,
-                 below: tuple[int, int] | None) -> tuple[int, int]:
-    """A scale num / den (den > 0) inside the region just above ``below``.
-
-    ``above`` is the smallest critical (db, da) skipped above the sweep and
-    ``below`` the first kept one, None where there is none: the start is
-    midway between them, else one above the critical given, else 1. No pair
-    meets there.
-    """
-    if above and below:
-        (a, b), (c, d) = above, below
-        return a * d + c * b, 2 * b * d
-    if above or below:
-        a, b = above or below
-        return a + b, b
-    return 1, 1
-
-
 def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan:
     """Construct the descending-sweep trace with embedded query points.
 
-    With ``start_below`` given, criticals above it are dropped and the sweep
-    starts inside the region just above the first kept critical; the snapshot
-    there is region-determined, so results at kept criticals are unchanged.
+    Over the :class:`Descent` of both axes, each critical re-emits the
+    rectangles of its tied nodes, records the query position, resolves the
+    ties and re-emits them again. With ``start_below`` given, criticals
+    above it are dropped and the sweep starts inside the region just above
+    the first kept critical; the snapshot there is region-determined, so
+    results at kept criticals are unchanged.
     """
     xaxis, yaxis = cs.xaxis, cs.yaxis
-    events = _critical_events(xaxis, yaxis)
-    skipped = 0
-    if start_below is not None:
-        cap_num, cap_den = start_below.numerator, start_below.denominator
-        while (skipped < len(events)
-               and events[skipped][0] * cap_den > cap_num * events[skipped][1]):
-            skipped += 1
-    num, den = _start_scale(events[skipped - 1][:2] if skipped else None,
-                            events[skipped][:2] if skipped < len(events) else None)
-    events = events[skipped:]
-
-    xstate = _AxisState(xaxis, num, den)
-    ystate = _AxisState(yaxis, num, den)
+    walk = Descent(cs, (xaxis, yaxis), start_below)
+    xstate, ystate = walk.states
     rect = _rank_rule(cs, (xstate.lo, xstate.hi), (ystate.lo, ystate.hi))
 
     current = [rect(key) for key in range(cs.n_rects + 4)]
     initial = [(key, r) for key, r in enumerate(current) if r is not None]
+    criticals: list[tuple[int, int]] = []
     updates: list[tuple[int, RankRect | None]] = []
     query_pos: list[int] = []
     below_pos: list[int] = []
@@ -463,30 +502,21 @@ def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan
                     updates.append((key, new))
                 current[key] = new
 
-    for db, da, ex, ey in events:
-        xgroups = xstate.tie_groups(ex, db, da)
-        ygroups = ystate.tie_groups(ey, db, da)
+    for db, da, (ex, ey), _ in walk:
+        criticals.append((db, da))
         affected = {key for node in ex for key in xaxis.keys[node]}
         affected.update(key for node in ey for key in yaxis.keys[node])
         keys = sorted(affected)
 
         emit(keys)
         query_pos.append(len(updates))
-        xstate.reorder_below(xgroups)
-        ystate.reorder_below(ygroups)
+        walk.below()
         emit(keys)
         below_pos.append(len(updates))
 
-    return SweepPlan(
-        criticals=[(db, da) for db, da, _, _ in events],
-        box_cells=cs.rank_box,
-        initial=initial,
-        updates=updates,
-        query_pos=query_pos,
-        below_pos=below_pos,
-        live_bound=cs.n_rects + 4,
-        skipped_above=skipped,
-    )
+    return SweepPlan(criticals=criticals, box_cells=cs.rank_box, initial=initial,
+                     updates=updates, query_pos=query_pos, below_pos=below_pos,
+                     live_bound=cs.n_rects + 4, skipped_above=walk.skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +562,8 @@ def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
     for parts in lines[1:]:
         if _TRACE_FIELDS.get(parts[0]) != len(parts):
             raise ValueError(f"bad trace line {' '.join(parts)!r}")
+        if parts[0] == "I" and updates:
+            raise ValueError(f"preloaded rectangle {' '.join(parts)!r} after the first event")
         if parts[0] in ("A", "I"):
             uid, x_lo, x_hi, y_lo, y_hi = map(int, parts[1:])
             (initial if parts[0] == "I" else updates).append(

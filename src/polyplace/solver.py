@@ -23,16 +23,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby, islice
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from . import dyncover
 from .decompose import cover_complement, cover_interior, padded_frame
-from .forbidden import (CoordSets, SweepPlan, _Axis, _AxisState, _axis_events, _key_scale,
-                        _start_scale, build_sweep, coordinate_functions,
+from .forbidden import (CoordSets, Descent, SweepPlan, build_sweep, coordinate_functions,
                         critical_values)
 from .geometry import (AxisRect, NonPositiveScale, OrthoPolygon, Point,
                        Rational, normalize_center, rat, rat_str)
@@ -308,22 +305,16 @@ _OPEN, _CLOSE, _MARK = -1, -2, -3  # tags of the x-only events other than meets
 
 
 def _x_events(cs: CoordSets, acts: list[tuple[int, int, int, int]]) -> list[tuple]:
-    """The x-only candidates as flat events, largest scale first.
+    """The x-only candidates other than the x meets, as (db, da, tag, j).
 
-    Events are keyed by their scale as in
-    :func:`~polyplace.forbidden._key_scale`. A meet (key, i, j) says that x
-    nodes i and j meet there; it leaves out the scale, which follows from
-    the two nodes (see :func:`_event_scale`). Any other event is (key, db,
-    da, tag, j) at the scale db / da: pair j's activity interval opens
-    (``_OPEN``) or closes (``_CLOSE``) there, or the scale is a candidate
-    that changes nothing (``_MARK``). ``acts[j]`` is pair j's activity (a1,
-    c1, a2, c2): it is active iff a1*lam < c1 and a2*lam > c2.
+    At the scale db / da, pair j's activity interval opens (``_OPEN``) or
+    closes (``_CLOSE``), or the scale is a candidate that changes nothing
+    (``_MARK``). ``acts[j]`` is pair j's activity (a1, c1, a2, c2): it is
+    active iff a1*lam < c1 and a2*lam > c2.
     """
-    m = _key_scale(cs.xaxis, cs.yaxis)
-    events = [(db * m // da, i, j) for db, da, i, j in _axis_events(cs.xaxis)]
     # B's bottom and top meet at h_Q / h_P, where ya0 - ya1 is a y alpha difference
     (ya0, yb0), (ya1, yb1) = cs.box_sides[2:]
-    events.append(((yb1 - yb0) * m // (ya0 - ya1), yb1 - yb0, ya0 - ya1, _MARK, 0))
+    events = [(yb1 - yb0, ya0 - ya1, _MARK, 0)]
     for j, (a1, c1, a2, c2) in enumerate(acts):
         # ya0 is the largest y alpha, so the slopes are alpha differences >= 0
         # and the keys are exact; as the scale falls, the activity interval
@@ -332,20 +323,10 @@ def _x_events(cs: CoordSets, acts: list[tuple[int, int, int, int]]) -> list[tupl
             raise RuntimeError("internal inconsistency: negative activity slope")
         live = c2 * a1 < c1 * a2  # the interval is not empty
         if a1 and c1 > 0:
-            events.append((c1 * m // a1, c1, a1, _OPEN if live else _MARK, j))
+            events.append((c1, a1, _OPEN if live else _MARK, j))
         if a2 and c2 > 0:
-            events.append((c2 * m // a2, c2, a2, _CLOSE if live else _MARK, j))
-    events.sort(key=itemgetter(0), reverse=True)
+            events.append((c2, a2, _CLOSE if live else _MARK, j))
     return events
-
-
-def _event_scale(xaxis: _Axis, ev: tuple) -> tuple[int, int]:
-    """The scale (db, da), da > 0, of an event of :func:`_x_events`."""
-    if len(ev) > 3:
-        return ev[1], ev[2]
-    _, i, j = ev
-    da, db = xaxis.alphas[i] - xaxis.alphas[j], xaxis.betas[j] - xaxis.betas[i]
-    return (db, da) if da > 0 else (-db, -da)
 
 
 def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
@@ -359,16 +340,16 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
     meeting points of the x side functions (B's included) and the scale
     where B's bottom and top meet (see :func:`_x_events`).
 
-    A descending sweep visits the candidates at most the bbox-fit cap. It
-    keeps the x order in an ``_AxisState`` and a count of the active pairs
-    over the x rank cells, each open interval encoded as in the 2-D sweep.
-    At each candidate it deactivates the pairs whose interval closes there,
-    re-puts the pairs of the tied x nodes and asks whether B's x cells hold
-    a zero; then it resolves the ties below the candidate and activates the
-    pairs whose interval opens there. So a candidate touches only its own
-    pairs. At the first hole, the witness is the smallest point of B's x
-    extent that the open x intervals of the pairs active at lam* leave
-    uncovered, checked pairwise.
+    The candidates at most the bbox-fit cap are the criticals of the x
+    axis's :class:`~polyplace.forbidden.Descent`, the other candidates its
+    extra events. Over the walk's x order, a count of the active pairs
+    covers the x rank cells, each open interval encoded as in the 2-D sweep.
+    At each candidate the pairs whose interval closes there are deactivated,
+    the pairs of the tied x nodes re-put and B's x cells asked for a zero;
+    then the ties are resolved below it and the pairs whose interval opens
+    there activated. So a candidate touches only its own pairs. At the first
+    hole, the witness is the smallest point of B's x extent that the open x
+    intervals of the pairs active at lam* leave uncovered, checked pairwise.
     """
     prob = _Problem(pattern, target)
     cs = prob.cs
@@ -380,23 +361,14 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
     def active_at(num: int, den: int) -> list[bool]:
         return [a1 * num < c1 * den and a2 * num > c2 * den for a1, c1, a2, c2 in acts]
 
-    events = _x_events(cs, acts)
-    stats = SolveStats(criticals=sum(1 for _ in groupby(events, itemgetter(0))))
-    cap_num, cap_den = prob.bbox_cap.numerator, prob.bbox_cap.denominator
-    scales = (_event_scale(xaxis, ev) for ev in events)
-    first = next((k for k, (db, da) in enumerate(scales) if db * cap_den <= cap_num * da),
-                 len(events))
-    stats.skipped = sum(1 for _ in groupby(islice(events, first), itemgetter(0)))
-    num, den = _start_scale(_event_scale(xaxis, events[first - 1]) if first else None,
-                            _event_scale(xaxis, events[first]) if first < len(events) else None)
-
-    xstate = _AxisState(xaxis, num, den)
-    lo, hi = xstate.lo, xstate.hi
+    walk = Descent(cs, (xaxis,), prob.bbox_cap, _x_events(cs, acts))
+    stats = SolveStats(criticals=walk.total, skipped=walk.skipped)
+    lo, hi = walk.states[0].lo, walk.states[0].hi
     bx0, bx1 = xaxis.node_of["box", 0], xaxis.node_of["box", 1]
     n = cs.n_rects
     pairs_of = [[k for k in keys if k < n] for keys in xaxis.keys]
     rect_nodes = cs.rect_nodes
-    active = active_at(num, den)
+    active = active_at(*walk.start)
     cnt = np.zeros(cs.rank_box[0] + 1, dtype=np.int32)  # cells 1..wx2
     cells: list[tuple[int, int] | None] = [None] * n  # what each pair adds to cnt
 
@@ -417,35 +389,27 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
     for i in range(n):
         reput(i)
 
-    for _, group in groupby(islice(events, first, None), itemgetter(0)):
-        met: set[int] = set()
-        opens, closes = [], []
-        for ev in group:
-            if len(ev) == 3:
-                met.update(ev[1:])
-            elif ev[3] == _OPEN:
-                opens.append(ev[4])
-            elif ev[3] == _CLOSE:
-                closes.append(ev[4])
-        db, da = _event_scale(xaxis, ev)  # every event of the group has this scale
-        groups = xstate.tie_groups(met, db, da)
+    for db, da, (met,), extras in walk:
         tied = {p for node in met for p in pairs_of[node]}
-        for p in closes:
-            active[p] = False
-        for p in tied.union(closes):
+        for _, _, tag, j in extras:
+            if tag == _CLOSE:
+                active[j] = False
+                tied.add(j)
+        for p in tied:
             reput(p)
         stats.queries += 1
         if not cnt[2 * lo[bx0]:2 * hi[bx1]].all():
             break
-        xstate.reorder_below(groups)
-        for p in opens:
-            active[p] = True
-        for p in tied.union(opens):
+        walk.below()
+        for _, _, tag, j in extras:
+            if tag == _OPEN:
+                active[j] = True
+                tied.add(j)
+        for p in tied:
             reput(p)
     else:
-        # events is never empty: h_Q / h_P is always a candidate
-        return PlacementResult("infeasible", stats=stats,
-                               lambda_sup=Fraction(*_event_scale(xaxis, events[-1])))
+        # the walk is never empty: B's sides meet at the cap, on x or at h_Q / h_P
+        return PlacementResult("infeasible", stats=stats, lambda_sup=Fraction(db, da))
 
     spans = ((xa * db + xb * da, Xa * db + Xb * da)
              for (xa, xb, Xa, Xb, *_), on in zip(cs.sides, active_at(db, da)) if on)

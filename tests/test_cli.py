@@ -115,6 +115,8 @@ def test_dyncover_malformed_trace(tmp_path, capsys):
         ("N 3 3\nA 0 1 3 1\n", "bad trace line"),  # add with a missing side
         ("N -1 4\n", "no cells"),                  # negative box size
         ("N 3 0\n", "no cells"),
+        # a preloaded rectangle listed after an event would be preloaded ahead of it
+        ("N 2 2\nA 0 1 2 1 2\nI 1 1 2 1 2\nD 0\nQ 1\n", "after the first event"),
     ]
     for text, message in cases:
         trace.write_text(text)

@@ -6,10 +6,9 @@ import pytest
 import polyplace.forbidden
 from polyplace.coverage import covers_box
 from polyplace.decompose import RectCover, cover_complement, cover_interior
-from polyplace.forbidden import (CoordSets, LinearForm, _Axis, _AxisState,
-                                 _axis_events, _critical_events, build_sweep,
-                                 coordinate_functions, critical_values,
-                                 rank_snapshot, read_trace, write_trace)
+from polyplace.forbidden import (CoordSets, Descent, LinearForm, _Axis, _AxisState,
+                                 _axis_events, build_sweep, coordinate_functions,
+                                 critical_values, rank_snapshot, read_trace, write_trace)
 from polyplace.geometry import AxisRect, normalize_center, validate_polygon
 from polyplace.hardness import gen_average, gen_foursum
 from polyplace.instances import comb_polygon, random_instance_pair, unit_square
@@ -176,6 +175,12 @@ def test_sweep_matches_snapshots(rng):
         crits = [F(db, da) for db, da in plan.criticals]
         live = dict(plan.initial)
         pos = 0
+        # the preloaded state is the region's above the first swept critical
+        assert live == rank_snapshot(prob.cs, crits[0] + 1)
+        capped = build_sweep(prob.cs, start_below=prob.bbox_cap)
+        k = capped.skipped_above
+        above = (crits[k - 1] + crits[k]) / 2 if k else crits[0] + 1
+        assert dict(capped.initial) == rank_snapshot(prob.cs, above)
 
         def play_to(stop):
             nonlocal pos
@@ -257,9 +262,22 @@ def _fraction_events(xaxis, yaxis):
     return [(lam, *events[lam]) for lam in sorted(events, reverse=True)]
 
 
+def _walked(cs, cap=None, resolve=True):
+    """(db, da, x nodes, y nodes) of each critical of the walk over both axes."""
+    walk = Descent(cs, (cs.xaxis, cs.yaxis), cap)
+    got = []
+    for db, da, met, extras in walk:
+        assert not extras
+        got.append((db, da, *met))
+        if resolve:
+            walk.below()
+    return walk, got
+
+
 def test_critical_keys_are_exact():
     # the integer key must give the Fraction order and tie groups exactly,
-    # on random pairs and on gadgets with large integer axis scales
+    # on random pairs and on gadgets with large integer axis scales, both in
+    # the walk and in critical_values
     rng = random.Random(987123)
     problems = [_Problem(*random_instance_pair(rng, max_p=20, max_q=20, span=50))
                 for _ in range(25)]
@@ -272,20 +290,38 @@ def test_critical_keys_are_exact():
         inst = gen_average(values)
         problems.append(_Problem(inst.pattern, inst.target))
     for prob in problems:
-        got = [(F(db, da), xs, ys)
-               for db, da, xs, ys in _critical_events(prob.cs.xaxis, prob.cs.yaxis)]
-        assert got == _fraction_events(prob.cs.xaxis, prob.cs.yaxis)
+        want = _fraction_events(prob.cs.xaxis, prob.cs.yaxis)
+        walk, got = _walked(prob.cs)
+        assert [(F(db, da), xs, ys) for db, da, xs, ys in got] == want
+        assert (walk.total, walk.skipped) == (len(want), 0)
+        assert critical_values(prob.cs) == [lam for lam, _, _ in want]
+        # a critical's pair is that of its first meet, x before y, in (i, j) order
+        first = {}
+        for axis in (prob.cs.xaxis, prob.cs.yaxis):
+            for db, da, _, _ in _axis_events(axis):
+                first.setdefault(F(db, da), (db, da))
+        assert [(db, da) for db, da, _, _ in got] == [first[lam] for lam, _, _ in want]
+        # a walk that never calls below() resolves each tie on resuming
+        assert _walked(prob.cs, resolve=False)[1] == got
+        # from the bbox-fit cap, only the criticals above it are skipped
+        cap = prob.bbox_cap
+        walk, kept = _walked(prob.cs, cap)
+        assert walk.skipped + len(kept) == walk.total == len(want)
+        assert kept == got[walk.skipped:] and F(*kept[0][:2]) <= cap
+        assert all(lam > cap for lam, _, _ in want[:walk.skipped])
 
     # neighbouring Farey fractions 1/(D-1) > 1/D with D the whole alpha span,
     # so they differ by exactly 1/(D(D-1)): they must stay two criticals
     d = 2 ** 40 + 1
-    xaxis = _Axis([(LinearForm(F(d), F(0)), ("lo", 0)),
-                   (LinearForm(F(0), F(1)), ("lo", 1)),
-                   (LinearForm(F(1), F(1)), ("lo", 2))], 1, 3)
-    yaxis = _Axis([(LinearForm(F(0), F(0)), ("box", 0))], 1, 5)
-    events = _critical_events(xaxis, yaxis)
-    assert [(db, da) for db, da, _, _ in events] == [(1, d - 1), (1, d)]
-    assert [xs for _, _, xs, _ in events] == [{0, 2}, {0, 1}]
+    xs = [(LinearForm(F(d), F(0)), ("lo", 0)), (LinearForm(F(0), F(1)), ("hi", 0)),
+          (LinearForm(F(1), F(1)), ("box", 0)), (LinearForm(F(1), F(1)), ("box", 1))]
+    ys = [(LinearForm(F(0), F(0)), owner) for owner in (("lo", 0), ("hi", 0),
+                                                        ("box", 0), ("box", 1))]
+    cs = CoordSets(1, xs, ys)
+    assert cs.xaxis.alphas == [d, 0, 1] and cs.yaxis.alphas == [0]
+    assert [(db, da, met) for db, da, met, _ in Descent(cs, (cs.xaxis, cs.yaxis), None)] \
+        == [(1, d - 1, ({0, 2}, set())), (1, d, ({0, 1}, set()))]
+    assert critical_values(cs) == [F(1, d - 1), F(1, d)]
 
 
 def test_sweep_builds_no_fraction(monkeypatch):

@@ -232,6 +232,22 @@ def _average_gadget(rng, k):
     return gen_average(sorted(chosen))
 
 
+def test_sweep_and_baseline_agree_on_foursum_gadgets():
+    # multi-way ties, criticals above the bbox-fit cap and >= 30-bit axis scales
+    rng = random.Random(2024)
+    for _ in range(6):
+        inst = gen_foursum(*(rng.sample(range(-6, 7), 3) for _ in range(4)))
+        fast = max_scale(inst.pattern, inst.target)
+        base = max_scale_baseline(inst.pattern, inst.target)
+        assert fast.feasible
+        assert (fast.lambda_star, fast.witness) == (base.lambda_star, base.witness)
+        assert ((fast.stats.criticals, fast.stats.skipped, fast.stats.queries)
+                == (base.stats.criticals, base.stats.skipped, base.stats.queries))
+        assert fast.stats.skipped > 0
+        assert _Problem(inst.pattern, inst.target).cs.scale.bit_length() >= 30
+        assert verify_containment(inst.pattern, inst.target, fast.lambda_star, fast.witness)
+
+
 def test_max_scale_x_matches_reference():
     rng = random.Random(4242)
     pairs = [random_instance_pair(rng, 12, 12, 20) for _ in range(60)]

@@ -22,3 +22,13 @@ def test_no_float_outside_svg():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Name) and node.id == "float"]
     assert not found, f"float used outside svg.py: {found}"
+
+
+def test_solver_imports_only_public_names_of_forbidden():
+    # the sweeps share one walk (forbidden.Descent), not forbidden's internals
+    tree = ast.parse((PACKAGE / "solver.py").read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "forbidden"
+             for alias in node.names]
+    private = [name for name in names if name.startswith("_")]
+    assert names and not private, f"private names of forbidden in solver.py: {private}"
