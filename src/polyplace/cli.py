@@ -79,9 +79,9 @@ def _cmd_maxscale(args) -> int:
     else:
         res, plan = _max_scale_and_plan(pattern, target, args.impl)
     if args.trace_out:
-        if args.baseline:  # the baseline runs no sweep: dump the one max_scale would run
+        if args.baseline:  # the baseline runs no sweep: dump max_scale's whole plan
             prob = _Problem(pattern, target)
-            plan = build_sweep(prob.cs, start_below=prob.bbox_cap)
+            plan = build_sweep(prob.cs, start_below=prob.bbox_cap).drain()
         write_trace(args.trace_out, plan.box_cells, plan.updates,
                     plan.initial, plan.query_pos)
     _emit_result(res, args.json, args.svg, pattern, target)
@@ -191,7 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--impl", choices=("naive", "oy"), default="naive")
     p.add_argument("--svg")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--trace-out", help="dump the rank-space update trace")
+    p.add_argument("--trace-out", help="dump the rank-space update trace the solve ran "
+                   "(with --baseline, the whole plan)")
     p.set_defaults(fn=_cmd_maxscale)
 
     p = sub.add_parser("maxscale-x", help="largest scale, x-translation only")

@@ -1,9 +1,11 @@
 """Offline dynamic rectangle cover over an integer cell grid.
 
-Given a preplanned add/delete trace of closed rank-space rectangles inside a
+Given an offline add/delete trace of closed rank-space rectangles inside a
 box, report the covered-cell count after every update and the first update
 after which the box is no longer fully covered. An update is (id, RankRect)
-for an add and (id, None) for a delete. Two interchangeable engines:
+for an add and (id, None) for a delete. The trace may be streamed: the
+engine asks for more only when it needs an update or a query position
+past what it holds. Two interchangeable engines:
 
 * ``naive`` (the default of :func:`polyplace.solver.max_scale`): a counting
   grid in int16 when the live bound fits it and int32 otherwise, changed by
@@ -22,7 +24,7 @@ for an add and (id, None) for a delete. Two interchangeable engines:
   slab's partials cover per row. An update is O(1) numpy calls doing
   O(sqrt(n) * rows) integer work; a coverage read sums the slabs; the
   structure is rebuilt from scratch every n updates. The rebuild uses the
-  upcoming batch, which is why the trace must be known in advance.
+  upcoming batch, so the engine looks n updates ahead of the one it applies.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -217,12 +219,20 @@ def _check_rect(r: RankRect, box: tuple[int, int]) -> None:
 
 def _execute(box: tuple[int, int], capacity: int,
              initial: Sequence[tuple[object, RankRect]],
-             updates: Sequence[Update], impl: str) -> Iterator[tuple]:
-    """Apply the trace, yielding (k, struct, live) after k applied updates.
+             updates: Sequence[Update], positions: Sequence[int], impl: str,
+             more: Callable[[], bool] | None = None) -> Iterator[tuple]:
+    """Apply the trace, yielding (qi, struct, live) after positions[qi] updates.
 
-    The first state is k = 0, the preloaded set alone; stop iterating to
-    stop early. ``capacity`` is the structure's live bound n; the oy engine
-    rebuilds every n updates.
+    ``positions`` ascend; position 0 is the preloaded set alone. Between two
+    query positions the updates are applied in one plain loop; after the
+    last position the rest are applied too, so a malformed tail still
+    raises. Stop iterating to stop early. ``capacity`` is the structure's
+    live bound n; the oy engine rebuilds every n updates, from the batch
+    ahead. ``more``, when given, appends to ``updates`` and ``positions``
+    and returns False once it has nothing left. It is called when the next
+    query position lies past the end of ``positions``, until the lists hold
+    that position and n updates past the last one applied, and when the
+    next oy batch is not whole.
     """
     if impl not in ("naive", "oy"):
         raise ValueError(f"unknown implementation {impl!r}")
@@ -236,38 +246,58 @@ def _execute(box: tuple[int, int], capacity: int,
             raise MalformedTrace(f"duplicate id {uid!r}")
         live[uid] = r
 
-    def apply_update(struct, uid, r: RankRect | None) -> None:
-        if r is None:
-            r = live.pop(uid, None)
-            if r is None:
-                raise MalformedTrace(f"delete of dead id {uid!r}")
-            struct.remove(r)
-            return
-        _check_rect(r, box)
-        if uid in live:
-            raise MalformedTrace(f"duplicate id {uid!r}")
-        if len(live) >= 2 * capacity:
-            raise MalformedTrace("live set exceeds twice the declared bound")
-        live[uid] = r
-        struct.add(r)
+    def pull(n_updates: int, n_positions: int) -> None:
+        nonlocal more
+        while more is not None and (len(updates) < n_updates or len(positions) < n_positions):
+            if not more():
+                more = None
 
-    # the naive grid is one batch; the slab structure is rebuilt from the
-    # upcoming batch every ``capacity`` updates
-    step = capacity if impl == "oy" else max(1, len(updates))
-    for start in range(0, max(1, len(updates)), step):
-        batch = updates[start:start + step]
-        if impl == "oy":
-            universe = list(live.values()) + [r for _, r in batch if r is not None]
-            struct = _SlabCover(box, universe)
-        else:
-            struct = _NaiveGrid(*box, bound=2 * capacity)
-        for r in live.values():
-            struct.add(r)
-        if start == 0:
-            yield 0, struct, live
-        for k, (uid, r) in enumerate(batch, start + 1):
-            apply_update(struct, uid, r)
-            yield k, struct, live
+    limit = 2 * capacity
+    struct = None
+    k = end = qi = 0  # updates applied, end of the current batch, next query
+    while True:
+        if qi == len(positions):  # n updates ahead, so that plan and engine alternate rarely
+            pull(k + capacity, qi + 1)
+        last = qi == len(positions) or positions[qi] > len(updates)
+        target = len(updates) if last else positions[qi]
+        while struct is None or k < target:
+            if k == end:  # a new batch: the naive grid is one, the slabs take n updates
+                if impl == "oy":
+                    pull(k + capacity, 0)
+                    end = min(k + capacity, len(updates))
+                    universe = list(live.values())
+                    for i in range(k, end):
+                        r = updates[i][1]
+                        if r is not None:
+                            universe.append(r)
+                    struct = _SlabCover(box, universe)
+                else:
+                    end = math.inf
+                    struct = _NaiveGrid(*box, bound=limit)
+                for r in live.values():
+                    struct.add(r)
+            add, remove = struct.add, struct.remove
+            stop = min(target, end)
+            for i in range(k, stop):
+                uid, r = updates[i]
+                if r is None:
+                    r = live.pop(uid, None)
+                    if r is None:
+                        raise MalformedTrace(f"delete of dead id {uid!r}")
+                    remove(r)
+                    continue
+                _check_rect(r, box)
+                if uid in live:
+                    raise MalformedTrace(f"duplicate id {uid!r}")
+                if len(live) >= limit:
+                    raise MalformedTrace("live set exceeds twice the declared bound")
+                live[uid] = r
+                add(r)
+            k = stop
+        if last:
+            return
+        yield qi, struct, live
+        qi += 1
 
 
 def first_uncover(tp: TraceProblem, impl: str = "naive") -> int | None:
@@ -279,26 +309,28 @@ def first_uncover(tp: TraceProblem, impl: str = "naive") -> int | None:
 
 def area_after_each(tp: TraceProblem, impl: str = "naive") -> list[int]:
     """Covered-cell count after each update prefix."""
-    return [struct.covered_cells
-            for k, struct, _ in _execute(tp.box, tp.n, [], tp.updates, impl) if k > 0]
+    return [struct.covered_cells for _, struct, _ in
+            _execute(tp.box, tp.n, [], tp.updates, range(1, len(tp.updates) + 1), impl)]
 
 
 def run_plan(box: tuple[int, int], capacity: int,
              initial: Sequence[tuple[object, RankRect]],
              updates: Sequence[Update],
              query_positions: Sequence[int],
-             impl: str) -> tuple[int | None, dict | None]:
+             impl: str, more: Callable[[], bool] | None = None) -> tuple[int | None, dict | None]:
     """Run a preloaded trace, querying coverage at given update-prefix lengths.
 
     Returns (index into query_positions of the first query that found the box
-    uncovered, live id->rect map at that moment), or (None, None).
+    uncovered, live id->rect map at that moment), or (None, None). With
+    ``more``, the trace is streamed: ``updates`` and ``query_positions`` are
+    lists that ``more()`` extends whenever the engine needs what lies past
+    their end (see :func:`_execute`), so a plan is built only as far as the
+    engine runs it.
     """
-    qi = 0
-    for k, struct, live in _execute(box, capacity, initial, updates, impl):
-        while qi < len(query_positions) and query_positions[qi] == k:
-            if struct.has_hole():
-                return qi, dict(live)
-            qi += 1
+    for qi, struct, live in _execute(box, capacity, initial, updates, query_positions,
+                                     impl, more):
+        if struct.has_hole():
+            return qi, dict(live)
     return None, None
 
 

@@ -26,19 +26,22 @@ that meet and the caller's own events at each. Both sweeps consume it: the
 2-D plan (:func:`build_sweep`) emits the add / delete trace of the closed
 rank rectangles, touching only the rectangles whose defining forms
 participate in a tie at each critical, and the x-only solver counts its
-active pairs over the x cells. Rectangles are keyed 0..n-1, then n..n+3 for
-the bands L, R, B, T around B(scale); an update is (key, RankRect) for an
-add and (key, None) for a delete.
+active pairs over the x cells. The plan is lazy: it walks one critical
+further each time the dynamic cover engine asks, so a solve that ends at
+an early critical never builds the rest. Rectangles are keyed 0..n-1, then
+n..n+3 for the bands L, R, B, T around B(scale); an update is (key,
+RankRect) for an add and (key, None) for a delete.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby, islice, product
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .decompose import RectCover
 from .geometry import AxisRect, Rational
@@ -396,8 +399,14 @@ class Descent:
         events.reverse()
         events.sort(key=itemgetter(0), reverse=True)
         self.axes = axes
-        first = next((k for k, (db, da) in enumerate(map(self._scale, events))
-                      if cap is None or db * cap.denominator <= cap.numerator * da), len(events))
+        first = 0
+        if cap is not None:  # past the keys above the cap's; on the cap's own key, exactly
+            ckey = cap.numerator * m // cap.denominator
+            first = bisect_left(events, -ckey, key=lambda ev: -ev[0])
+            if first < len(events) and events[first][0] == ckey:
+                db, da = self._scale(events[first])
+                if db * cap.denominator > cap.numerator * da:
+                    first = bisect_left(events, 1 - ckey, key=lambda ev: -ev[0])
         self.total = sum(1 for _ in groupby(events, itemgetter(0)))
         self.skipped = sum(1 for _ in groupby(islice(events, first), itemgetter(0)))
         num, den = 1, 1
@@ -447,7 +456,7 @@ class Descent:
 
 @dataclass
 class SweepPlan:
-    """Preplanned offline trace of the rank-space cover across the criticals.
+    """Offline trace of the rank-space cover across the criticals, built lazily.
 
     ``criticals[i]`` is the i-th swept critical scale as the pair (db, da),
     the scale db / da. ``initial`` is the preloaded state for scales above
@@ -456,7 +465,12 @@ class SweepPlan:
     before its re-add. After ``query_pos[i]`` updates the structure holds
     the snapshot at criticals[i] exactly, and after ``below_pos[i]`` the one
     just below it. When the sweep was started below a cap,
-    ``skipped_above`` counts the dropped larger criticals.
+    ``skipped_above`` counts the dropped larger criticals; ``total`` counts
+    the criticals of the whole walk, skipped ones included.
+
+    The lists grow one critical per :meth:`extend`, in walk order, so a
+    partly extended plan is a prefix of the whole one; :meth:`drain` extends
+    it to the end.
     """
 
     criticals: list[tuple[int, int]]
@@ -467,17 +481,31 @@ class SweepPlan:
     below_pos: list[int]
     live_bound: int
     skipped_above: int = 0
+    total: int = 0
+    _steps: Iterator[None] = field(default_factory=lambda: iter(()), repr=False, compare=False)
+
+    def extend(self) -> bool:
+        """Append the next critical with its updates; False once the walk is done."""
+        return next(self._steps, False) is None
+
+    def drain(self) -> SweepPlan:
+        """Extend the plan to the end of the walk, and return it."""
+        for _ in self._steps:
+            pass
+        return self
 
 
 def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan:
-    """Construct the descending-sweep trace with embedded query points.
+    """The descending-sweep trace with embedded query points, as a lazy plan.
 
-    Over the :class:`Descent` of both axes, each critical re-emits the
-    rectangles of its tied nodes, records the query position, resolves the
-    ties and re-emits them again. With ``start_below`` given, criticals
-    above it are dropped and the sweep starts inside the region just above
-    the first kept critical; the snapshot there is region-determined, so
-    results at kept criticals are unchanged.
+    Only the :class:`Descent` of both axes and the preloaded state are
+    built here; each :meth:`SweepPlan.extend` takes the next critical of
+    the walk, re-emits the rectangles of its tied nodes, records the query
+    position, resolves the ties and re-emits them again. With
+    ``start_below`` given, criticals above it are dropped and the sweep
+    starts inside the region just above the first kept critical; the
+    snapshot there is region-determined, so results at kept criticals are
+    unchanged.
     """
     xaxis, yaxis = cs.xaxis, cs.yaxis
     walk = Descent(cs, (xaxis, yaxis), start_below)
@@ -502,21 +530,24 @@ def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan
                     updates.append((key, new))
                 current[key] = new
 
-    for db, da, (ex, ey), _ in walk:
-        criticals.append((db, da))
-        affected = {key for node in ex for key in xaxis.keys[node]}
-        affected.update(key for node in ey for key in yaxis.keys[node])
-        keys = sorted(affected)
+    def steps() -> Iterator[None]:  # holds the lists, not the plan: no cycle to outlive a solve
+        for db, da, (ex, ey), _ in walk:
+            criticals.append((db, da))
+            affected = {key for node in ex for key in xaxis.keys[node]}
+            affected.update(key for node in ey for key in yaxis.keys[node])
+            keys = sorted(affected)
 
-        emit(keys)
-        query_pos.append(len(updates))
-        walk.below()
-        emit(keys)
-        below_pos.append(len(updates))
+            emit(keys)
+            query_pos.append(len(updates))
+            walk.below()
+            emit(keys)
+            below_pos.append(len(updates))
+            yield
 
     return SweepPlan(criticals=criticals, box_cells=cs.rank_box, initial=initial,
                      updates=updates, query_pos=query_pos, below_pos=below_pos,
-                     live_bound=cs.n_rects + 4, skipped_above=walk.skipped)
+                     live_bound=cs.n_rects + 4, skipped_above=walk.skipped,
+                     total=walk.total, _steps=steps())
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .geometry import (AxisRect, NonPositiveScale, OrthoPolygon, Point,
 @dataclass
 class SolveStats:
     criticals: int = 0
-    updates: int = 0
+    updates: int = 0  # updates the dynamic cover applied (max_scale only)
     queries: int = 0
     skipped: int = 0  # criticals above the bbox-fit cap, infeasible without a query
 
@@ -246,34 +246,41 @@ def max_scale(pattern: OrthoPolygon, target: OrthoPolygon,
               impl: str = "naive") -> PlacementResult:
     """Largest scale at which the pattern fits into the target.
 
-    Builds the full descending-sweep trace of rank-space rectangles once,
-    then lets the offline dynamic cover structure (``impl``: "naive", the
-    query-driven counting grid, or "oy", Overmars-Yap slabs) execute it,
-    stopping at the first critical whose snapshot leaves a hole. The naive
-    grid is the default because it is the faster engine on the comb family,
-    whose answers sit at the last critical. The witness is the translation
-    that the exact static test (:func:`find_hole`) finds at that scale.
+    Streams the descending-sweep trace of rank-space rectangles into the
+    offline dynamic cover structure (``impl``: "naive", the query-driven
+    counting grid, or "oy", Overmars-Yap slabs), which stops at the first
+    critical whose snapshot leaves a hole. The plan is extended only as far
+    as the engine asks, about n updates (the live bound) ahead of the update
+    it applies; oy's rebuild needs exactly that lookahead. The naive grid is the
+    default because it is the faster engine on the comb family, whose
+    answers sit at the last critical. The witness is the translation that
+    the exact static test (:func:`find_hole`) finds at that scale.
+
+    ``stats.criticals`` counts every critical of the walk and
+    ``stats.updates`` the updates the engine applied: up to the failing
+    query, or all of them when the instance is infeasible.
     """
     return _max_scale_and_plan(pattern, target, impl)[0]
 
 
 def _max_scale_and_plan(pattern: OrthoPolygon, target: OrthoPolygon,
                         impl: str) -> tuple[PlacementResult, SweepPlan]:
-    """:func:`max_scale`, also returning the sweep plan it ran."""
+    """:func:`max_scale`, also returning the sweep plan as far as it was built."""
     prob = _Problem(pattern, target)
     plan = build_sweep(prob.cs, start_below=prob.bbox_cap)
-    stats = SolveStats(criticals=plan.skipped_above + len(plan.criticals),
-                       updates=len(plan.updates), skipped=plan.skipped_above)
+    stats = SolveStats(criticals=plan.total, skipped=plan.skipped_above)
 
     failed, _ = dyncover.run_plan(plan.box_cells, plan.live_bound,
                                   plan.initial, plan.updates,
-                                  plan.query_pos, impl)
+                                  plan.query_pos, impl, more=plan.extend)
     if failed is None:
         stats.queries = len(plan.query_pos)
+        stats.updates = len(plan.updates)
         sup = Fraction(*plan.criticals[-1]) if plan.criticals else None
         return PlacementResult("infeasible", stats=stats, lambda_sup=sup), plan
 
     stats.queries = failed + 1
+    stats.updates = plan.query_pos[failed]
     lam = Fraction(*plan.criticals[failed])
     tau = find_hole(prob, lam)
     if tau is None:

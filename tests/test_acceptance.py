@@ -205,7 +205,7 @@ def test_criterion_5_update_count_bound(core_batch):
     bad = 0
     for inst in core_batch:
         prob = _Problem(inst.pattern, inst.target)
-        plan = build_sweep(prob.cs)  # full sweep, no cap
+        plan = build_sweep(prob.cs).drain()  # full sweep, no cap
         nx = len(prob.cs.x_entries)
         ny = len(prob.cs.y_entries)
         if len(plan.updates) > 8 * (nx * nx + ny * ny):

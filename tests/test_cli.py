@@ -5,9 +5,10 @@ from fractions import Fraction
 import polyplace.cli
 import polyplace.solver
 from polyplace.cli import run
+from polyplace.forbidden import build_sweep, read_trace, write_trace
 from polyplace.geometry import Point, load_polygon, save_polygon, validate_polygon
 from polyplace.instances import comb_polygon
-from polyplace.solver import verify_containment
+from polyplace.solver import _Problem, verify_containment
 
 SQ = validate_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 WIDE = validate_polygon([(0, 0), (3, 0), (3, 2), (0, 2)])
@@ -79,8 +80,9 @@ def test_maxscale_x(tmp_path, capsys):
 def test_maxscale_trace_out_and_dyncover(tmp_path, capsys, monkeypatch):
     # the answer is at query 206 of 207 in the capped plan, far past its first update
     p, q = tmp_path / "p.json", tmp_path / "q.json"
-    save_polygon(str(p), SQ)
-    save_polygon(str(q), comb_polygon(50, random.Random(50)))
+    pattern, target = SQ, comb_polygon(50, random.Random(50))
+    save_polygon(str(p), pattern)
+    save_polygon(str(q), target)
     trace = tmp_path / "trace.txt"
     builds = []
     for module in (polyplace.solver, polyplace.cli):
@@ -96,6 +98,21 @@ def test_maxscale_trace_out_and_dyncover(tmp_path, capsys, monkeypatch):
     for impl in ("naive", "oy"):
         assert run(["dyncover", "--trace", str(trace), "--impl", impl]) == 0
         assert capsys.readouterr().out.strip() == str(queries)
+
+    # the solve streamed its plan: the dump is a proper prefix of the whole one
+    prob = _Problem(pattern, target)
+    whole = build_sweep(prob.cs, start_below=prob.bbox_cap).drain()
+    box, initial, updates, query_pos = read_trace(str(trace))
+    assert (box, initial) == (whole.box_cells, whole.initial)
+    assert updates == whole.updates[:len(updates)]
+    assert query_pos == whole.query_pos[:queries] and queries < len(whole.query_pos)
+
+    # with --baseline there is no solve to stop the plan: the dump is all of it
+    full = tmp_path / "full.txt"
+    assert run(["maxscale", "--p", str(p), "--q", str(q), "--baseline",
+                "--trace-out", str(trace)]) == 0
+    write_trace(str(full), whole.box_cells, whole.updates, whole.initial, whole.query_pos)
+    assert trace.read_text() == full.read_text()
 
 
 def test_dyncover_example(tmp_path, capsys):

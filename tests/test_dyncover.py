@@ -328,8 +328,9 @@ def test_readd_pairs_differential(rng, shape, same_id):
             # covered cells after every update, and (with nothing read between
             # a delete and its re-add) after every re-add
             assert area_after_each(TraceProblem(n, box, full), impl)[len(initial):] == expected
-            after_pairs = [struct.covered_cells for k, struct, _ in
-                           _execute(box, n, initial, updates, impl) if k % 2 == 0 and k]
+            after_pairs = [struct.covered_cells for _, struct, _ in
+                           _execute(box, n, initial, updates,
+                                    range(2, len(updates) + 1, 2), impl)]
             assert after_pairs == expected[1::2]
         # queries after re-adds, between a delete and its re-add, and repeated
         pos = sorted(rng.choices(range(len(updates) + 1), k=rng.randint(1, len(updates))))
@@ -358,7 +359,7 @@ def test_hole_only_in_a_shrink_strip(impl):
 ])
 def test_seed_plans_agree_across_engines(make):
     prob = _Problem(*make())
-    plan = build_sweep(prob.cs, start_below=prob.bbox_cap)
+    plan = build_sweep(prob.cs, start_below=prob.bbox_cap).drain()
     got = [run_plan(plan.box_cells, plan.live_bound, plan.initial, plan.updates,
                     plan.query_pos, impl) for impl in ("naive", "oy")]
     assert got[0][0] is not None and got[0] == got[1]

@@ -171,7 +171,7 @@ def test_sweep_matches_snapshots(rng):
     for _ in range(8):
         P, Q = random_instance_pair(rng, 16, 16, 25)
         prob = _Problem(P, Q)
-        plan = build_sweep(prob.cs)
+        plan = build_sweep(prob.cs).drain()
         crits = [F(db, da) for db, da in plan.criticals]
         live = dict(plan.initial)
         pos = 0
@@ -233,7 +233,7 @@ def test_update_count_bound(rng):
     for _ in range(10):
         P, Q = random_instance_pair(rng, 16, 16, 25)
         prob = _Problem(P, Q)
-        plan = build_sweep(prob.cs)
+        plan = build_sweep(prob.cs).drain()
         nx = len(prob.cs.x_entries)
         ny = len(prob.cs.y_entries)
         assert len(plan.updates) <= 8 * (nx * nx + ny * ny)
@@ -241,7 +241,7 @@ def test_update_count_bound(rng):
 
 def test_trace_file_round_trip(tmp_path, rng):
     P, Q = random_instance_pair(rng, 12, 12, 15)
-    plan = build_sweep(_Problem(P, Q).cs)
+    plan = build_sweep(_Problem(P, Q).cs).drain()
     path = tmp_path / "trace.txt"
     write_trace(str(path), plan.box_cells, plan.updates, plan.initial, plan.query_pos)
     box, initial, updates, query_pos = read_trace(str(path))
@@ -331,8 +331,8 @@ def test_sweep_builds_no_fraction(monkeypatch):
     gadget = gen_foursum([0], [3], [1], [4])
     problems = [_Problem(unit_square(), comb_polygon(50, random.Random(50))),
                 _Problem(gadget.pattern, gadget.target)]
-    plans = [build_sweep(prob.cs, start_below=prob.bbox_cap) for prob in problems]
+    plans = [build_sweep(prob.cs, start_below=prob.bbox_cap).drain() for prob in problems]
     monkeypatch.setattr(polyplace.forbidden, "Fraction", no_fraction)
     for prob, plan in zip(problems, plans):
-        again = build_sweep(prob.cs, start_below=prob.bbox_cap)
+        again = build_sweep(prob.cs, start_below=prob.bbox_cap).drain()
         assert again.criticals and again.updates == plan.updates

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyplace.solver
-from polyplace.forbidden import _axis_events, critical_values
+from polyplace import dyncover
+from polyplace.forbidden import _axis_events, build_sweep, critical_values
 from polyplace.geometry import (Placement, Point, transform, validate_polygon)
 from polyplace.hardness import gen_average, gen_foursum
 from polyplace.instances import comb_polygon, random_instance_pair, unit_square
-from polyplace.solver import (PlacementResult, SolveStats, _Problem,
+from polyplace.solver import (PlacementResult, SolveStats, _max_scale_and_plan, _Problem,
                               contains_fixed, find_hole, max_scale,
                               max_scale_baseline, max_scale_x,
                               verify_containment)
@@ -246,6 +249,73 @@ def test_sweep_and_baseline_agree_on_foursum_gadgets():
         assert fast.stats.skipped > 0
         assert _Problem(inst.pattern, inst.target).cs.scale.bit_length() >= 30
         assert verify_containment(inst.pattern, inst.target, fast.lambda_star, fast.witness)
+
+
+def _foursum_gadgets(rng, count):
+    """``count`` gadgets on four 4-element sets from [-6, 6], drawn like the
+    benchmark's gadget-ties sets but with no planted solution."""
+    for _ in range(count):
+        inst = gen_foursum(*(rng.sample(range(-6, 7), 4) for _ in range(4)))
+        yield inst.pattern, inst.target
+
+
+def _solve_over_drained_plan(monkeypatch, pattern, target, impl):
+    """max_scale with the whole plan built first and run without streaming."""
+    real_run_plan = dyncover.run_plan
+    with monkeypatch.context() as m:
+        m.setattr(polyplace.solver, "build_sweep",
+                  lambda cs, start_below=None: build_sweep(cs, start_below).drain())
+        m.setattr(dyncover, "run_plan", lambda *args, more=None: real_run_plan(*args))
+        return _max_scale_and_plan(pattern, target, impl)
+
+
+def test_streamed_plan_matches_the_drained_plan(monkeypatch):
+    rng = random.Random(987123)  # criterion 1's distribution
+    cases = [random_instance_pair(rng, max_p=20, max_q=20, span=50) for _ in range(60)]
+    cases += _foursum_gadgets(random.Random(0), 4)
+    cases.append((unit_square(), comb_polygon(50, random.Random(50))))
+    batches = 0
+    for pattern, target in cases:
+        for impl in ("naive", "oy"):
+            got, plan = _max_scale_and_plan(pattern, target, impl)
+            want, whole = _solve_over_drained_plan(monkeypatch, pattern, target, impl)
+            assert (got.status, got.lambda_star, got.witness, got.lambda_sup, got.stats) == \
+                (want.status, want.lambda_star, want.witness, want.lambda_sup, want.stats)
+            assert plan.initial == whole.initial
+            assert (plan.total, plan.skipped_above) == (whole.total, whole.skipped_above)
+            for name in ("criticals", "updates", "query_pos", "below_pos"):
+                part, full = getattr(plan, name), getattr(whole, name)
+                assert part == full[:len(part)], name
+            if impl == "oy":
+                batches = max(batches, got.stats.updates // plan.live_bound)
+    assert batches > 3  # the oy engine rebuilt from a streamed batch several times
+
+
+@pytest.mark.parametrize("impl", ["naive", "oy"])
+def test_max_scale_builds_only_the_plan_it_runs(impl):
+    # a gadget is answered about a fifth of the way down its sweep, so the
+    # engine must stop the plan there, not run it from a finished one
+    pattern, target = next(_foursum_gadgets(random.Random(0), 1))
+    res, plan = _max_scale_and_plan(pattern, target, impl)
+    prob = _Problem(pattern, target)
+    whole = build_sweep(prob.cs, start_below=prob.bbox_cap).drain()
+    assert res.feasible and res.stats.updates == plan.query_pos[res.stats.queries - 1]
+    assert 2 * len(plan.updates) < len(whole.updates)
+    assert 2 * len(plan.criticals) < len(whole.criticals)
+
+
+def test_max_scale_frees_its_plan_without_the_cycle_collector():
+    # a plan the solve streamed must not outlive it waiting for a full
+    # collection, or the next solve runs on top of it
+    pattern, target = next(_foursum_gadgets(random.Random(0), 1))
+    gc.disable()
+    try:
+        _, plan = _max_scale_and_plan(pattern, target, "naive")
+        gone = weakref.ref(plan)
+        del plan
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_max_scale_x_matches_reference():
