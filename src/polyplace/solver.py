@@ -11,7 +11,9 @@ Five user-facing entry points:
 * :func:`max_scale_baseline`: same answer via an independent route, running
   the exact static coverage test at every critical scale.
 * :func:`max_scale_x`: translation restricted to the x axis with the
-  bounding-box bottoms kept aligned.
+  bounding-box bottoms kept aligned, by a 1-D descending sweep that moves
+  the active pairs' intervals over a plain cell count and keeps the zero
+  cells of the translation box's x range as a live count.
 
 All solvers center both polygons on their bounding-box centers first, so
 translations are expressed between the centered frames and results are
@@ -336,6 +338,59 @@ def _x_events(cs: CoordSets, acts: list[tuple[int, int, int, int]]) -> list[tupl
     return events
 
 
+class _ZeroCount:
+    """A plain count over the cells 1..size, with its zeros in one range.
+
+    ``zeros`` is the number of cells in ``cnt[b0..b1]`` that hold 0 (none
+    when b0 > b1), kept live. Intervals of cells move by the cells between
+    their old and new ends, and the range by the cells that enter or leave
+    it, so a step costs only the cells that changed.
+    """
+
+    __slots__ = ("cnt", "b0", "b1", "zeros")
+
+    def __init__(self, size: int):
+        self.cnt = [0] * (size + 1)
+        self.b0, self.b1, self.zeros = 1, 0, 0
+
+    def _add(self, a: int, b: int, d: int) -> None:
+        """Add d (1 or -1) to the cells a..b."""
+        cnt, b0, b1 = self.cnt, self.b0, self.b1
+        crossed = 1 if d > 0 else 0  # a cell of the range leaves 0 at 1, or reaches 0
+        for c in range(a, b + 1):
+            v = cnt[c] = cnt[c] + d
+            if v == crossed and b0 <= c <= b1:
+                self.zeros -= d
+
+    def move(self, old: tuple[int, int] | None, new: tuple[int, int] | None) -> None:
+        """Replace the interval of cells ``old`` by ``new`` (None: no interval)."""
+        if old is None or new is None or old[1] < new[0] or new[1] < old[0]:
+            if old is not None:
+                self._add(old[0], old[1], -1)
+            if new is not None:
+                self._add(new[0], new[1], 1)
+            return
+        (o0, o1), (n0, n1) = old, new
+        if n0 < o0:
+            self._add(n0, o0 - 1, 1)
+        elif o0 < n0:
+            self._add(o0, n0 - 1, -1)
+        if o1 < n1:
+            self._add(o1 + 1, n1, 1)
+        elif n1 < o1:
+            self._add(n1 + 1, o1, -1)
+
+    def span(self, b0: int, b1: int) -> None:
+        """Make [b0, b1] the range whose zeros are counted."""
+        cnt, c0, c1 = self.cnt, self.b0, self.b1
+        if b0 > b1 or c0 > c1:  # an empty range: count afresh
+            self.zeros = cnt[b0:b1 + 1].count(0)
+        else:  # each end moves over a strip, entering cells counted in, leaving ones out
+            self.zeros += (cnt[b0:c0].count(0) - cnt[c0:b0].count(0)
+                           + cnt[c1 + 1:b1 + 1].count(0) - cnt[b1 + 1:c1 + 1].count(0))
+        self.b0, self.b1 = b0, b1
+
+
 def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
     """Largest scale with translation restricted to the x axis.
 
@@ -349,14 +404,21 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
 
     The candidates at most the bbox-fit cap are the criticals of the x
     axis's :class:`~polyplace.forbidden.Descent`, the other candidates its
-    extra events. Over the walk's x order, a count of the active pairs
-    covers the x rank cells, each open interval encoded as in the 2-D sweep.
-    At each candidate the pairs whose interval closes there are deactivated,
-    the pairs of the tied x nodes re-put and B's x cells asked for a zero;
-    then the ties are resolved below it and the pairs whose interval opens
-    there activated. So a candidate touches only its own pairs. At the first
-    hole, the witness is the smallest point of B's x extent that the open x
-    intervals of the pairs active at lam* leave uncovered, checked pairwise.
+    extra events. Over the walk's x order, a plain count (a list of ints,
+    :class:`_ZeroCount`) of the active pairs covers the x rank cells, each
+    open interval encoded as in the 2-D sweep, and keeps a live count of the
+    zero cells in B's x cell range. At each candidate the pairs whose
+    interval closes there are deactivated and the pairs of the tied x nodes
+    re-put, B's range is moved to its current ends and the zero count read;
+    then the ties are resolved below it, the pairs whose interval opens there
+    activated and the tied pairs re-put again. A re-put moves the pair's
+    cells from its old interval to its new one, touching only the strips
+    between their ends (both whole intervals only when they do not overlap,
+    as on an open or a close), and B's range moves by the cells that enter
+    or leave it. So a candidate costs the cells that moved, not B's width.
+    At the first hole, the witness is the smallest point of B's x extent
+    that the open x intervals of the pairs active at lam* leave uncovered,
+    checked pairwise.
     """
     prob = _Problem(pattern, target)
     cs = prob.cs
@@ -376,8 +438,8 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
     pairs_of = [[k for k in keys if k < n] for keys in xaxis.keys]
     rect_nodes = cs.rect_nodes
     active = active_at(*walk.start)
-    cnt = np.zeros(cs.rank_box[0] + 1, dtype=np.int32)  # cells 1..wx2
-    cells: list[tuple[int, int] | None] = [None] * n  # what each pair adds to cnt
+    count = _ZeroCount(cs.rank_box[0])  # cells 1..wx2
+    cells: list[tuple[int, int] | None] = [None] * n  # what each pair adds to the count
 
     def reput(i: int) -> None:
         new = None
@@ -387,10 +449,7 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
                 new = (x_lo, x_hi)
         old = cells[i]
         if new != old:
-            if old is not None:
-                cnt[old[0]:old[1] + 1] -= 1
-            if new is not None:
-                cnt[new[0]:new[1] + 1] += 1
+            count.move(old, new)
             cells[i] = new
 
     for i in range(n):
@@ -405,7 +464,8 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
         for p in tied:
             reput(p)
         stats.queries += 1
-        if not cnt[2 * lo[bx0]:2 * hi[bx1]].all():
+        count.span(2 * lo[bx0], 2 * hi[bx1] - 1)
+        if count.zeros:
             break
         walk.below()
         for _, _, tag, j in extras:
@@ -416,6 +476,8 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
             reput(p)
     else:
         # the walk is never empty: B's sides meet at the cap, on x or at h_Q / h_P
+        if not stats.queries:
+            raise RuntimeError("internal inconsistency: the x-only walk has no candidate")
         return PlacementResult("infeasible", stats=stats, lambda_sup=Fraction(db, da))
 
     spans = ((xa * db + xb * da, Xa * db + Xb * da)

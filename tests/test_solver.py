@@ -15,7 +15,7 @@ from polyplace.geometry import (Placement, Point, transform, validate_polygon)
 from polyplace.hardness import gen_average, gen_foursum
 from polyplace.instances import comb_polygon, random_instance_pair, unit_square
 from polyplace.solver import (PlacementResult, SolveStats, _max_scale_and_plan, _Problem,
-                              contains_fixed, find_hole, max_scale,
+                              _ZeroCount, contains_fixed, find_hole, max_scale,
                               max_scale_baseline, max_scale_x,
                               verify_containment)
 
@@ -329,10 +329,86 @@ def test_max_scale_x_matches_reference():
     for k in range(10):
         inst = _average_gadget(rng, k)
         pairs.append((inst.pattern, inst.target))
-    for pat, tgt in pairs:
+    deep = len(pairs)  # then deep sweeps, found by a seeded search
+    pairs += [random_instance_pair(random.Random(s), 24, 60, 80)
+              for s in (37, 62, 93, 112, 228, 241, 390)]
+    for k, (pat, tgt) in enumerate(pairs):
         got, want = max_scale_x(pat, tgt), _max_scale_x_reference(pat, tgt)
         assert (got.status, got.lambda_star, got.witness, got.lambda_sup, got.stats) == \
             (want.status, want.lambda_star, want.witness, want.lambda_sup, want.stats)
+        if k >= deep:  # p' >= 4, answered at or past half of the kept criticals
+            assert len(_Problem(pat, tgt).pcov.rects) >= 4
+            assert 2 * got.stats.queries >= got.stats.criticals - got.stats.skipped >= 50
+
+
+def test_max_scale_x_raises_on_an_empty_walk(monkeypatch):
+    class EmptyDescent(polyplace.solver.Descent):
+        def __iter__(self):
+            return iter(())
+
+    monkeypatch.setattr(polyplace.solver, "Descent", EmptyDescent)
+    with pytest.raises(RuntimeError, match="internal inconsistency"):
+        max_scale_x(SQ, WIDE)
+
+
+def test_zero_count_follows_moves_and_its_range():
+    # seeded random moves and ranges, each step checked against a recount
+    rng, size, seen = random.Random(2026), 30, set()
+
+    def interval(lo, hi):
+        a, b = sorted((rng.randint(lo, hi), rng.randint(lo, hi)))
+        return max(a, 1), min(b, size)
+
+    for _ in range(30):
+        count, spans = _ZeroCount(size), [None] * 4
+        for _ in range(150):
+            b0, b1 = count.b0, count.b1
+            before = [sum(1 for sp in spans if sp and sp[0] <= c <= sp[1])
+                      for c in range(size + 1)]
+            if rng.random() < 0.3:
+                kind = rng.randrange(3)
+                if kind == 0:
+                    n0, n1 = interval(1, size)
+                elif kind == 1:
+                    n0 = rng.randint(2, size + 1)
+                    n0, n1 = n0, n0 - 1
+                else:
+                    n0 = min(max(b0 + rng.randint(-3, 3), 1), size)
+                    n1 = min(max(b1 + rng.randint(-3, 3), 1), size)
+                if b0 <= b1:
+                    if n0 > n1:
+                        seen.add("range empties")
+                    elif n0 <= b0 and b1 <= n1 and (n0, n1) != (b0, b1):
+                        seen.add("range grows")
+                    elif b0 <= n0 and n1 <= b1 and (n0, n1) != (b0, b1):
+                        seen.add("range shrinks")
+                count.span(n0, n1)
+            else:
+                i = rng.randrange(len(spans))
+                old, new = spans[i], None
+                kind = rng.randrange(4)
+                if kind == 1:
+                    new = interval(1, size)
+                elif kind >= 2 and old is not None:
+                    new = interval(old[0] - 3, old[0] + 3)[0], interval(old[1] - 3, old[1] + 3)[1]
+                    if new[0] > new[1]:
+                        new = None
+                if old is not None and new is not None:
+                    seen.add("overlap" if old[0] <= new[1] and new[0] <= old[1] else "disjoint")
+                if new is not None and b0 <= b1:
+                    if new[0] in (b0, b1) or new[1] in (b0, b1):
+                        seen.add("touches B's ends")
+                    if new[0] < b0 <= new[1] or new[0] <= b1 < new[1]:
+                        seen.add("straddles B's ends")
+                count.move(old, new)
+                spans[i] = new
+            want = [sum(1 for sp in spans if sp and sp[0] <= c <= sp[1]) for c in range(size + 1)]
+            assert count.cnt == want
+            assert count.zeros == sum(1 for c in range(count.b0, count.b1 + 1) if want[c] == 0)
+            if any(b and not w for b, w in zip(before, want)):
+                seen.add("back to 0")
+    assert seen == {"range empties", "range grows", "range shrinks", "overlap", "disjoint",
+                    "touches B's ends", "straddles B's ends", "back to 0"}
 
 
 def test_max_scale_x_at_a_mixed_critical():
