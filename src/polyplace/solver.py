@@ -9,7 +9,9 @@ Five user-facing entry points:
   critical scales in descending order while an offline dynamic cover
   structure tracks the rank-space forbidden rectangles.
 * :func:`max_scale_baseline`: same answer via an independent route, running
-  the exact static coverage test at every critical scale.
+  the exact static coverage test (:func:`find_hole`, an event sweep over
+  the x split values of a count over the y split values that checks only
+  the rows lowered since its previous stop) at every critical scale.
 * :func:`max_scale_x`: translation restricted to the x axis with the
   bounding-box bottoms kept aligned, by a 1-D descending sweep that moves
   the active pairs' intervals over a plain cell count and keeps the zero
@@ -22,7 +24,6 @@ invariant under translating either input.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -101,96 +102,80 @@ class _Problem:
                         qb.y0 - lam * pb.y0, qb.y1 - lam * pb.y1)
 
 
-def _item_span(vals: list[int], lo: int, hi: int) -> tuple[int, int]:
-    """Interleaved value/gap items of ``vals`` covered by the open (lo, hi).
-
-    Item 2k is the point vals[k]; item 2k+1 the open gap (vals[k], vals[k+1]).
-    Returns an inclusive, possibly empty index range.
-    """
-    pl = bisect_right(vals, lo)
-    pr = bisect_left(vals, hi)
-    gl = bisect_left(vals, lo)
-    gr = bisect_right(vals, hi) - 1
-    return min(2 * pl, 2 * gl + 1), max(2 * pr - 2, 2 * gr - 1)
-
-
-def _item_value(vals: list[int], item: int, den: int) -> Rational:
-    k = item // 2
-    if item % 2 == 0:
-        return Fraction(vals[k], den)
-    return Fraction(vals[k] + vals[k + 1], 2 * den)
-
-
 def find_hole(prob: _Problem, lam: Rational) -> Point | None:
-    """Exact per-scale coverage test on the tie-refined item grid.
+    """Exact per-scale coverage test: the least free translation in B(lam).
 
-    Returns a translation (in centered frames) in the box B(lam) that avoids
-    every open forbidden rectangle, or None when B(lam) is fully covered or,
-    above the bbox-fit cap, empty. Point-sized holes at shared boundaries are
-    represented by the zero-width value items, so boundary-contact placements
-    are found exactly.
+    Returns the lexicographically least point (least x, then least y), in
+    centered frames, of the box B(lam) that lies in no open forbidden
+    rectangle, or None when B(lam) is fully covered or, above the bbox-fit
+    cap, empty. The rectangles are open, so the free part of B is closed:
+    the point exists when that part is not empty, and its coordinates are
+    split values, B's sides or sides of rectangles meeting B inside it.
+    Holes of a single point at shared boundaries, that is boundary-contact
+    placements, are found exactly.
+
+    The test is an event sweep over the x split values in order. A count
+    over the y split values gains each rectangle that meets B at the first
+    x value it covers and loses it at the first it no longer covers, and
+    only the x values where that happens are visited. Only the rows lowered
+    since the last visit are checked for a zero (all rows at the first):
+    the others were covered then and have only gained since.
     """
     num, den = lam.numerator, lam.denominator
     bx0, bx1, by0, by1 = (a * num + b * den for a, b in prob.cs.box_sides)
     if bx0 > bx1 or by0 > by1:
         return None
-    rects = []
+    xset, yset, rects = {bx0, bx1}, {by0, by1}, []
     for (xa, xb, Xa, Xb, ya, yb, Ya, Yb) in prob.cs.sides:
         lo = xa * num + xb * den
         hi = Xa * num + Xb * den
-        if lo >= hi:
-            continue
         clo = ya * num + yb * den
         chi = Ya * num + Yb * den
-        if clo >= chi:
-            continue
-        rects.append((lo, hi, clo, chi))
-
-    xset = {bx0, bx1}
-    yset = {by0, by1}
-    for lo, hi, clo, chi in rects:
-        if bx0 < lo < bx1:
-            xset.add(lo)
-        if bx0 < hi < bx1:
-            xset.add(hi)
-        if by0 < clo < by1:
-            yset.add(clo)
-        if by0 < chi < by1:
-            yset.add(chi)
+        if lo < hi and lo < bx1 and hi > bx0 and clo < chi and clo < by1 and chi > by0:
+            rects.append((lo, hi, clo, chi))
+            if lo > bx0:
+                xset.add(lo)
+            if hi < bx1:
+                xset.add(hi)
+            if clo > by0:
+                yset.add(clo)
+            if chi < by1:
+                yset.add(chi)
     xs = sorted(xset)
     ys = sorted(yset)
-    n_xitems = 2 * len(xs) - 1
-    n_yitems = 2 * len(ys) - 1
+    nx, ny = len(xs), len(ys)
+    xk = {v: k for k, v in enumerate(xs)}
+    yk = {v: k for k, v in enumerate(ys)}
 
-    starts: list[list[tuple[int, int]]] = [[] for _ in range(n_xitems)]
-    ends: list[list[tuple[int, int]]] = [[] for _ in range(n_xitems)]
+    # a rectangle covers the split values strictly between its sides: rows
+    # a..b-1 of the columns from its start up to, not including, its stop
+    events: dict[int, list[tuple[int, int, int]]] = {0: []}
     for lo, hi, clo, chi in rects:
-        x_a, x_b = _item_span(xs, lo, hi)
-        if x_a > x_b:
-            continue
-        y_a, y_b = _item_span(ys, clo, chi)
-        if y_a > y_b:
-            continue
-        x_a, x_b = max(x_a, 0), min(x_b, n_xitems - 1)
-        y_a, y_b = max(y_a, 0), min(y_b, n_yitems - 1)
-        starts[x_a].append((y_a, y_b))
-        ends[x_b].append((y_a, y_b))
+        a = yk[clo] + 1 if clo >= by0 else 0
+        b = yk[chi] if chi <= by1 else ny
+        start = xk[lo] + 1 if lo >= bx0 else 0
+        stop = xk[hi] if hi <= bx1 else nx
+        if a < b and start < stop:
+            events.setdefault(start, []).append((a, b, 1))
+            if stop < nx:
+                events.setdefault(stop, []).append((a, b, -1))
 
-    cnt = np.zeros(n_yitems, dtype=np.int32)
-    zeros = n_yitems
-    for i in range(n_xitems):
-        for (a, b) in starts[i]:
-            region = cnt[a:b + 1]
-            zeros -= int(np.count_nonzero(region == 0))
-            region += 1
-        if zeros:
-            j = int(np.flatnonzero(cnt == 0)[0])
-            return Point(_item_value(xs, i, den * prob.cs.scale),
-                         _item_value(ys, j, den * prob.cs.scale))
-        for (a, b) in ends[i]:
-            region = cnt[a:b + 1]
-            region -= 1
-            zeros += int(np.count_nonzero(region == 0))
+    cnt = np.zeros(ny, dtype=np.int32)
+    low0, low1 = 0, ny  # the rows lowered since the last check
+    for i in sorted(events):
+        for a, b, d in events[i]:
+            cnt[a:b] += d
+            if d < 0:
+                if a < low0:
+                    low0 = a
+                if b > low1:
+                    low1 = b
+        if low0 < low1:
+            j = low0 + int(cnt[low0:low1].argmin())  # counts are >= 0: the first zero
+            if cnt[j] == 0:
+                scale = den * prob.cs.scale
+                return Point(Fraction(xs[i], scale), Fraction(ys[j], scale))
+            low0, low1 = ny, 0
     return None
 
 
@@ -408,14 +393,15 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
     :class:`_ZeroCount`) of the active pairs covers the x rank cells, each
     open interval encoded as in the 2-D sweep, and keeps a live count of the
     zero cells in B's x cell range. At each candidate the pairs whose
-    interval closes there are deactivated and the pairs of the tied x nodes
-    re-put, B's range is moved to its current ends and the zero count read;
-    then the ties are resolved below it, the pairs whose interval opens there
-    activated and the tied pairs re-put again. A re-put moves the pair's
-    cells from its old interval to its new one, touching only the strips
-    between their ends (both whole intervals only when they do not overlap,
-    as on an open or a close), and B's range moves by the cells that enter
-    or leave it. So a candidate costs the cells that moved, not B's width.
+    interval closes there are deactivated and re-put with the active pairs
+    of the tied x nodes (an inactive pair holds no cells), B's range is
+    moved to its current ends and the zero count read; then the ties are
+    resolved below it, the pairs whose interval opens there activated and
+    the tied pairs re-put again. A re-put moves the pair's cells from its
+    old interval to its new one, touching only the strips between their
+    ends (both whole intervals only when they do not overlap, as on an open
+    or a close), and B's range moves by the cells that enter or leave it.
+    So a candidate costs the cells that moved, not B's width.
     At the first hole, the witness is the smallest point of B's x extent
     that the open x intervals of the pairs active at lam* leave uncovered,
     checked pairwise.
@@ -456,7 +442,7 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
         reput(i)
 
     for db, da, (met,), extras in walk:
-        tied = {p for node in met for p in pairs_of[node]}
+        tied = {p for node in met for p in pairs_of[node] if active[p]}
         for _, _, tag, j in extras:
             if tag == _CLOSE:
                 active[j] = False

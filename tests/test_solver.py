@@ -149,6 +149,60 @@ def test_maximality(rng):
                 assert find_hole(prob, mid) is None
 
 
+def _first_hole_by_enumeration(prob, lam):
+    """The witness find_hole defines, by brute force over the item grid.
+
+    Each axis lists B(lam)'s low side, then each gap midpoint and split value
+    in turn, the split values being B's sides and the sides of the nonempty
+    forbidden rectangles strictly inside B. The first (x, y) in that
+    lexicographic order inside no open forbidden rectangle is the witness.
+    """
+    if lam > prob.bbox_cap:
+        return None
+    box = prob.fit_box(lam)
+    rects = [(q.x0 - lam * p.x1, q.x1 - lam * p.x0, q.y0 - lam * p.y1, q.y1 - lam * p.y0)
+             for p in prob.pcov.rects for q in prob.qcov.rects]
+    rects = [r for r in rects if r[0] < r[1] and r[2] < r[3]]
+
+    def items(lo, hi, sides):
+        vals = sorted({lo, hi} | {v for v in sides if lo < v < hi})
+        out = vals[:1]
+        for a, b in zip(vals, vals[1:]):
+            out += [(a + b) / 2, b]
+        return out
+
+    ys = items(box.y0, box.y1, [v for r in rects for v in r[2:]])
+    for x in items(box.x0, box.x1, [v for r in rects for v in r[:2]]):
+        column = [r for r in rects if r[0] < x < r[1]]
+        for y in ys:
+            if not any(y0 < y < y1 for _, _, y0, y1 in column):
+                return Point(x, y)
+    return None
+
+
+def test_find_hole_returns_the_first_uncovered_item():
+    rng = random.Random(20261019)
+    pairs = [random_instance_pair(rng, 20, 20, 50) for _ in range(32)]
+    pairs += [random_instance_pair(rng, 24, 60, 80) for _ in range(4)]
+    # B(bbox_cap) is a point when both bounding boxes have one aspect ratio
+    pairs += [(pat, transform(pat, Placement(F(k), P(0, 0)))) for k, (pat, _) in
+              zip((2, 3, F(5, 2)), pairs)]
+    pairs.append((SQ, ARM))
+    seen = set()
+    for pat, tgt in pairs:
+        prob = _Problem(pat, tgt)
+        crits = critical_values(prob.cs)
+        mids = [(a + b) / 2 for a, b in zip(crits, crits[1:])]
+        for lam in crits + mids + [prob.bbox_cap]:
+            tau = find_hole(prob, lam)
+            assert tau == _first_hole_by_enumeration(prob, lam), (pat, tgt, lam)
+            if lam == prob.bbox_cap:
+                box = prob.fit_box(lam)
+                flat = (box.x0 == box.x1) + (box.y0 == box.y1)
+                seen.add(("segment", "point")[flat - 1] + ("", " hole")[tau is not None])
+    assert seen == {"segment", "segment hole", "point", "point hole"}
+
+
 def test_transformation_invariance(rng):
     for _ in range(5):
         pat, tgt = random_instance_pair(rng, 14, 14, 20)

@@ -32,3 +32,25 @@ def test_solver_imports_only_public_names_of_forbidden():
              for alias in node.names]
     private = [name for name in names if name.startswith("_")]
     assert names and not private, f"private names of forbidden in solver.py: {private}"
+
+
+def test_baseline_is_independent_of_the_sweep():
+    # the reference solver checks the sweep, so neither it nor the static test
+    # it runs, nor any solver helper they reach, may use the sweep's code
+    tree = ast.parse((PACKAGE / "solver.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    sweep = {"dyncover", "Descent", "build_sweep", "SweepPlan"}
+    todo, seen, used = ["find_hole", "max_scale_baseline"], set(), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+                if node.id in defs:
+                    todo.append(node.id)
+    assert "_Problem" in seen  # the walk reaches the helpers
+    assert not used & sweep, f"the baseline reaches the sweep: {sorted(used & sweep)}"
