@@ -1,18 +1,19 @@
 """Offline dynamic rectangle cover over an integer cell grid.
 
-Given an offline add/delete trace of closed rank-space rectangles inside a
-box, report the covered-cell count after every update and the first update
-after which the box is no longer fully covered. An update is (id, RankRect)
-for an add and (id, None) for a delete. The trace may be streamed: the
-engine asks for more only when it needs an update or a query position
-past what it holds. Two interchangeable engines:
+Given an offline trace of closed rank-space rectangles inside a box, report
+the covered-cell count after every update and the first update after which
+the box is no longer fully covered. An update is a move (id, old, new) from
+the id's live rectangle ``old`` to ``new``, None standing for no rectangle.
+The trace may be streamed: the engine asks for more only when it needs an
+update or a query position past what it holds. Two interchangeable engines,
+each changed by ``move(old, new)``:
 
 * ``naive`` (the default of :func:`polyplace.solver.max_scale`): a counting
   grid in int16 when the live bound fits it and int32 otherwise, changed by
-  vectorized slice ``+=``/``-=``. A delete followed by the add of an
-  overlapping rectangle (a sweep key re-emitted at a critical) applies only
-  their symmetric difference, at most four slices each way, so it touches
-  the strips the rectangle lost and gained; any other update is one slice.
+  vectorized slice ``+=``/``-=``. A move whose rectangles overlap (a sweep
+  key re-emitted at a critical) applies only their symmetric difference, at
+  most four slices each way, so it touches the strips the rectangle lost
+  and gained; any other move is one slice each way.
   Holes are found on query: the first query checks the whole grid; after a
   query that found the box full, a cell can only have dropped to zero where
   its count fell since, so the next query checks just the slices that were
@@ -21,10 +22,12 @@ past what it holds. Two interchangeable engines:
   vertical slabs cut at the upcoming batch's x edges, a count array of
   slab-crossing rectangles per slab and row, a count array of the other
   (partial) rectangles per compressed column and row, and the width each
-  slab's partials cover per row. An update is O(1) numpy calls doing
-  O(sqrt(n) * rows) integer work; a coverage read sums the slabs; the
-  structure is rebuilt from scratch every n updates. The rebuild uses the
-  upcoming batch, so the engine looks n updates ahead of the one it applies.
+  slab's partials cover per row. A move removes its old rectangle and adds
+  its new one, each O(1) numpy calls doing O(sqrt(n) * rows) integer work;
+  a coverage read sums the slabs. The structure is rebuilt from scratch
+  after every n rectangle changes (two for a move with both rectangles),
+  from the upcoming batch, so the engine looks that far ahead of the move
+  it applies.
 """
 
 from __future__ import annotations
@@ -36,13 +39,11 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .forbidden import RankRect
-
-Update = tuple[object, "RankRect | None"]
+from .forbidden import Move as Update, RankRect
 
 
 class MalformedTrace(ValueError):
-    """Delete of a dead id, out-of-box rectangle, or live-set overflow."""
+    """A move from a rectangle its id does not hold, out of the box, or over the bound."""
 
 
 @dataclass
@@ -52,10 +53,15 @@ class TraceProblem:
     updates: list[Update]
 
 
-def _minus(a: RankRect, b: RankRect) -> list[tuple[int, int, int, int]]:
-    """The cells of a outside b, for overlapping a and b, as at most four
-    disjoint grid slices (x0, x1, y0, y1), zero-based and half-open."""
+def _minus(a: RankRect | None, b: RankRect | None) -> list[tuple[int, int, int, int]]:
+    """The cells of a outside b (all of a if b is None or disjoint from it), as
+    at most four disjoint grid slices (x0, x1, y0, y1), zero-based, half-open."""
+    if a is None:
+        return []
     ax0, ax1, ay0, ay1 = a.x_lo - 1, a.x_hi, a.y_lo - 1, a.y_hi
+    if (b is None or a.x_hi < b.x_lo or b.x_hi < a.x_lo
+            or a.y_hi < b.y_lo or b.y_hi < a.y_lo):
+        return [(ax0, ax1, ay0, ay1)]
     bx0, bx1, by0, by1 = b.x_lo - 1, b.x_hi, b.y_lo - 1, b.y_hi
     pieces = []
     if ax0 < bx0:
@@ -74,20 +80,18 @@ class _NaiveGrid:
     """Counting-grid engine: per-cell cover counts, checked for holes on query.
 
     ``bound`` caps every cell count (the live-set bound), so it picks the
-    count type. A remove is held back until the next call: an add of a
-    rectangle that overlaps it applies only their symmetric difference (the
-    strips a re-emitted rectangle lost and gained), and anything else first
-    applies the remove in full. ``_removed`` lists the slices whose counts
-    fell since the last query that found the box full; it is None before
-    the first query and after one that found a hole, when the next query
-    checks the whole grid.
+    count type. A move whose old and new rectangles overlap applies only
+    their symmetric difference (the strips a re-emitted rectangle lost and
+    gained); any other move applies each of them whole. ``_removed`` lists
+    the slices whose counts fell since the last query that found the box
+    full; it is None before the first query and after one that found a
+    hole, when the next query checks the whole grid.
     """
 
     def __init__(self, nx: int, ny: int, bound: int):
         dtype = np.int16 if bound <= np.iinfo(np.int16).max else np.int32
         self.grid = np.zeros((nx, ny), dtype=dtype)
         self._removed: list[tuple[int, int, int, int]] | None = None
-        self._pending: RankRect | None = None
 
     def _lower(self, x0: int, x1: int, y0: int, y1: int) -> None:
         cells = self.grid[x0:x1, y0:y1]
@@ -95,33 +99,14 @@ class _NaiveGrid:
         if self._removed is not None:
             self._removed.append((x0, x1, y0, y1))
 
-    def _flush(self) -> None:
-        r = self._pending
-        if r is not None:
-            self._pending = None
-            self._lower(r.x_lo - 1, r.x_hi, r.y_lo - 1, r.y_hi)
-
-    def add(self, r: RankRect) -> None:
-        old = self._pending
-        if (old is None or old.x_hi < r.x_lo or r.x_hi < old.x_lo
-                or old.y_hi < r.y_lo or r.y_hi < old.y_lo):
-            self._flush()
-            cells = self.grid[r.x_lo - 1:r.x_hi, r.y_lo - 1:r.y_hi]
-            cells += 1
-            return
-        self._pending = None
-        for piece in _minus(old, r):
+    def move(self, old: RankRect | None, new: RankRect | None) -> None:
+        for piece in _minus(old, new):
             self._lower(*piece)
-        for x0, x1, y0, y1 in _minus(r, old):
+        for x0, x1, y0, y1 in _minus(new, old):
             cells = self.grid[x0:x1, y0:y1]
             cells += 1
 
-    def remove(self, r: RankRect) -> None:
-        self._flush()
-        self._pending = r
-
     def has_hole(self) -> bool:
-        self._flush()
         if self._removed is None:
             hole = not self.grid.all()
         else:
@@ -132,7 +117,6 @@ class _NaiveGrid:
 
     @property
     def covered_cells(self) -> int:
-        self._flush()
         return int(np.count_nonzero(self.grid))
 
 
@@ -192,11 +176,11 @@ class _SlabCover:
         if cuts[b] < c1:
             self._partial(b, cuts[b], c1, r0, r1, d)
 
-    def add(self, r: RankRect) -> None:
-        self._apply(r, 1)
-
-    def remove(self, r: RankRect) -> None:
-        self._apply(r, -1)
+    def move(self, old: RankRect | None, new: RankRect | None) -> None:
+        if old is not None:
+            self._apply(old, -1)
+        if new is not None:
+            self._apply(new, 1)
 
     @property
     def covered_cells(self) -> int:
@@ -226,13 +210,16 @@ def _execute(box: tuple[int, int], capacity: int,
     ``positions`` ascend; position 0 is the preloaded set alone. Between two
     query positions the updates are applied in one plain loop; after the
     last position the rest are applied too, so a malformed tail still
-    raises. Stop iterating to stop early. ``capacity`` is the structure's
-    live bound n; the oy engine rebuilds every n updates, from the batch
-    ahead. ``more``, when given, appends to ``updates`` and ``positions``
-    and returns False once it has nothing left. It is called when the next
-    query position lies past the end of ``positions``, until the lists hold
-    that position and n updates past the last one applied, and when the
-    next oy batch is not whole.
+    raises. A move must start from its id's live rectangle (None for a dead
+    id), and a delete needs a live id. Stop iterating to stop early.
+    ``capacity`` is the structure's live bound n. Lookahead counts
+    rectangle changes, two for a move with both rectangles: the oy engine
+    rebuilds after every n changes, from the batch ahead (a move that
+    straddles the boundary joins the later batch). ``more``, when given,
+    appends to ``updates`` and ``positions`` and returns False once it has
+    nothing left. It is called when the next query position lies past the
+    end of ``positions``, until the lists hold that position and n changes
+    past the last move applied, and when the next oy batch is not whole.
     """
     if impl not in ("naive", "oy"):
         raise ValueError(f"unknown implementation {impl!r}")
@@ -246,28 +233,36 @@ def _execute(box: tuple[int, int], capacity: int,
             raise MalformedTrace(f"duplicate id {uid!r}")
         live[uid] = r
 
-    def pull(n_updates: int, n_positions: int) -> None:
+    def ahead(i: int, n_positions: int, need: int) -> tuple[int, int]:
+        """Pull until ``positions`` has n_positions entries and the moves from
+        i on make ``need`` changes. Returns the index past the fewest such
+        moves, less the last one when it overshoots, and the overshoot."""
         nonlocal more
-        while more is not None and (len(updates) < n_updates or len(positions) < n_positions):
+        while True:
+            while need > 0 and i < len(updates):
+                need -= (updates[i][1] is not None) + (updates[i][2] is not None)
+                i += 1
+            if more is None or need <= 0 and len(positions) >= n_positions:
+                return i - (need < 0), max(0, -need)
             if not more():
                 more = None
 
     limit = 2 * capacity
     struct = None
-    k = end = qi = 0  # updates applied, end of the current batch, next query
+    k = end = qi = over = 0  # updates applied, end of the batch, next query, overshoot
     while True:
-        if qi == len(positions):  # n updates ahead, so that plan and engine alternate rarely
-            pull(k + capacity, qi + 1)
+        if qi == len(positions):  # n changes ahead, so that plan and engine alternate rarely
+            ahead(k, qi + 1, capacity)
         last = qi == len(positions) or positions[qi] > len(updates)
         target = len(updates) if last else positions[qi]
         while struct is None or k < target:
-            if k == end:  # a new batch: the naive grid is one, the slabs take n updates
+            if k == end:  # a new batch: the naive grid is one, the slabs take n changes
                 if impl == "oy":
-                    pull(k + capacity, 0)
-                    end = min(k + capacity, len(updates))
+                    # a move straddling the boundary opens the next batch, one change early
+                    end, over = ahead(k, 0, capacity + over)
                     universe = list(live.values())
                     for i in range(k, end):
-                        r = updates[i][1]
+                        r = updates[i][2]
                         if r is not None:
                             universe.append(r)
                     struct = _SlabCover(box, universe)
@@ -275,24 +270,24 @@ def _execute(box: tuple[int, int], capacity: int,
                     end = math.inf
                     struct = _NaiveGrid(*box, bound=limit)
                 for r in live.values():
-                    struct.add(r)
-            add, remove = struct.add, struct.remove
+                    struct.move(None, r)
+            move = struct.move
             stop = min(target, end)
             for i in range(k, stop):
-                uid, r = updates[i]
-                if r is None:
-                    r = live.pop(uid, None)
-                    if r is None:
-                        raise MalformedTrace(f"delete of dead id {uid!r}")
-                    remove(r)
-                    continue
-                _check_rect(r, box)
-                if uid in live:
-                    raise MalformedTrace(f"duplicate id {uid!r}")
-                if len(live) >= limit:
-                    raise MalformedTrace("live set exceeds twice the declared bound")
-                live[uid] = r
-                add(r)
+                uid, old, new = updates[i]
+                cur = live.get(uid)
+                if cur is not old and cur != old or old is new is None:
+                    raise MalformedTrace(f"delete of dead id {uid!r}" if cur is None else
+                                         f"duplicate id {uid!r}" if old is None else
+                                         f"id {uid!r} moves from {old} but holds {cur}")
+                if new is None:
+                    del live[uid]
+                else:
+                    _check_rect(new, box)
+                    if old is None and len(live) >= limit:
+                        raise MalformedTrace("live set exceeds twice the declared bound")
+                    live[uid] = new
+                move(old, new)
             k = stop
         if last:
             return
@@ -338,10 +333,7 @@ def trace_problem(box: tuple[int, int], updates: Sequence[Update]) -> TraceProbl
     """Wrap raw updates, inferring the live bound from the trace itself."""
     live: set = set()
     peak = 1
-    for uid, r in updates:
-        if r is None:
-            live.discard(uid)
-        else:
-            live.add(uid)
+    for uid, _, r in updates:
+        (live.discard if r is None else live.add)(uid)
         peak = max(peak, len(live))
     return TraceProblem(n=peak, box=box, updates=list(updates))

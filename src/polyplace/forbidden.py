@@ -23,14 +23,14 @@ integer key; it becomes a ``Fraction`` only where a solver returns it.
 One descending walk, :class:`Descent`, visits the criticals at most a cap,
 largest first, keeping each axis's sorted order and handing over the nodes
 that meet and the caller's own events at each. Both sweeps consume it: the
-2-D plan (:func:`build_sweep`) emits the add / delete trace of the closed
-rank rectangles, touching only the rectangles whose defining forms
-participate in a tie at each critical, and the x-only solver counts its
-active pairs over the x cells. The plan is lazy: it walks one critical
-further each time the dynamic cover engine asks, so a solve that ends at
-an early critical never builds the rest. Rectangles are keyed 0..n-1, then
-n..n+3 for the bands L, R, B, T around B(scale); an update is (key,
-RankRect) for an add and (key, None) for a delete.
+2-D plan (:func:`build_sweep`) emits the trace of the closed rank
+rectangles, touching only the rectangles whose defining forms participate
+in a tie at each critical, and the x-only solver counts its active pairs
+over the x cells. The plan is lazy: it walks one critical further each time
+the dynamic cover engine asks, so a solve that ends at an early critical
+never builds the rest. Rectangles are keyed 0..n-1, then n..n+3 for the
+bands L, R, B, T around B(scale); an update is a move (key, old, new) of a
+key whose rectangle changed, None standing for no rectangle.
 """
 
 from __future__ import annotations
@@ -62,6 +62,9 @@ class RankRect(NamedTuple):
     x_hi: int
     y_lo: int
     y_hi: int
+
+
+Move = tuple[int, "RankRect | None", "RankRect | None"]  # (key, old, new)
 
 
 class _Axis:
@@ -460,10 +463,10 @@ class SweepPlan:
 
     ``criticals[i]`` is the i-th swept critical scale as the pair (db, da),
     the scale db / da. ``initial`` is the preloaded state for scales above
-    the first swept critical, as (key, rect) pairs; each update is (key,
-    rect) for an add and (key, None) for a delete, and a key's delete comes
-    before its re-add. After ``query_pos[i]`` updates the structure holds
-    the snapshot at criticals[i] exactly, and after ``below_pos[i]`` the one
+    the first swept critical, as (key, rect) pairs; each update is a move
+    (key, old, new) of a key whose rectangle changed, None standing for no
+    rectangle. After ``query_pos[i]`` updates the structure holds the
+    snapshot at criticals[i] exactly, and after ``below_pos[i]`` the one
     just below it. When the sweep was started below a cap,
     ``skipped_above`` counts the dropped larger criticals; ``total`` counts
     the criticals of the whole walk, skipped ones included.
@@ -476,7 +479,7 @@ class SweepPlan:
     criticals: list[tuple[int, int]]
     box_cells: tuple[int, int]
     initial: list[tuple[int, RankRect]]
-    updates: list[tuple[int, RankRect | None]]
+    updates: list[Move]
     query_pos: list[int]
     below_pos: list[int]
     live_bound: int
@@ -515,19 +518,15 @@ def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan
     current = [rect(key) for key in range(cs.n_rects + 4)]
     initial = [(key, r) for key, r in enumerate(current) if r is not None]
     criticals: list[tuple[int, int]] = []
-    updates: list[tuple[int, RankRect | None]] = []
+    updates: list[Move] = []
     query_pos: list[int] = []
     below_pos: list[int] = []
 
     def emit(keys: list[int]) -> None:
         for key in keys:
-            new = rect(key)
-            old = current[key]
+            old, new = current[key], rect(key)
             if new != old:
-                if old is not None:
-                    updates.append((key, None))
-                if new is not None:
-                    updates.append((key, new))
+                updates.append((key, old, new))
                 current[key] = new
 
     def steps() -> Iterator[None]:  # holds the lists, not the plan: no cycle to outlive a solve
@@ -556,29 +555,33 @@ def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan
 # "A <id> <x_lo> <x_hi> <y_lo> <y_hi>" or "D <id>", then "Q <pos>" lines, one
 # per coverage query after the first <pos> events. A file without "Q" lines
 # queries after every event. An id is a rectangle's key; it recurs when the
-# rectangle is added again after its delete.
+# rectangle is added again after its delete. A move with both rectangles is
+# written as its delete and then its add; each event is read back as a move,
+# a delete from the rectangle the lines above last gave the id (None if dead).
 # ---------------------------------------------------------------------------
 
 _TRACE_FIELDS = {"I": 6, "A": 6, "D": 2, "Q": 2}  # fields of each body line
 
 def write_trace(path: str, box_cells: tuple[int, int],
-                updates: Sequence[tuple[int, RankRect | None]],
+                updates: Sequence[Move],
                 initial: Sequence[tuple[int, RankRect]], query_pos: Sequence[int]) -> None:
+    events = [0]  # event lines written before each move
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"N {box_cells[0]} {box_cells[1]}\n")
         for uid, r in initial:
             fh.write(f"I {uid} {r.x_lo} {r.x_hi} {r.y_lo} {r.y_hi}\n")
-        for uid, r in updates:
-            if r is None:
+        for uid, old, r in updates:
+            if old is not None:
                 fh.write(f"D {uid}\n")
-            else:
+            if r is not None:
                 fh.write(f"A {uid} {r.x_lo} {r.x_hi} {r.y_lo} {r.y_hi}\n")
+            events.append(events[-1] + (old is not None) + (r is not None))
         for pos in query_pos:
-            fh.write(f"Q {pos}\n")
+            fh.write(f"Q {events[pos]}\n")
 
 
 def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
-                                   list[tuple[int, RankRect | None]], list[int]]:
+                                   list[Move], list[int]]:
     """Box, preloaded rectangles, events and query positions of a trace file."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.split() for ln in fh if ln.strip()]
@@ -588,8 +591,9 @@ def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
     if min(box_cells) < 1:
         raise ValueError(f"box {box_cells[0]} x {box_cells[1]} has no cells")
     initial: list[tuple[int, RankRect]] = []
-    updates: list[tuple[int, RankRect | None]] = []
+    updates: list[Move] = []
     query_pos: list[int] = []
+    current: dict[int, RankRect] = {}
     for parts in lines[1:]:
         if _TRACE_FIELDS.get(parts[0]) != len(parts):
             raise ValueError(f"bad trace line {' '.join(parts)!r}")
@@ -597,10 +601,13 @@ def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
             raise ValueError(f"preloaded rectangle {' '.join(parts)!r} after the first event")
         if parts[0] in ("A", "I"):
             uid, x_lo, x_hi, y_lo, y_hi = map(int, parts[1:])
-            (initial if parts[0] == "I" else updates).append(
-                (uid, RankRect(x_lo, x_hi, y_lo, y_hi)))
+            r = current[uid] = RankRect(x_lo, x_hi, y_lo, y_hi)
+            if parts[0] == "I":
+                initial.append((uid, r))
+            else:
+                updates.append((uid, None, r))
         elif parts[0] == "D":
-            updates.append((int(parts[1]), None))
+            updates.append((int(parts[1]), current.pop(int(parts[1]), None), None))
         else:
             query_pos.append(int(parts[1]))
     if query_pos != sorted(query_pos) or any(not 0 <= p <= len(updates) for p in query_pos):

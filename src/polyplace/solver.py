@@ -41,7 +41,7 @@ from .geometry import (AxisRect, NonPositiveScale, OrthoPolygon, Point,
 @dataclass
 class SolveStats:
     criticals: int = 0
-    updates: int = 0  # updates the dynamic cover applied (max_scale only)
+    updates: int = 0  # moves the dynamic cover applied (max_scale only)
     queries: int = 0
     skipped: int = 0  # criticals above the bbox-fit cap, infeasible without a query
 
@@ -244,7 +244,7 @@ def max_scale(pattern: OrthoPolygon, target: OrthoPolygon,
     the exact static test (:func:`find_hole`) finds at that scale.
 
     ``stats.criticals`` counts every critical of the walk and
-    ``stats.updates`` the updates the engine applied: up to the failing
+    ``stats.updates`` the moves the engine applied: up to the failing
     query, or all of them when the instance is infeasible.
     """
     return _max_scale_and_plan(pattern, target, impl)[0]

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from polyplace.dyncover import TraceProblem
+from polyplace.forbidden import RankRect
 from polyplace.geometry import AxisRect, OrthoPolygon, Point
 
 
@@ -68,6 +70,38 @@ def random_axis_rect(rng: random.Random, span: int = 100) -> AxisRect:
     y0 = rng.randint(0, span - 1)
     return AxisRect(Fraction(x0), Fraction(rng.randint(x0 + 1, span)),
                     Fraction(y0), Fraction(rng.randint(y0 + 1, span)))
+
+
+def random_trace(rng: random.Random, n: int, length: int, width: int) -> TraceProblem:
+    """Random plain adds and deletes in a width x width box, at most n live."""
+    updates = []
+    live = {}
+    uid = 0
+    for _ in range(length):
+        if live and (len(live) >= n or rng.random() < 0.45):
+            victim = rng.choice(sorted(live))
+            updates.append((victim, live.pop(victim), None))
+        else:
+            x0 = rng.randint(1, width)
+            y0 = rng.randint(1, width)
+            r = RankRect(x0, rng.randint(x0, width), y0, rng.randint(y0, width))
+            live[uid] = r
+            updates.append((uid, None, r))
+            uid += 1
+    return TraceProblem(n=n, box=(width, width), updates=updates)
+
+
+def split_moves(updates, positions=()):
+    """Moves as the plain deletes and adds of a trace file, one per rectangle
+    change, and the positions counted in them."""
+    events, at = [], [0]
+    for key, old, new in updates:
+        if old is not None:
+            events.append((key, old, None))
+        if new is not None:
+            events.append((key, None, new))
+        at.append(len(events))
+    return events, [at[p] for p in positions]
 
 
 @pytest.fixture

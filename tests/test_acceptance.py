@@ -18,9 +18,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import random_trace, split_moves
 from polyplace.coverage import covers_box, union_area
-from polyplace.dyncover import TraceProblem, area_after_each, first_uncover
-from polyplace.forbidden import RankRect, build_sweep, critical_values, rank_snapshot
+from polyplace.dyncover import area_after_each, first_uncover
+from polyplace.forbidden import build_sweep, critical_values, rank_snapshot
 from polyplace.geometry import AxisRect, OrthoPolygon, Placement, Point, transform
 from polyplace.hardness import brute_solve, gen_average, gen_foursum, gen_ov
 from polyplace.instances import comb_polygon, random_instance_pair, unit_square
@@ -167,25 +168,6 @@ def test_criterion_3_rank_space_equivalence():
             f"{bad} disagreement(s) over {checked} sampled scales")
 
 
-def _random_trace(rng, n, length, width) -> TraceProblem:
-    updates = []
-    live = {}
-    uid = 0
-    for _ in range(length):
-        if live and (len(live) >= n or rng.random() < 0.45):
-            victim = rng.choice(sorted(live))
-            del live[victim]
-            updates.append((victim, None))
-        else:
-            x0 = rng.randint(1, width)
-            y0 = rng.randint(1, width)
-            r = RankRect(x0, rng.randint(x0, width), y0, rng.randint(y0, width))
-            live[uid] = r
-            updates.append((uid, r))
-            uid += 1
-    return TraceProblem(n=n, box=(width, width), updates=updates)
-
-
 def test_criterion_4_dynamic_differential():
     rng = random.Random(SEED + 5)
     bad = 0
@@ -193,7 +175,7 @@ def test_criterion_4_dynamic_differential():
         n = rng.randint(10, 200)
         length = rng.randint(50, 2000)
         width = rng.randint(max(4, n // 2), 2 * n)
-        tp = _random_trace(rng, n, length, width)
+        tp = random_trace(rng, n, length, width)
         if (area_after_each(tp, "naive") != area_after_each(tp, "oy")
                 or first_uncover(tp, "naive") != first_uncover(tp, "oy")):
             bad += 1
@@ -208,7 +190,7 @@ def test_criterion_5_update_count_bound(core_batch):
         plan = build_sweep(prob.cs).drain()  # full sweep, no cap
         nx = len(prob.cs.x_entries)
         ny = len(prob.cs.y_entries)
-        if len(plan.updates) > 8 * (nx * nx + ny * ny):
+        if len(split_moves(plan.updates)[0]) > 8 * (nx * nx + ny * ny):
             bad += 1
     _report("criterion 5 (update-count bound on criterion-1 instances)",
             bad == 0, f"{bad} violation(s)")
@@ -221,7 +203,7 @@ def test_criterion_6_scaling_demonstration(tmp_path):
     rows = []
     for q in sizes:
         target = comb_polygon(q, random.Random(q))
-        reps = 2 if q <= 200 else 1
+        reps = 3 if q <= 200 else 1
         best_f = best_b = math.inf
         for _ in range(reps):
             t0 = time.perf_counter()

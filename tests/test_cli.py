@@ -1,13 +1,15 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
 
 import polyplace.cli
 import polyplace.solver
+from conftest import split_moves
 from polyplace.cli import run
 from polyplace.forbidden import build_sweep, read_trace, write_trace
 from polyplace.geometry import Point, load_polygon, save_polygon, validate_polygon
-from polyplace.instances import comb_polygon
+from polyplace.instances import comb_polygon, random_instance_pair, unit_square
 from polyplace.solver import _Problem, verify_containment
 
 SQ = validate_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -103,9 +105,10 @@ def test_maxscale_trace_out_and_dyncover(tmp_path, capsys, monkeypatch):
     prob = _Problem(pattern, target)
     whole = build_sweep(prob.cs, start_below=prob.bbox_cap).drain()
     box, initial, updates, query_pos = read_trace(str(trace))
+    events, positions = split_moves(whole.updates, whole.query_pos)
     assert (box, initial) == (whole.box_cells, whole.initial)
-    assert updates == whole.updates[:len(updates)]
-    assert query_pos == whole.query_pos[:queries] and queries < len(whole.query_pos)
+    assert updates == events[:len(updates)]
+    assert query_pos == positions[:queries] and queries < len(whole.query_pos)
 
     # with --baseline there is no solve to stop the plan: the dump is all of it
     full = tmp_path / "full.txt"
@@ -113,6 +116,29 @@ def test_maxscale_trace_out_and_dyncover(tmp_path, capsys, monkeypatch):
                 "--trace-out", str(trace)]) == 0
     write_trace(str(full), whole.box_cells, whole.updates, whole.initial, whole.query_pos)
     assert trace.read_text() == full.read_text()
+
+
+def test_maxscale_trace_out_is_pinned(tmp_path):
+    # trace files list every move as plain deletes and adds: a move with both
+    # rectangles is its delete and then its add, and queries count those lines.
+    # The streamed prefix is pinned too, since lookahead counts rectangle
+    # changes; in the random pair an oy batch boundary falls inside a move.
+    rng = random.Random(987123)
+    for _ in range(27):
+        pair = random_instance_pair(rng, max_p=20, max_q=20, span=50)
+    comb = (unit_square(), comb_polygon(50, random.Random(50)))
+    p, q, trace = tmp_path / "p.json", tmp_path / "q.json", tmp_path / "trace.txt"
+    for (pattern, target), extra, digest in (
+            (comb, [], "5fc23125b6290f224a77c27f7c691fef62bda5fc4ca39b70cb2857490d27f8a4"),
+            (comb, ["--baseline"],
+             "669dd9203f20a2824a3860f748847adf541c6cbcb2a61e1ad8982dcefb791de0"),
+            (pair, ["--impl", "oy"],
+             "101ea0c08208293a4c5be791c110e6799c536ee2f24c4fec653c78244382f0f4")):
+        save_polygon(str(p), pattern)
+        save_polygon(str(q), target)
+        assert run(["maxscale", "--p", str(p), "--q", str(q),
+                    "--trace-out", str(trace)] + extra) == 0
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest, extra
 
 
 def test_dyncover_example(tmp_path, capsys):
@@ -126,6 +152,7 @@ def test_dyncover_malformed_trace(tmp_path, capsys):
     trace = tmp_path / "t.txt"
     cases = [
         ("N 3 3\nD 5\n", "delete of dead id"),
+        ("N 3 3\nA 0 1 3 1 3\nA 0 1 3 1 3\n", "duplicate id"),  # an add of a live id
         ("N 4\n", "header"),                       # missing box size
         ("N 3 3\nD\n", "bad trace line 'D'"),      # delete without an id
         ("N 3 3\nQ\n", "bad trace line 'Q'"),      # query without a position

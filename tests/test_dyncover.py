@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import random_trace, split_moves
 from polyplace.dyncover import (MalformedTrace, TraceProblem, _execute, area_after_each,
                                 first_uncover, run_plan, trace_problem)
 from polyplace.forbidden import RankRect, build_sweep
@@ -11,35 +12,23 @@ from polyplace.solver import _Problem
 
 
 def A(uid, x0, x1, y0, y1):
-    return uid, RankRect(x0, x1, y0, y1)
+    """The move that adds a rectangle."""
+    return uid, None, RankRect(x0, x1, y0, y1)
 
 
-def D(uid):
-    return uid, None
+def D(uid, x0, x1, y0, y1):
+    """The move that deletes a rectangle."""
+    return uid, RankRect(x0, x1, y0, y1), None
 
 
-def random_trace(rng, n, length, width):
-    updates = []
-    live = {}
-    uid = 0
-    for _ in range(length):
-        if live and (len(live) >= n or rng.random() < 0.45):
-            victim = rng.choice(sorted(live))
-            del live[victim]
-            updates.append(D(victim))
-        else:
-            x0 = rng.randint(1, width)
-            y0 = rng.randint(1, width)
-            r = RankRect(x0, rng.randint(x0, width), y0, rng.randint(y0, width))
-            live[uid] = r
-            updates.append((uid, r))
-            uid += 1
-    return TraceProblem(n=n, box=(width, width), updates=updates)
+def M(uid, old, new):
+    """The move from one (x0, x1, y0, y1) rectangle to another."""
+    return uid, RankRect(*old), RankRect(*new)
 
 
 @pytest.mark.parametrize("impl", ["naive", "oy"])
 def test_add_then_delete_full_box(impl):
-    tp = TraceProblem(n=2, box=(3, 3), updates=[A(0, 1, 3, 1, 3), D(0)])
+    tp = TraceProblem(n=2, box=(3, 3), updates=[A(0, 1, 3, 1, 3), D(0, 1, 3, 1, 3)])
     assert first_uncover(tp, impl) == 2
 
 
@@ -62,7 +51,7 @@ def test_add_delete_inverse(impl, rng):
     areas = area_after_each(tp, impl)
     # replay adding one extra add+delete pair anywhere keeps the area
     base = tp.updates[:30]
-    probe = base + [A(9999, 2, 5, 3, 7), D(9999)]
+    probe = base + [A(9999, 2, 5, 3, 7), D(9999, 2, 5, 3, 7)]
     got = area_after_each(TraceProblem(tp.n, tp.box, probe), impl)
     assert got[-1] == got[29] == areas[29]
 
@@ -83,10 +72,11 @@ def test_oy_batch_boundaries(rng):
     # slab, rectangles whose x ends sit on a shared lattice (so on the slab
     # cuts), and one-column rectangles
     width, height = 400, 12
-    updates, live = [], []
+    updates, live = [], {}
     for uid in range(300):
         if len(live) >= 7 or (live and rng.random() < 0.4):
-            updates.append(D(live.pop(rng.randrange(len(live)))))
+            victim = list(live)[rng.randrange(len(live))]
+            updates.append((victim, live.pop(victim), None))
             continue
         if uid % 3 == 0:
             x0, x1 = 1, width
@@ -97,18 +87,32 @@ def test_oy_batch_boundaries(rng):
             x0 = x1 = rng.randint(1, width)
         y0 = rng.randint(1, height)
         updates.append(A(uid, x0, x1, y0, rng.randint(y0, height)))
-        live.append(uid)
+        live[uid] = updates[-1][2]
     tp = TraceProblem(n=7, box=(width, height), updates=updates)
     assert area_after_each(tp, "oy") == area_after_each(tp, "naive")
 
 
 def test_malformed_delete():
     # a second delete of an id, after a first that leaves the box covered
-    twice = [A(0, 1, 3, 1, 3), A(1, 1, 3, 1, 3), D(1), D(1)]
-    for ups in ([D(5)], [D(0)], twice):
+    twice = [A(0, 1, 3, 1, 3), A(1, 1, 3, 1, 3), D(1, 1, 3, 1, 3), D(1, 1, 3, 1, 3)]
+    for ups in ([D(5, 1, 3, 1, 3)], [(0, None, None)], twice):
         for impl in ("naive", "oy"):
             with pytest.raises(MalformedTrace, match="dead id"):
                 first_uncover(TraceProblem(2, (3, 3), ups), impl)
+
+
+@pytest.mark.parametrize("impl", ["naive", "oy"])
+@pytest.mark.parametrize("bad, message", [
+    (M(0, (1, 2, 1, 3), (1, 3, 1, 3)), "but holds"),          # old is not the live one
+    (M(1, (1, 3, 1, 3), (1, 3, 1, 2)), "dead id"),            # a move of a dead id
+    ((1, None, None), "dead id"),                             # a delete of a dead id
+    (A(0, 1, 3, 1, 3), "duplicate id"),                       # an add of a live id
+])
+def test_malformed_move(impl, bad, message):
+    # the first move covers the box, so the engine reaches the bad one
+    tp = TraceProblem(2, (3, 3), [A(0, 1, 3, 1, 3), bad])
+    with pytest.raises(MalformedTrace, match=message):
+        first_uncover(tp, impl)
 
 
 def test_malformed_out_of_box():
@@ -123,6 +127,10 @@ def test_malformed_overflow():
     tp = TraceProblem(1, (3, 3), ups)
     with pytest.raises(MalformedTrace):
         first_uncover(tp, "naive")
+    # a move keeps the live count, so the full live set may still move
+    ups[2:] = [M(1, (1, 3, 1, 3), (1, 2, 1, 3))]
+    for impl in ("naive", "oy"):
+        assert first_uncover(TraceProblem(1, (3, 3), ups), impl) is None
 
 
 def test_run_plan_queries(rng):
@@ -152,19 +160,20 @@ def random_plan(rng, n, length, width):
         x0, y0 = rng.randint(1, width), rng.randint(1, width)
         initial.append((uid, RankRect(x0, rng.randint(x0, width),
                                       y0, rng.randint(y0, width))))
-    live = [uid for uid, _ in initial]
+    live = dict(initial)
     updates = []
     uid = len(initial)
     for _ in range(length):
         if live and (len(live) >= n or rng.random() < 0.5):
-            updates.append(D(live.pop(rng.randrange(len(live)))))
+            victim = list(live)[rng.randrange(len(live))]
+            updates.append((victim, live.pop(victim), None))
             continue
         a, b = sorted((rng.randint(1, width), rng.randint(1, width)))
         if rng.random() < 0.5:
             updates.append(A(uid, a, b, 1, width))
         else:
             updates.append(A(uid, 1, width, a, b))
-        live.append(uid)
+        live[uid] = updates[-1][2]
         uid += 1
     pos = [0]
     while pos[-1] < length:
@@ -183,7 +192,7 @@ def test_sparse_queries_differential(rng):
         initial, updates, pos = random_plan(rng, n, rng.randint(20, 150), width)
         got = [run_plan((width, width), n, initial, updates, pos, impl)[0]
                for impl in ("naive", "oy")]
-        areas = area_after_each(TraceProblem(n, (width, width), initial + updates))
+        areas = area_after_each(TraceProblem(n, (width, width), _adds(initial) + updates))
         expected = next((q for q, k in enumerate(pos)
                          if areas[len(initial) + k - 1] < width * width), None)
         assert got == [expected, expected]
@@ -195,7 +204,7 @@ def test_sparse_queries_differential(rng):
 def test_hole_between_queries_is_not_reported(impl):
     # the box loses its only cover and gets a new one between two queries
     initial = [(0, RankRect(1, 2, 1, 2))]
-    updates = [D(0), A(1, 1, 1, 1, 2), A(2, 2, 2, 1, 2)]
+    updates = [D(0, 1, 2, 1, 2), A(1, 1, 1, 1, 2), A(2, 2, 2, 1, 2)]
     assert run_plan((2, 2), 3, initial, updates, [0, 3], impl) == (None, None)
 
 
@@ -204,7 +213,7 @@ def test_uncovered_preload_covered_before_first_query(impl):
     # the preload leaves a hole that an add closes before the first query;
     # removing the preloaded rectangle then opens it again
     initial = [(0, RankRect(1, 1, 1, 1))]
-    updates = [A(1, 2, 2, 1, 1), A(2, 1, 1, 1, 1), D(2), D(0)]
+    updates = [A(1, 2, 2, 1, 1), A(2, 1, 1, 1, 1), D(2, 1, 1, 1, 1), D(0, 1, 1, 1, 1)]
     failed, live = run_plan((2, 1), 3, initial, updates, [2, 3, 4], impl)
     assert failed == 2 and set(live) == {1}
 
@@ -213,7 +222,7 @@ def test_count_type_boundary():
     # capacity 2**15 allows 2**16 live rectangles stacked on one cell; an
     # int16 count would wrap to 0 there and read as a hole
     stack = 2 ** 16
-    ups = [A(i, 1, 1, 1, 1) for i in range(stack)] + [D(i) for i in range(stack)]
+    ups = [A(i, 1, 1, 1, 1) for i in range(stack)] + [D(i, 1, 1, 1, 1) for i in range(stack)]
     tp = TraceProblem(2 ** 15, (1, 1), ups)
     assert area_after_each(tp, "naive") == [1] * (2 * stack - 1) + [0]
     assert first_uncover(tp, "naive") == 2 * stack
@@ -227,12 +236,12 @@ def test_malformed_preload_overflow():
 
 
 def test_trace_problem_infers_bound():
-    ups = [A(0, 1, 1, 1, 1), A(1, 1, 1, 1, 1), D(0), A(2, 2, 2, 2, 2)]
+    ups = [A(0, 1, 1, 1, 1), A(1, 1, 1, 1, 1), D(0, 1, 1, 1, 1), A(2, 2, 2, 2, 2)]
     tp = trace_problem((3, 3), ups)
     assert tp.n == 2
 
 
-# --- a delete followed by the re-add of an overlapping rectangle -----------
+# --- a move between two overlapping rectangles ------------------------------
 
 SHAPES = ("identical", "grow", "shrink", "disjoint", "shift",
           "left", "right", "bottom", "top")
@@ -277,30 +286,37 @@ def _reshape(rng, r, shape, width):
 
 
 def _pair_trace(rng, width, pairs, shapes, same_id):
-    """Preloaded rectangles (the first one the whole box), then delete/re-add
-    pairs of reshaped rectangles; with ``same_id`` false the re-add takes a
-    fresh id."""
+    """Preloaded rectangles (the first one the whole box), then reshaped
+    rectangles: with ``same_id`` one move each, and otherwise a delete and
+    the add of the new rectangle under a fresh id."""
     live = {0: RankRect(1, width, 1, width)}
     for uid in range(1, rng.randint(1, 6)):
         live[uid] = _nested(rng, 1, width, 1, width)
     initial = list(live.items())
     updates, uid = [], len(live)
     for _ in range(pairs):
-        old = rng.choice(sorted(live))
-        new = _reshape(rng, live.pop(old), rng.choice(shapes), width)
-        updates.append(D(old))
-        if not same_id:
-            old, uid = uid, uid + 1
-        updates.append((old, new))
-        live[old] = new
+        key = rng.choice(sorted(live))
+        old = live.pop(key)
+        new = _reshape(rng, old, rng.choice(shapes), width)
+        if same_id:
+            updates.append((key, old, new))
+        else:
+            updates += [(key, old, None), (uid, None, new)]
+            key, uid = uid, uid + 1
+        live[key] = new
     return initial, updates
+
+
+def _adds(initial):
+    """A preloaded set as plain adds."""
+    return [(uid, None, r) for uid, r in initial]
 
 
 def _brute_areas(box, initial, updates):
     """Covered cells after each update, counted cell by cell."""
     live = dict(initial)
     areas = []
-    for uid, r in updates:
+    for uid, _, r in updates:
         if r is None:
             del live[uid]
         else:
@@ -314,25 +330,26 @@ def _brute_areas(box, initial, updates):
 @pytest.mark.parametrize("same_id", [True, False])
 @pytest.mark.parametrize("shape", SHAPES + ("mixed",))
 def test_readd_pairs_differential(rng, shape, same_id):
-    # the naive grid applies a delete and an overlapping re-add as their
+    # the naive grid applies a move between overlapping rectangles as their
     # symmetric difference; every observed state must be the plain one
     shapes = SHAPES if shape == "mixed" else (shape,)
+    step = 1 if same_id else 2  # updates per reshaped rectangle
     for _ in range(12):
         width = rng.randint(1, 8)
         box = (width, width)
         initial, updates = _pair_trace(rng, width, rng.randint(1, 20), shapes, same_id)
         n = len(initial) + 1
         expected = _brute_areas(box, initial, updates)
-        full = list(initial) + updates  # the preload as plain adds
+        full = _adds(initial) + updates
         for impl in ("naive", "oy"):
-            # covered cells after every update, and (with nothing read between
-            # a delete and its re-add) after every re-add
+            # covered cells after every update, and after every reshaped
+            # rectangle with nothing read in between
             assert area_after_each(TraceProblem(n, box, full), impl)[len(initial):] == expected
             after_pairs = [struct.covered_cells for _, struct, _ in
                            _execute(box, n, initial, updates,
-                                    range(2, len(updates) + 1, 2), impl)]
-            assert after_pairs == expected[1::2]
-        # queries after re-adds, between a delete and its re-add, and repeated
+                                    range(step, len(updates) + 1, step), impl)]
+            assert after_pairs == expected[step - 1::step]
+        # queries after reshaped rectangles, between a delete and its add, and repeated
         pos = sorted(rng.choices(range(len(updates) + 1), k=rng.randint(1, len(updates))))
         first = next((q for q, k in enumerate(pos)
                       if (expected[k - 1] if k else width * width) < width * width), None)
@@ -342,15 +359,16 @@ def test_readd_pairs_differential(rng, shape, same_id):
 
 @pytest.mark.parametrize("impl", ["naive", "oy"])
 def test_hole_only_in_a_shrink_strip(impl):
-    # the first query finds the box full; the re-add then gives up the top
-    # row, which nothing else covers, while the rest keeps its count
+    # the first query finds the box full; the first move then gives up the
+    # top row, which nothing else covers, while the rest keeps its count
     initial = [(0, RankRect(1, 4, 1, 2)), (1, RankRect(1, 4, 1, 1))]
-    updates = [D(0), A(0, 1, 4, 1, 1), D(0), A(0, 1, 4, 1, 2)]
-    assert run_plan((4, 2), 2, initial, updates, [0, 2, 4], impl) == (
+    updates = [M(0, (1, 4, 1, 2), (1, 4, 1, 1)), M(0, (1, 4, 1, 1), (1, 4, 1, 2))]
+    assert run_plan((4, 2), 2, initial, updates, [0, 1, 2], impl) == (
         1, {0: RankRect(1, 4, 1, 1), 1: RankRect(1, 4, 1, 1)})
     # a strip opened and closed again between two queries is no hole
-    updates = [D(0), A(0, 1, 3, 1, 2), D(1), A(1, 1, 4, 1, 1), D(1), A(1, 4, 4, 1, 2)]
-    assert run_plan((4, 2), 2, initial, updates, [0, 6], impl) == (None, None)
+    updates = [M(0, (1, 4, 1, 2), (1, 3, 1, 2)), M(1, (1, 4, 1, 1), (1, 4, 1, 1)),
+               M(1, (1, 4, 1, 1), (4, 4, 1, 2))]
+    assert run_plan((4, 2), 2, initial, updates, [0, 3], impl) == (None, None)
 
 
 @pytest.mark.parametrize("make", [
@@ -363,3 +381,8 @@ def test_seed_plans_agree_across_engines(make):
     got = [run_plan(plan.box_cells, plan.live_bound, plan.initial, plan.updates,
                     plan.query_pos, impl) for impl in ("naive", "oy")]
     assert got[0][0] is not None and got[0] == got[1]
+    # replayed as the plain deletes and adds of its trace file, it fails at the same query
+    events, pos = split_moves(plan.updates, plan.query_pos)
+    for impl in ("naive", "oy"):
+        assert run_plan(plan.box_cells, plan.live_bound, plan.initial, events, pos,
+                        impl) == got[0]

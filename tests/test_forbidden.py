@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import polyplace.forbidden
+from conftest import split_moves
 from polyplace.coverage import covers_box
 from polyplace.decompose import RectCover, cover_complement, cover_interior
 from polyplace.forbidden import (CoordSets, Descent, LinearForm, _Axis, _AxisState,
@@ -184,12 +185,12 @@ def test_sweep_matches_snapshots(rng):
 
         def play_to(stop):
             nonlocal pos
-            for key, r in plan.updates[pos:stop]:
-                if r is None:
+            for key, old, new in plan.updates[pos:stop]:
+                assert live.get(key) == old  # a move starts from the key's live rectangle
+                if new is None:
                     del live[key]
                 else:
-                    assert key not in live  # a key's delete comes before its re-add
-                    live[key] = r
+                    live[key] = new
             pos = stop
 
         for ci, lam in enumerate(crits):
@@ -236,7 +237,7 @@ def test_update_count_bound(rng):
         plan = build_sweep(prob.cs).drain()
         nx = len(prob.cs.x_entries)
         ny = len(prob.cs.y_entries)
-        assert len(plan.updates) <= 8 * (nx * nx + ny * ny)
+        assert len(split_moves(plan.updates)[0]) <= 8 * (nx * nx + ny * ny)
 
 
 def test_trace_file_round_trip(tmp_path, rng):
@@ -247,8 +248,8 @@ def test_trace_file_round_trip(tmp_path, rng):
     box, initial, updates, query_pos = read_trace(str(path))
     assert box == plan.box_cells
     assert initial == plan.initial
-    assert query_pos == plan.query_pos
-    assert updates == plan.updates
+    # a move with both rectangles is read back as its delete and its add
+    assert (updates, query_pos) == split_moves(plan.updates, plan.query_pos)
     first = path.read_text().splitlines()[0]
     assert first == f"N {plan.box_cells[0]} {plan.box_cells[1]}"
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyplace.solver
+from conftest import split_moves
 from polyplace import dyncover
 from polyplace.forbidden import _axis_events, build_sweep, critical_values
 from polyplace.geometry import (Placement, Point, transform, validate_polygon)
@@ -341,7 +342,8 @@ def test_streamed_plan_matches_the_drained_plan(monkeypatch):
                 part, full = getattr(plan, name), getattr(whole, name)
                 assert part == full[:len(part)], name
             if impl == "oy":
-                batches = max(batches, got.stats.updates // plan.live_bound)
+                changes = len(split_moves(plan.updates[:got.stats.updates])[0])
+                batches = max(batches, changes // plan.live_bound)
     assert batches > 3  # the oy engine rebuilt from a streamed batch several times
 
 
@@ -539,12 +541,14 @@ def test_x_variant_dominated(rng):
 def test_stats_contract(rng):
     for _ in range(6):
         pat, tgt = random_instance_pair(rng, 14, 14, 25)
-        res = max_scale(pat, tgt)
+        res, plan = _max_scale_and_plan(pat, tgt, "naive")
         prob = _Problem(pat, tgt)
         nx = len(prob.cs.x_entries)
         ny = len(prob.cs.y_entries)
         assert res.stats.criticals <= (nx * (nx - 1)) // 2 + (ny * (ny - 1)) // 2
-        assert res.stats.updates <= 8 * (nx * nx + ny * ny)
+        # a move with both rectangles counts as two changes
+        changes = len(split_moves(plan.updates[:res.stats.updates])[0])
+        assert changes <= 8 * (nx * nx + ny * ny)
         assert res.stats.queries >= 1
 
 
