@@ -139,9 +139,9 @@ def _cmd_dyncover(args) -> int:
         box, initial, updates, query_pos = read_trace(args.trace)
     except (OSError, ValueError) as exc:
         raise CliError(f"bad trace file {args.trace}: {exc}") from exc
-    tp = dyncover.trace_problem(box, [(uid, None, r) for uid, r in initial] + updates)
+    bound = dyncover.live_bound(initial, updates)
     try:
-        failed, _ = dyncover.run_plan(box, tp.n, initial, updates, query_pos, args.impl)
+        failed, _ = dyncover.run_plan(box, bound, initial, updates, query_pos, args.impl)
     except dyncover.MalformedTrace as exc:
         raise CliError(f"bad trace file {args.trace}: {exc}") from exc
     print("none" if failed is None else failed + 1)

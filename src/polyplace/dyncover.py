@@ -1,9 +1,9 @@
 """Offline dynamic rectangle cover over an integer cell grid.
 
-Given an offline trace of closed rank-space rectangles inside a box, report
-the covered-cell count after every update and the first update after which
-the box is no longer fully covered. An update is a move (id, old, new) from
-the id's live rectangle ``old`` to ``new``, None standing for no rectangle.
+Given an offline trace of closed rank-space rectangles inside a box and
+ascending query positions in it, report the first query that finds the box
+not fully covered. An update is a move (id, old, new) from the id's live
+rectangle ``old`` to ``new``, None standing for no rectangle.
 The trace may be streamed: the engine asks for more only when it needs an
 update or a query position past what it holds. Two interchangeable engines,
 each changed by ``move(old, new)``:
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -44,13 +43,6 @@ from .forbidden import Move as Update, RankRect
 
 class MalformedTrace(ValueError):
     """A move from a rectangle its id does not hold, out of the box, or over the bound."""
-
-
-@dataclass
-class TraceProblem:
-    n: int                      # max live-rectangle bound (structure capacity)
-    box: tuple[int, int]        # cells [1, nx] x [1, ny]
-    updates: list[Update]
 
 
 def _minus(a: RankRect | None, b: RankRect | None) -> list[tuple[int, int, int, int]]:
@@ -295,19 +287,6 @@ def _execute(box: tuple[int, int], capacity: int,
         qi += 1
 
 
-def first_uncover(tp: TraceProblem, impl: str = "naive") -> int | None:
-    """First 1-based update index after which the box is not fully covered."""
-    failed, _ = run_plan(tp.box, tp.n, [], tp.updates,
-                         range(1, len(tp.updates) + 1), impl)
-    return None if failed is None else failed + 1
-
-
-def area_after_each(tp: TraceProblem, impl: str = "naive") -> list[int]:
-    """Covered-cell count after each update prefix."""
-    return [struct.covered_cells for _, struct, _ in
-            _execute(tp.box, tp.n, [], tp.updates, range(1, len(tp.updates) + 1), impl)]
-
-
 def run_plan(box: tuple[int, int], capacity: int,
              initial: Sequence[tuple[object, RankRect]],
              updates: Sequence[Update],
@@ -329,11 +308,11 @@ def run_plan(box: tuple[int, int], capacity: int,
     return None, None
 
 
-def trace_problem(box: tuple[int, int], updates: Sequence[Update]) -> TraceProblem:
-    """Wrap raw updates, inferring the live bound from the trace itself."""
-    live: set = set()
-    peak = 1
+def live_bound(initial: Sequence[tuple[object, RankRect]], updates: Sequence[Update]) -> int:
+    """The most rectangles live at once in a preloaded trace, at least 1."""
+    live = {uid for uid, _ in initial}
+    peak = max(1, len(live))
     for uid, _, r in updates:
         (live.discard if r is None else live.add)(uid)
         peak = max(peak, len(live))
-    return TraceProblem(n=peak, box=box, updates=list(updates))
+    return peak

@@ -15,8 +15,8 @@ rectangles cover B(scale).
 Every side is normalized once, when :func:`coordinate_functions` builds the
 :class:`CoordSets`: an integer form alpha * scale + beta over one common
 denominator, deduplicated into weighted nodes per axis, with each cover
-pair's four integer sides and B's. The critical scales, the snapshots,
-the sweep, the solvers' static test and the x-only solver all read that table.
+pair's four integer sides and B's. The critical scales, the sweep, the
+solvers' static test and the x-only solver all read that table.
 A critical scale is the integer pair (db, da), da > 0, ordered by an exact
 integer key; it becomes a ``Fraction`` only where a solver returns it.
 
@@ -223,7 +223,7 @@ def critical_values(cs: CoordSets) -> list[Rational]:
 
 
 # ---------------------------------------------------------------------------
-# rank-space rectangles and snapshots
+# rank-space rectangles
 # ---------------------------------------------------------------------------
 
 def _rank_rule(cs: CoordSets, xranks: tuple[list[int], list[int]],
@@ -234,7 +234,8 @@ def _rank_rule(cs: CoordSets, xranks: tuple[list[int], list[int]],
     rank; the rule reads them on every call, so they may change in place. An
     open side interval (a, b) becomes [start(max rank of a), end(min rank of
     b)]; the bands n..n+3 (L, R, B, T) cover the rank box outside the
-    translation box B(scale).
+    translation box B(scale). The tests' full-sort rank snapshots share this
+    rule, so they check the sweep's order, not its encoding.
     """
     (xlo, xhi), (ylo, yhi) = xranks, yranks
     nodes = cs.rect_nodes
@@ -265,42 +266,6 @@ def _rank_rule(cs: CoordSets, xranks: tuple[list[int], list[int]],
         return RankRect(1, wx2, 2 * yhi[yb1], wy2)
 
     return rect
-
-
-def _full_ranks(axis: _Axis, num: int, den: int) -> tuple[list[int], list[int]]:
-    """Min and max rank of every node at scale num/den, ties grouped by value."""
-    def value(i: int) -> int:
-        return axis.alphas[i] * num + axis.betas[i] * den
-
-    lo, hi = [0] * len(axis.alphas), [0] * len(axis.alphas)
-    taken = 0
-    for _, group in groupby(sorted(range(len(axis.alphas)), key=value), key=value):
-        group = list(group)
-        w = sum(axis.weights[g] for g in group)
-        for g in group:
-            lo[g], hi[g] = taken + 1, taken + w
-        taken += w
-    return lo, hi
-
-
-def rank_snapshot(cs: CoordSets, lam: Rational) -> dict[int, RankRect]:
-    """Closed rank representation of every nonempty rectangle at ``lam``.
-
-    Evaluate at a critical value to get the tied snapshot, or at any interior
-    point of a region between criticals (e.g. the midpoint) for the generic
-    one. Keys are the sweep keys: rect indices, then n..n+3 for the bands L,
-    R, B, T; empty rectangles are omitted. The ranks come from a full sort
-    at ``lam``, independent of the sweep's incremental order.
-    """
-    lam = Fraction(lam)
-    num, den = lam.numerator, lam.denominator
-    rect = _rank_rule(cs, _full_ranks(cs.xaxis, num, den), _full_ranks(cs.yaxis, num, den))
-    snap: dict[int, RankRect] = {}
-    for key in range(cs.n_rects + 4):
-        r = rect(key)
-        if r is not None:
-            snap[key] = r
-    return snap
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +521,11 @@ def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan
 # per coverage query after the first <pos> events. A file without "Q" lines
 # queries after every event. An id is a rectangle's key; it recurs when the
 # rectangle is added again after its delete. A move with both rectangles is
-# written as its delete and then its add; each event is read back as a move,
-# a delete from the rectangle the lines above last gave the id (None if dead).
+# written as its delete and then its add. Reading pairs them back into one
+# move, with the query positions counted in moves: a "D k" of a live id
+# directly followed by an "A k", when no query falls between the two and the
+# file has "Q" lines. Any other event is read as a move of its own, a delete
+# from the rectangle the lines above last gave the id (None if dead).
 # ---------------------------------------------------------------------------
 
 _TRACE_FIELDS = {"I": 6, "A": 6, "D": 2, "Q": 2}  # fields of each body line
@@ -582,7 +550,7 @@ def write_trace(path: str, box_cells: tuple[int, int],
 
 def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
                                    list[Move], list[int]]:
-    """Box, preloaded rectangles, events and query positions of a trace file."""
+    """Box, preloaded rectangles, moves and query positions of a trace file."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.split() for ln in fh if ln.strip()]
     if not lines or lines[0][0] != "N" or len(lines[0]) != 3:
@@ -591,13 +559,13 @@ def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
     if min(box_cells) < 1:
         raise ValueError(f"box {box_cells[0]} x {box_cells[1]} has no cells")
     initial: list[tuple[int, RankRect]] = []
-    updates: list[Move] = []
+    events: list[Move] = []  # one per event line
     query_pos: list[int] = []
     current: dict[int, RankRect] = {}
     for parts in lines[1:]:
         if _TRACE_FIELDS.get(parts[0]) != len(parts):
             raise ValueError(f"bad trace line {' '.join(parts)!r}")
-        if parts[0] == "I" and updates:
+        if parts[0] == "I" and events:
             raise ValueError(f"preloaded rectangle {' '.join(parts)!r} after the first event")
         if parts[0] in ("A", "I"):
             uid, x_lo, x_hi, y_lo, y_hi = map(int, parts[1:])
@@ -605,13 +573,27 @@ def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
             if parts[0] == "I":
                 initial.append((uid, r))
             else:
-                updates.append((uid, None, r))
+                events.append((uid, None, r))
         elif parts[0] == "D":
-            updates.append((int(parts[1]), current.pop(int(parts[1]), None), None))
+            events.append((int(parts[1]), current.pop(int(parts[1]), None), None))
         else:
             query_pos.append(int(parts[1]))
-    if query_pos != sorted(query_pos) or any(not 0 <= p <= len(updates) for p in query_pos):
+    if query_pos != sorted(query_pos) or any(not 0 <= p <= len(events) for p in query_pos):
         raise ValueError("query positions must be ascending and within the events")
     if not query_pos:
-        query_pos = list(range(1, len(updates) + 1))
-    return box_cells, initial, updates, query_pos
+        return box_cells, initial, events, list(range(1, len(events) + 1))
+    queried = set(query_pos)
+    moves: list[Move] = []
+    at = [0]  # moves read before each event line
+    i = 0
+    while i < len(events):
+        uid, old, new = events[i]
+        if (old is not None and i + 1 < len(events) and i + 1 not in queried
+                and events[i + 1][0] == uid and events[i + 1][2] is not None):
+            new = events[i + 1][2]
+            i += 1
+            at.append(None)  # no query reads the state between the two lines
+        moves.append((uid, old, new))
+        at.append(len(moves))
+        i += 1
+    return box_cells, initial, moves, [at[p] for p in query_pos]

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyplace.dyncover import TraceProblem
+from oracles import TraceProblem
 from polyplace.forbidden import RankRect
 from polyplace.geometry import AxisRect, OrthoPolygon, Point
 

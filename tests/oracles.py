@@ -1,0 +1,164 @@
+"""Independent oracles that only the tests use.
+
+* Exact union measure and full-coverage queries for closed rectangles. Two
+  coordinate kinds share one sweep: real rectangles (`AxisRect`, rational
+  Lebesgue area) and rank-space rectangles (`RankRect`, counting unit cells
+  of the integer grid, where the closed rect [a,b]x[c,d] covers the cells
+  a..b x c..d). The dispatching wrappers sniff the rectangle kind. They
+  check the rank-space encoding and the solvers' static test.
+* Rank snapshots from a full sort at one scale, against which the sweep's
+  incremental order is checked. They share only the rank rule with it.
+* Whole-trace replays of the dynamic cover engines: the first update that
+  uncovers the box, and the covered cells after every update.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import groupby
+from typing import Sequence
+
+from polyplace.dyncover import _execute, live_bound, run_plan
+from polyplace.forbidden import CoordSets, Move, RankRect, _rank_rule
+from polyplace.geometry import AxisRect, Rational
+
+# ---------------------------------------------------------------------------
+# static coverage
+# ---------------------------------------------------------------------------
+
+
+def _merge_length(intervals: list[tuple]):
+    """Total length of a union of intervals given as half-open (lo, hi)."""
+    if not intervals:
+        return 0
+    intervals.sort()
+    total = 0
+    cur_lo, cur_hi = intervals[0]
+    for lo, hi in intervals[1:]:
+        if lo > cur_hi:
+            total += cur_hi - cur_lo
+            cur_lo, cur_hi = lo, hi
+        elif hi > cur_hi:
+            cur_hi = hi
+    return total + (cur_hi - cur_lo)
+
+
+def _sweep_area(rects: list[tuple], box: tuple):
+    """Union measure inside the box; rects and box are half-open (x0,x1,y0,y1)."""
+    bx0, bx1, by0, by1 = box
+    if bx0 >= bx1 or by0 >= by1:
+        return 0
+    clipped = []
+    for x0, x1, y0, y1 in rects:
+        x0, x1 = max(x0, bx0), min(x1, bx1)
+        y0, y1 = max(y0, by0), min(y1, by1)
+        if x0 < x1 and y0 < y1:
+            clipped.append((x0, x1, y0, y1))
+    xs = sorted({bx0, bx1} | {r[0] for r in clipped} | {r[1] for r in clipped})
+    total = 0
+    for k in range(len(xs) - 1):
+        lo, hi = xs[k], xs[k + 1]
+        ys = [(y0, y1) for x0, x1, y0, y1 in clipped if x0 <= lo and x1 >= hi]
+        total += (hi - lo) * _merge_length(ys)
+    return total
+
+
+def union_area(rects: Sequence, box):
+    """Exact measure of (union of rects) intersected with the box.
+
+    Real rectangles yield rational Lebesgue area; rank rectangles yield the
+    number of covered integer cells of the box grid (a closed rank rect
+    [a,b]x[c,d] covers cells a..b x c..d).
+    """
+    if isinstance(box, AxisRect):
+        halfopen = [(r.x0, r.x1, r.y0, r.y1) for r in rects]
+        return Fraction(_sweep_area(halfopen, (box.x0, box.x1, box.y0, box.y1)))
+    nx, ny = box
+    halfopen = [(r.x_lo, r.x_hi + 1, r.y_lo, r.y_hi + 1) for r in rects]
+    return _sweep_area(halfopen, (1, nx + 1, 1, ny + 1))
+
+
+def covers_box(rects: Sequence, box) -> bool:
+    """True when the union covers the whole box.
+
+    Real coordinates compare Lebesgue measure, which is exact for closed
+    rectangles: the uncovered set is relatively open, so it is empty exactly
+    when it has measure zero. Rank space counts grid cells, so zero-width
+    rectangles still contribute their degenerate cells.
+    """
+    if isinstance(box, AxisRect):
+        return union_area(rects, box) == box.area
+    nx, ny = box
+    return union_area(rects, box) == nx * ny
+
+
+# ---------------------------------------------------------------------------
+# rank snapshots
+# ---------------------------------------------------------------------------
+
+
+def _full_ranks(axis, num: int, den: int) -> tuple[list[int], list[int]]:
+    """Min and max rank of every node at scale num/den, ties grouped by value."""
+    def value(i: int) -> int:
+        return axis.alphas[i] * num + axis.betas[i] * den
+
+    lo, hi = [0] * len(axis.alphas), [0] * len(axis.alphas)
+    taken = 0
+    for _, group in groupby(sorted(range(len(axis.alphas)), key=value), key=value):
+        group = list(group)
+        w = sum(axis.weights[g] for g in group)
+        for g in group:
+            lo[g], hi[g] = taken + 1, taken + w
+        taken += w
+    return lo, hi
+
+
+def rank_snapshot(cs: CoordSets, lam: Rational) -> dict[int, RankRect]:
+    """Closed rank representation of every nonempty rectangle at ``lam``.
+
+    Evaluate at a critical value to get the tied snapshot, or at any interior
+    point of a region between criticals (e.g. the midpoint) for the generic
+    one. Keys are the sweep keys: rect indices, then n..n+3 for the bands L,
+    R, B, T; empty rectangles are omitted. The ranks come from a full sort
+    at ``lam``, independent of the sweep's incremental order.
+    """
+    lam = Fraction(lam)
+    num, den = lam.numerator, lam.denominator
+    rect = _rank_rule(cs, _full_ranks(cs.xaxis, num, den), _full_ranks(cs.yaxis, num, den))
+    snap: dict[int, RankRect] = {}
+    for key in range(cs.n_rects + 4):
+        r = rect(key)
+        if r is not None:
+            snap[key] = r
+    return snap
+
+
+# ---------------------------------------------------------------------------
+# whole-trace replays
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class TraceProblem:
+    n: int                      # max live-rectangle bound (structure capacity)
+    box: tuple[int, int]        # cells [1, nx] x [1, ny]
+    updates: list[Move]
+
+
+def trace_problem(box: tuple[int, int], updates: Sequence[Move]) -> TraceProblem:
+    """Wrap raw updates, inferring the live bound from the trace itself."""
+    return TraceProblem(n=live_bound([], updates), box=box, updates=list(updates))
+
+
+def first_uncover(tp: TraceProblem, impl: str = "naive") -> int | None:
+    """First 1-based update index after which the box is not fully covered."""
+    failed, _ = run_plan(tp.box, tp.n, [], tp.updates,
+                         range(1, len(tp.updates) + 1), impl)
+    return None if failed is None else failed + 1
+
+
+def area_after_each(tp: TraceProblem, impl: str = "naive") -> list[int]:
+    """Covered-cell count after each update prefix."""
+    return [struct.covered_cells for _, struct, _ in
+            _execute(tp.box, tp.n, [], tp.updates, range(1, len(tp.updates) + 1), impl)]

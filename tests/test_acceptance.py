@@ -19,9 +19,8 @@ import numpy as np
 import pytest
 
 from conftest import random_trace, split_moves
-from polyplace.coverage import covers_box, union_area
-from polyplace.dyncover import area_after_each, first_uncover
-from polyplace.forbidden import build_sweep, critical_values, rank_snapshot
+from oracles import area_after_each, covers_box, first_uncover, rank_snapshot, union_area
+from polyplace.forbidden import build_sweep, critical_values
 from polyplace.geometry import AxisRect, OrthoPolygon, Placement, Point, transform
 from polyplace.hardness import brute_solve, gen_average, gen_foursum, gen_ov
 from polyplace.instances import comb_polygon, random_instance_pair, unit_square

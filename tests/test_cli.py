@@ -3,11 +3,12 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 import polyplace.cli
 import polyplace.solver
-from conftest import split_moves
 from polyplace.cli import run
-from polyplace.forbidden import build_sweep, read_trace, write_trace
+from polyplace.forbidden import RankRect, build_sweep, read_trace, write_trace
 from polyplace.geometry import Point, load_polygon, save_polygon, validate_polygon
 from polyplace.instances import comb_polygon, random_instance_pair, unit_square
 from polyplace.solver import _Problem, verify_containment
@@ -105,10 +106,9 @@ def test_maxscale_trace_out_and_dyncover(tmp_path, capsys, monkeypatch):
     prob = _Problem(pattern, target)
     whole = build_sweep(prob.cs, start_below=prob.bbox_cap).drain()
     box, initial, updates, query_pos = read_trace(str(trace))
-    events, positions = split_moves(whole.updates, whole.query_pos)
     assert (box, initial) == (whole.box_cells, whole.initial)
-    assert updates == events[:len(updates)]
-    assert query_pos == positions[:queries] and queries < len(whole.query_pos)
+    assert updates == whole.updates[:len(updates)]
+    assert query_pos == whole.query_pos[:queries] and queries < len(whole.query_pos)
 
     # with --baseline there is no solve to stop the plan: the dump is all of it
     full = tmp_path / "full.txt"
@@ -152,6 +152,8 @@ def test_dyncover_malformed_trace(tmp_path, capsys):
     trace = tmp_path / "t.txt"
     cases = [
         ("N 3 3\nD 5\n", "delete of dead id"),
+        # read as one move with the add after it, it would be a plain add
+        ("N 3 3\nI 0 1 3 1 3\nD 5\nA 5 1 3 1 3\nQ 2\n", "delete of dead id"),
         ("N 3 3\nA 0 1 3 1 3\nA 0 1 3 1 3\n", "duplicate id"),  # an add of a live id
         ("N 4\n", "header"),                       # missing box size
         ("N 3 3\nD\n", "bad trace line 'D'"),      # delete without an id
@@ -168,6 +170,36 @@ def test_dyncover_malformed_trace(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: bad trace file") and message in err, (text, err)
         assert len(err.strip().splitlines()) == 1
+
+
+R = RankRect
+PAIRING = [
+    # each "D k" directly followed by "A k" is one move: queries count moves
+    ("N 2 1\nI 0 1 2 1 1\nA 1 2 2 1 1\nD 0\nA 0 1 1 1 1\nD 1\nA 1 1 1 1 1\n"
+     "Q 1\nQ 3\nQ 5\n",
+     [(1, None, R(2, 2, 1, 1)), (0, R(1, 2, 1, 1), R(1, 1, 1, 1)),
+      (1, R(2, 2, 1, 1), R(1, 1, 1, 1))], [1, 2, 3], "3"),
+    # a query between the two lines keeps them apart
+    ("N 2 1\nI 0 1 2 1 1\nD 0\nA 0 1 2 1 1\nQ 0\nQ 1\nQ 2\n",
+     [(0, R(1, 2, 1, 1), None), (0, None, R(1, 2, 1, 1))], [0, 1, 2], "2"),
+    # a delete and the add of another id
+    ("N 2 1\nI 0 1 2 1 1\nD 0\nA 1 1 2 1 1\nQ 2\n",
+     [(0, R(1, 2, 1, 1), None), (1, None, R(1, 2, 1, 1))], [2], "none"),
+    # without "Q" lines every event line is queried
+    ("N 2 1\nI 0 1 2 1 1\nD 0\nA 0 1 2 1 1\n",
+     [(0, R(1, 2, 1, 1), None), (0, None, R(1, 2, 1, 1))], [1, 2], "1"),
+]
+
+
+@pytest.mark.parametrize("text, moves, positions, answer", PAIRING)
+def test_dyncover_pairs_a_delete_with_its_add(tmp_path, capsys, text, moves, positions,
+                                              answer):
+    trace = tmp_path / "t.txt"
+    trace.write_text(text)
+    assert read_trace(str(trace)) == ((2, 1), [(0, R(1, 2, 1, 1))], moves, positions)
+    for impl in ("naive", "oy"):
+        assert run(["dyncover", "--trace", str(trace), "--impl", impl]) == 0
+        assert capsys.readouterr().out.strip() == answer
 
 
 def test_gen_writes_instance(tmp_path, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from conftest import (cell_grid_union_area, cell_grid_union_cells,
                       random_axis_rect)
-from polyplace.coverage import covers_box, union_area
+from oracles import covers_box, union_area
 from polyplace.forbidden import RankRect
 from polyplace.geometry import AxisRect
 

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from conftest import cell_grid_union_area, point_in_polygon
-from polyplace.coverage import union_area
+from oracles import union_area
 from polyplace.decompose import cover_complement, cover_interior, padded_frame
 from polyplace.geometry import AxisRect, Point, validate_polygon
 from polyplace.instances import random_orthogonal_polygon

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from conftest import random_trace, split_moves
-from polyplace.dyncover import (MalformedTrace, TraceProblem, _execute, area_after_each,
-                                first_uncover, run_plan, trace_problem)
+from oracles import TraceProblem, area_after_each, first_uncover, trace_problem
+from polyplace.dyncover import MalformedTrace, _execute, run_plan
 from polyplace.forbidden import RankRect, build_sweep
 from polyplace.hardness import gen_foursum
 from polyplace.instances import comb_polygon, unit_square

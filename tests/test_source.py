@@ -1,7 +1,8 @@
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "polyplace"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "polyplace"
 
 
 def test_no_assert_statements_in_the_package():
@@ -54,3 +55,52 @@ def test_baseline_is_independent_of_the_sweep():
                     todo.append(node.id)
     assert "_Problem" in seen  # the walk reaches the helpers
     assert not used & sweep, f"the baseline reaches the sweep: {sorted(used & sweep)}"
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """The names a tree uses: bare and attribute names, imported names, and
+    identifier strings, which ``getattr`` may look up."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+def test_src_holds_no_test_only_code():
+    # the package ships only what a solve, the CLI or perfbench reaches; the
+    # oracles that only the tests use live in tests/oracles.py. The roots are
+    # the names used by perfbench, the entry modules and the package's
+    # module-level statements; a top-level def is reached when a root or the
+    # body of a reached def names it.
+    defs: dict[str, list[tuple[str, ast.AST]]] = {}
+    roots: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name in ("cli.py", "__main__.py", "__init__.py"):
+            roots |= _names(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append((path.stem, node))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots |= _names(node)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        roots |= _names(ast.parse(path.read_text(encoding="utf-8")))
+    todo, reached = list(roots & defs.keys()), set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for _, node in defs[name]:
+                todo += _names(node) & defs.keys() - reached
+    assert len(reached) > 50  # the walk reaches through the solver
+    unreached = sorted(f"{module}.{name}" for name in defs.keys() - reached
+                       for module, _ in defs[name])
+    assert not unreached, f"no solve, CLI command or perfbench code reaches {unreached}"
