@@ -9,9 +9,9 @@ Five user-facing entry points:
   critical scales in descending order while an offline dynamic cover
   structure tracks the rank-space forbidden rectangles.
 * :func:`max_scale_baseline`: same answer via an independent route, running
-  the exact static coverage test (:func:`find_hole`, an event sweep over
-  the x split values of a count over the y split values that checks only
-  the rows lowered since its previous stop) at every critical scale.
+  the exact static coverage test (:func:`find_hole`, prefix sums over a
+  difference grid of the split values that each forbidden rectangle marks
+  at its four corners) at every critical scale.
 * :func:`max_scale_x`: translation restricted to the x axis with the
   bounding-box bottoms kept aligned, by a 1-D descending sweep that moves
   the active pairs' intervals over a plain cell count and keeps the zero
@@ -24,6 +24,8 @@ invariant under translating either input.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -114,12 +116,15 @@ def find_hole(prob: _Problem, lam: Rational) -> Point | None:
     Holes of a single point at shared boundaries, that is boundary-contact
     placements, are found exactly.
 
-    The test is an event sweep over the x split values in order. A count
-    over the y split values gains each rectangle that meets B at the first
-    x value it covers and loses it at the first it no longer covers, and
-    only the x values where that happens are visited. Only the rows lowered
-    since the last visit are checked for a zero (all rows at the first):
-    the others were covered then and have only gained since.
+    The test counts the cover of every pair of split values at once. A
+    rectangle covers the split values strictly between its sides, x indices
+    start..stop-1 by y indices a..b-1, and marks the corners of that block
+    on an (nx+1) x (ny+1) difference grid: +1 at (start, a) and (stop, b),
+    -1 at (start, b) and (stop, a). Two integer ``bincount`` passes count
+    the marks, prefix sums along both axes turn them into each pair's count,
+    and one ``argmin`` over the nx x ny block in row-major order finds the
+    first zero: the least x, then the least y. The grid holds O(nx * ny)
+    int64 counts.
     """
     num, den = lam.numerator, lam.denominator
     bx0, bx1, by0, by1 = (a * num + b * den for a, b in prob.cs.box_sides)
@@ -147,36 +152,28 @@ def find_hole(prob: _Problem, lam: Rational) -> Point | None:
     xk = {v: k for k, v in enumerate(xs)}
     yk = {v: k for k, v in enumerate(ys)}
 
-    # a rectangle covers the split values strictly between its sides: rows
-    # a..b-1 of the columns from its start up to, not including, its stop
-    events: dict[int, list[tuple[int, int, int]]] = {0: []}
+    # flat row-major indices of the block's corners; an empty block's marks cancel
+    w = ny + 1
+    plus, minus = [], []
     for lo, hi, clo, chi in rects:
         a = yk[clo] + 1 if clo >= by0 else 0
         b = yk[chi] if chi <= by1 else ny
-        start = xk[lo] + 1 if lo >= bx0 else 0
-        stop = xk[hi] if hi <= bx1 else nx
-        if a < b and start < stop:
-            events.setdefault(start, []).append((a, b, 1))
-            if stop < nx:
-                events.setdefault(stop, []).append((a, b, -1))
-
-    cnt = np.zeros(ny, dtype=np.int32)
-    low0, low1 = 0, ny  # the rows lowered since the last check
-    for i in sorted(events):
-        for a, b, d in events[i]:
-            cnt[a:b] += d
-            if d < 0:
-                if a < low0:
-                    low0 = a
-                if b > low1:
-                    low1 = b
-        if low0 < low1:
-            j = low0 + int(cnt[low0:low1].argmin())  # counts are >= 0: the first zero
-            if cnt[j] == 0:
-                scale = den * prob.cs.scale
-                return Point(Fraction(xs[i], scale), Fraction(ys[j], scale))
-            low0, low1 = ny, 0
-    return None
+        start = (xk[lo] + 1) * w if lo >= bx0 else 0
+        stop = xk[hi] * w if hi <= bx1 else nx * w
+        plus += (start + a, stop + b)
+        minus += (start + b, stop + a)
+    size = (nx + 1) * w
+    cnt = np.bincount(plus, minlength=size)
+    cnt -= np.bincount(minus, minlength=size)
+    cnt = cnt.reshape(nx + 1, w)
+    np.cumsum(cnt, axis=0, out=cnt)
+    np.cumsum(cnt, axis=1, out=cnt)
+    k = int(cnt[:nx, :ny].argmin())  # counts are >= 0: the first zero
+    i, j = divmod(k, ny)
+    if cnt[i, j]:
+        return None
+    scale = den * prob.cs.scale
+    return Point(Fraction(xs[i], scale), Fraction(ys[j], scale))
 
 
 def _fits(prects: Sequence[AxisRect], qrects: Sequence[AxisRect], box: AxisRect,
@@ -282,11 +279,10 @@ def max_scale_baseline(pattern: OrthoPolygon, target: OrthoPolygon) -> Placement
     """Reference solver: run the static coverage test at every critical scale."""
     prob = _Problem(pattern, target)
     crits = critical_values(prob.cs)
-    stats = SolveStats(criticals=len(crits))
-    for lam in crits:
-        if lam > prob.bbox_cap:
-            stats.skipped += 1
-            continue
+    # the criticals descend: those above the bbox-fit cap come first
+    skip = bisect_left(crits, -prob.bbox_cap, key=operator.neg)
+    stats = SolveStats(criticals=len(crits), skipped=skip)
+    for lam in crits[skip:]:
         stats.queries += 1
         tau = find_hole(prob, lam)
         if tau is not None:

@@ -202,7 +202,7 @@ def test_criterion_6_scaling_demonstration(tmp_path):
     rows = []
     for q in sizes:
         target = comb_polygon(q, random.Random(q))
-        reps = 3 if q <= 200 else 1
+        reps = 3 if q <= 200 else 2
         best_f = best_b = math.inf
         for _ in range(reps):
             t0 = time.perf_counter()

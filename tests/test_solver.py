@@ -99,6 +99,22 @@ def test_max_scale_impls_agree(rng):
                 == (b.status, b.lambda_star, b.stats.queries))
 
 
+def test_deep_2d_sweeps_agree_across_engines_and_the_baseline():
+    # p' >= 4 and at least 50 queries, found by a seeded search
+    for s in (6, 9, 16, 91, 93, 112, 228, 250):
+        pat, tgt = random_instance_pair(random.Random(s), 24, 60, 80)
+        assert len(_Problem(pat, tgt).pcov.rects) >= 4
+        base = max_scale_baseline(pat, tgt)
+        assert base.stats.queries >= 50
+        for impl in ("naive", "oy"):
+            fast = max_scale(pat, tgt, impl=impl)
+            assert (fast.status, fast.lambda_star, fast.witness) == \
+                (base.status, base.lambda_star, base.witness)
+            assert ((fast.stats.criticals, fast.stats.skipped, fast.stats.queries)
+                    == (base.stats.criticals, base.stats.skipped, base.stats.queries))
+        assert verify_containment(pat, tgt, base.lambda_star, base.witness)
+
+
 def test_oracle_equivalence_small(rng):
     for _ in range(30):
         pat, tgt = random_instance_pair(rng, 20, 20, 50)
@@ -202,6 +218,18 @@ def test_find_hole_returns_the_first_uncovered_item():
                 flat = (box.x0 == box.x1) + (box.y0 == box.y1)
                 seen.add(("segment", "point")[flat - 1] + ("", " hole")[tau is not None])
     assert seen == {"segment", "segment hole", "point", "point hole"}
+    # foursum gadgets: 28-bit axis scales and criticals where up to 31 meets
+    # tie; a stride of the criticals, the cap and the baseline's answer
+    for sets in (([0, 3], [1, 4], [-2, 5], [2, -1]), ([0, 1], [2, 3], [1, 2], [-1, 0])):
+        inst = gen_foursum(*sets)
+        prob = _Problem(inst.pattern, inst.target)
+        assert prob.cs.scale.bit_length() >= 28
+        crits = critical_values(prob.cs)
+        lam_star = max_scale_baseline(inst.pattern, inst.target).lambda_star
+        above = crits[crits.index(lam_star) - 1]
+        for lam in crits[::40] + [prob.bbox_cap, above, lam_star]:
+            tau = find_hole(prob, lam)
+            assert tau == _first_hole_by_enumeration(prob, lam), (sets, lam)
 
 
 def test_transformation_invariance(rng):
