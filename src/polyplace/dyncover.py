@@ -107,10 +107,6 @@ class _NaiveGrid:
         self._removed = None if hole else []
         return hole
 
-    @property
-    def covered_cells(self) -> int:
-        return int(np.count_nonzero(self.grid))
-
 
 class _SlabCover:
     """Overmars-Yap slab structure for one batch, on integer numpy arrays.

@@ -10,6 +10,7 @@ counter-clockwise orientation on construction.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -253,46 +254,70 @@ def _clean_cycle(pts: list[Point]) -> tuple[list[Point], int]:
 
 
 def _check_simple(pts: list[Point]) -> None:
-    """All pairs of non-adjacent edges must be disjoint (closed segments)."""
+    """All pairs of non-adjacent edges must be disjoint (closed segments).
+
+    One exact sweep (Shamos & Hoey 1976; Bentley & Ottmann 1979) makes
+    O(n log n) ``Fraction`` comparisons. It relies on the cycle alternating
+    horizontal and vertical edges, as :func:`_clean_cycle` leaves it, so no
+    two parallel edges are adjacent, and a vertical edge's two neighbours
+    are horizontal edges that end on its two ends.
+
+    * Parallel edges, sorted by (line, lo, hi, index): two of them overlap
+      exactly when some two neighbours in that order do.
+    * Crossings, a sweep in x: at each x, the horizontal edges that start
+      there open, the vertical edges there are queried, and the horizontal
+      edges that end there close. The open edges are a list sorted by
+      (y, index). A vertical edge [ylo, yhi] meets its two neighbours at its
+      ends, so a third open edge with y in [ylo, yhi] crosses or touches it.
+
+    Opening and closing an edge are list insertions and deletions, C memmoves
+    that move O(n²) bytes in the worst case.
+    """
     n = len(pts)
+    flat = [a.y == pts[(i + 1) % n].y for i, a in enumerate(pts)]
     horiz = []  # (y, xlo, xhi, index)
     vert = []   # (x, ylo, yhi, index)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        if a.y == b.y:
+    for i, a in enumerate(pts):
+        if flat[i] == flat[i - 1]:
+            raise PolygonError(f"consecutive edges {(i - 1) % n} and {i} are parallel")
+        b = pts[(i + 1) % n]
+        if flat[i]:
             horiz.append((a.y, min(a.x, b.x), max(a.x, b.x), i))
         else:
             vert.append((a.x, min(a.y, b.y), max(a.y, b.y), i))
 
-    def adjacent(i, j):
-        return abs(i - j) in (1, n - 1)
+    for kind, edges in (("horizontal", horiz), ("vertical", vert)):
+        edges.sort()
+        for (line1, _, hi1, i), (line2, lo2, _, j) in zip(edges, edges[1:]):
+            if line1 == line2 and lo2 <= hi1:
+                raise SelfIntersecting(f"{kind} edges {i} and {j} overlap")
 
-    for k, (y1, lo1, hi1, i) in enumerate(horiz):
-        for y2, lo2, hi2, j in horiz[k + 1:]:
-            if adjacent(i, j):
-                continue
-            if y1 == y2 and max(lo1, lo2) <= min(hi1, hi2):
-                raise SelfIntersecting(f"horizontal edges {i} and {j} overlap")
-    for k, (x1, lo1, hi1, i) in enumerate(vert):
-        for x2, lo2, hi2, j in vert[k + 1:]:
-            if adjacent(i, j):
-                continue
-            if x1 == x2 and max(lo1, lo2) <= min(hi1, hi2):
-                raise SelfIntersecting(f"vertical edges {i} and {j} overlap")
-    for y, xlo, xhi, i in horiz:
-        for x, ylo, yhi, j in vert:
-            if adjacent(i, j):
-                continue
-            if xlo <= x <= xhi and ylo <= y <= yhi:
-                raise SelfIntersecting(f"edges {i} and {j} cross")
+    # (x, 0 open / 1 query / 2 close, y or ylo, y or yhi, index)
+    events = sorted([(xlo, 0, y, y, i) for y, xlo, _, i in horiz]
+                    + [(x, 1, ylo, yhi, j) for x, ylo, yhi, j in vert]
+                    + [(xhi, 2, y, y, i) for y, _, xhi, i in horiz])
+    live: list[tuple[Rational, int]] = []  # open horizontal edges, (y, index)
+    for _, step, lo, hi, i in events:
+        if step == 0:
+            insort(live, (lo, i))
+        elif step == 2:
+            del live[bisect_left(live, (lo, i))]
+        else:
+            first = bisect_left(live, (lo, -1))
+            if bisect_right(live, (hi, n)) - first > 2:
+                h = next(h for _, h in live[first:first + 3] if (i - h) % n not in (1, n - 1))
+                raise SelfIntersecting(f"edges {h} and {i} cross")
 
 
 def validate_polygon(vertices: Iterable) -> OrthoPolygon:
     """Validate a vertex cycle and return the normalized polygon.
 
     Accepts either orientation and tolerates redundant collinear vertices,
-    which are merged. Raises a :class:`PolygonError` subclass describing the
-    first violated invariant otherwise.
+    which are merged, so the cleaned cycle alternates horizontal and vertical
+    edges. Raises a :class:`PolygonError` subclass describing the first
+    violated invariant otherwise. Simplicity is checked by one exact sweep of
+    O(n log n) comparisons (see :func:`_check_simple`); when two non-adjacent
+    edges meet, the :class:`SelfIntersecting` message names one such pair.
     """
     pts = _as_points(vertices)
     if not pts:

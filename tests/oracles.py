@@ -10,6 +10,8 @@
   incremental order is checked. They share only the rank rule with it.
 * Whole-trace replays of the dynamic cover engines: the first update that
   uncovers the box, and the covered cells after every update.
+* The pairwise simplicity check of a vertex cycle, against which the
+  polygon validator's sweep is checked.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Sequence
 
-from polyplace.dyncover import _execute, live_bound, run_plan
+import numpy as np
+
+from polyplace.dyncover import _execute, _NaiveGrid, live_bound, run_plan
 from polyplace.forbidden import CoordSets, Move, RankRect, _rank_rule
-from polyplace.geometry import AxisRect, Rational
+from polyplace.geometry import AxisRect, Point, Rational
 
 # ---------------------------------------------------------------------------
 # static coverage
@@ -158,7 +162,42 @@ def first_uncover(tp: TraceProblem, impl: str = "naive") -> int | None:
     return None if failed is None else failed + 1
 
 
+def covered_cells(struct) -> int:
+    """Covered cells of an engine: the grid's nonzero counts, or the slabs' sum."""
+    if isinstance(struct, _NaiveGrid):
+        return int(np.count_nonzero(struct.grid))
+    return struct.covered_cells
+
+
 def area_after_each(tp: TraceProblem, impl: str = "naive") -> list[int]:
     """Covered-cell count after each update prefix."""
-    return [struct.covered_cells for _, struct, _ in
+    return [covered_cells(struct) for _, struct, _ in
             _execute(tp.box, tp.n, [], tp.updates, range(1, len(tp.updates) + 1), impl)]
+
+
+# ---------------------------------------------------------------------------
+# polygon simplicity
+# ---------------------------------------------------------------------------
+
+
+def edges_meet(pts: Sequence[Point], i: int, j: int) -> bool:
+    """True when the closed edges i and j of the cycle share a point.
+
+    An axis-parallel segment is its own bounding box, so two of them meet
+    exactly when their boxes overlap on both axes.
+    """
+    n = len(pts)
+    (a, b), (c, d) = (pts[i], pts[(i + 1) % n]), (pts[j], pts[(j + 1) % n])
+    return (max(min(a.x, b.x), min(c.x, d.x)) <= min(max(a.x, b.x), max(c.x, d.x))
+            and max(min(a.y, b.y), min(c.y, d.y)) <= min(max(a.y, b.y), max(c.y, d.y)))
+
+
+def simple_violation(pts: Sequence[Point]) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j, of non-adjacent edges that meet, or None
+    when the cycle is simple. Compares every pair: O(n²)."""
+    n = len(pts)
+    for i in range(n):
+        for j in range(i + 2, n - (i == 0)):
+            if edges_meet(pts, i, j):
+                return i, j
+    return None

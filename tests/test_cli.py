@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,25 @@ def test_validate_bad_polygon(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: invalid polygon"), (text, err)
         assert len(err.strip().splitlines()) == 1
+
+
+def test_validate_large_comb(tmp_path, capsys):
+    comb = tmp_path / "comb.json"
+    save_polygon(str(comb), comb_polygon(2000, random.Random(0)))
+    assert run(["validate", str(comb)]) == 0
+    assert "vertices: 2000" in capsys.readouterr().out
+    # push the first tooth (vertices 3-6) half-way into its neighbour (7-10)
+    obj = json.loads(comb.read_text())
+    verts = obj["vertices"]
+    lo = Fraction(verts[10][0])
+    for k, x in zip(range(3, 7), (lo + Fraction(3, 2),) * 2 + (lo + Fraction(1, 2),) * 2):
+        verts[k][0] = f"{x.numerator}/{x.denominator}"
+    pushed = tmp_path / "pushed.json"
+    pushed.write_text(json.dumps(obj))
+    assert run(["validate", str(pushed)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid polygon"), err
+    assert re.search(r"edges \d+ and \d+ (overlap|cross)", err), err
 
 
 def test_contain(tmp_path, capsys):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from conftest import random_trace, split_moves
-from oracles import TraceProblem, area_after_each, first_uncover, trace_problem
+from oracles import (TraceProblem, area_after_each, covered_cells, first_uncover,
+                     trace_problem)
 from polyplace.dyncover import MalformedTrace, _execute, run_plan
 from polyplace.forbidden import RankRect, build_sweep
 from polyplace.hardness import gen_foursum
@@ -345,7 +346,7 @@ def test_readd_pairs_differential(rng, shape, same_id):
             # covered cells after every update, and after every reshaped
             # rectangle with nothing read in between
             assert area_after_each(TraceProblem(n, box, full), impl)[len(initial):] == expected
-            after_pairs = [struct.covered_cells for _, struct, _ in
+            after_pairs = [covered_cells(struct) for _, struct, _ in
                            _execute(box, n, initial, updates,
                                     range(step, len(updates) + 1, step), impl)]
             assert after_pairs == expected[step - 1::step]

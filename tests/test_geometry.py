@@ -1,13 +1,16 @@
 import json
+import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import edges_meet, simple_violation
 from polyplace.geometry import (AxisRect, DegenerateEdge, NonPositiveScale,
                                 NonRectilinear, Placement, Point, PolygonError,
-                                SelfIntersecting, TooFewVertices,
+                                SelfIntersecting, TooFewVertices, _check_simple,
                                 normalize_center, polygon_from_obj,
                                 polygon_to_obj, rat, rat_str, transform,
                                 validate_polygon)
@@ -54,6 +57,77 @@ def test_self_intersection_rejected():
 def test_spike_rejected():
     with pytest.raises(SelfIntersecting):
         validate_polygon([(0, 0), (2, 0), (2, 2), (2, 1), (2, 3), (0, 3)])
+
+
+@pytest.mark.parametrize("verts", [
+    # T-junction: the inner walls end at (2, 0) and (4, 0), inside the bottom edge
+    [(0, 0), (6, 0), (6, 4), (4, 4), (4, 0), (2, 0), (2, 4), (0, 4)],
+    # collinear edges touching end to end: x = 1 below and above (1, 1)
+    [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (1, 2), (1, 1), (0, 1)],
+    # collinear parallel edges overlapping on y = 1, 1 <= x <= 3
+    [(5, 0), (3, 0), (3, 1), (0, 1), (0, 3), (1, 3), (1, 1), (5, 1)],
+    # pinch: the boundary comes back to (1, 0) and leaves it the same two ways
+    [(1, 0), (2, 0), (2, 4), (1, 4), (1, 0), (3, 0), (3, 3), (1, 3)],
+    # crossing at a horizontal edge's end: y = 4 and y = 2 end on x = 0's inside
+    [(0, 0), (0, 6), (4, 6), (4, 4), (0, 4), (0, 2), (4, 2), (4, 0)],
+], ids=["t-junction", "end-to-end", "collinear-overlap", "pinch", "horizontal-end"])
+def test_touching_edges_rejected(verts):
+    with pytest.raises(SelfIntersecting):
+        validate_polygon(verts)
+    with pytest.raises(SelfIntersecting):
+        validate_polygon(list(reversed(verts)))
+
+
+def test_simplicity_check_needs_alternating_edges():
+    # (1, 0) is a flat vertex that validate_polygon would have merged
+    cycle = [Point(Fraction(x), Fraction(y)) for x, y in [(0, 0), (1, 0), (2, 0), (2, 1), (0, 1)]]
+    with pytest.raises(PolygonError, match="parallel"):
+        _check_simple(cycle)
+
+
+def _alternating_cycle(rng: random.Random, grid: int) -> list[Point]:
+    """2k vertices that alternate x and y moves on a grid x grid lattice; no
+    move is zero, so no edge is degenerate and no vertex is flat."""
+    k = rng.randint(2, 8)
+
+    def ring() -> list[int]:
+        while True:
+            values = [rng.randrange(grid) for _ in range(k)]
+            if all(values[t] != values[t - 1] for t in range(k)):
+                return values
+
+    xs, ys = ring(), ring()
+    return [Point(Fraction(x), Fraction(ys[t]))
+            for t in range(k) for x in (xs[t], xs[(t + 1) % k])]
+
+
+def test_sweep_matches_pairwise_oracle():
+    # the validator's sweep against the pairwise check on the cleaned,
+    # oriented cycle; a message may name any pair of edges that really meet
+    rng = random.Random(18)
+    counts = {"simple": 0, "not simple": 0}
+    for _ in range(5000):
+        verts = _alternating_cycle(rng, 9)
+        n = len(verts)
+        doubled = sum(a.x * verts[(i + 1) % n].y - verts[(i + 1) % n].x * a.y
+                      for i, a in enumerate(verts))
+        oriented = verts if doubled > 0 else verts[::-1]
+        pair = simple_violation(oriented)
+        try:
+            poly = validate_polygon(verts)
+        except SelfIntersecting as exc:
+            assert pair is not None, (verts, exc)
+            counts["not simple"] += 1
+            if doubled == 0:
+                continue
+            i, j = map(int, re.search(r"(\d+) and (\d+)", str(exc)).groups())
+            assert (i - j) % n not in (0, 1, n - 1), (verts, exc)
+            assert edges_meet(oriented, i, j), (verts, exc)
+        else:
+            assert pair is None, (verts, pair)
+            assert len(poly) == n
+            counts["simple"] += 1
+    assert min(counts.values()) > 1000, counts
 
 
 def test_flat_vertices_merged():
