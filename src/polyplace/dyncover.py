@@ -18,16 +18,14 @@ each changed by ``move(old, new)``:
   query that found the box full, a cell can only have dropped to zero where
   its count fell since, so the next query checks just the slices that were
   subtracted.
-* ``oy``: an Overmars-Yap structure on integer numpy arrays: about sqrt(n)
-  vertical slabs cut at the upcoming batch's x edges, a count array of
-  slab-crossing rectangles per slab and row, a count array of the other
-  (partial) rectangles per compressed column and row, and the width each
+* ``oy``: an Overmars-Yap structure on integer numpy arrays, built once
+  per run: the box's columns cut into slabs about sqrt(nx) columns wide, a
+  count array of slab-crossing rectangles per slab and row, a count array of
+  the other (partial) rectangles per column and row, and the columns each
   slab's partials cover per row. A move removes its old rectangle and adds
-  its new one, each O(1) numpy calls doing O(sqrt(n) * rows) integer work;
-  a coverage read sums the slabs. The structure is rebuilt from scratch
-  after every n rectangle changes (two for a move with both rectangles),
-  from the upcoming batch, so the engine looks that far ahead of the move
-  it applies.
+  its new one, each O(1) numpy calls doing O(sqrt(nx) * ny) integer work; a
+  coverage read sums the slabs. It allocates an nx x ny count, as the naive
+  grid does.
 """
 
 from __future__ import annotations
@@ -109,49 +107,35 @@ class _NaiveGrid:
 
 
 class _SlabCover:
-    """Overmars-Yap slab structure for one batch, on integer numpy arrays.
+    """Overmars-Yap slab structure on integer numpy arrays, built once per run.
 
-    The x axis is cut into about sqrt(n) slabs at every chunk-th sorted x
-    edge of the batch universe (live set plus the batch's adds); x columns
-    and y rows are compressed from the universe's edges, so every rectangle
-    applied during the batch lands on whole columns and rows.
+    The box's nx columns are cut once into slabs of about sqrt(nx) columns
+    each (the last one may be narrower). In rank space every column belongs
+    to one side function, so a slab holds O(sqrt(n)) rectangle x edges
+    however the live set changes, and the cut needs no rebuild. ``bound``
+    caps every count, so it picks the count type, as for the naive grid.
 
     * ``cross[s, r]``: rectangles spanning all of slab s on row r.
     * ``part[c, r]``: the other rectangles, counted on column c.
-    * ``pcov[s, r]``: width of slab s that ``part`` covers on row r,
+    * ``pcov[s, r]``: columns of slab s that ``part`` covers on row r,
       refreshed only for the (at most two) end slabs an update cuts.
     """
 
-    def __init__(self, box: tuple[int, int], universe: Sequence[RankRect]):
-        nx, ny = box
-        self.full = nx * ny
-        edges = [1, nx + 1]
-        for r in universe:
-            edges += (r.x_lo, r.x_hi + 1)
-        edges.sort()
-        xs = sorted(set(edges))
-        ys = sorted({1, ny + 1} | {r.y_lo for r in universe}
-                    | {r.y_hi + 1 for r in universe})
-        self.col = {x: i for i, x in enumerate(xs)}
-        self.row = {y: i for i, y in enumerate(ys)}
-        chunk = math.isqrt(len(edges)) + 1
-        self.cuts = sorted({0, len(xs) - 1} | {self.col[e] for e in edges[::chunk]})
-        xs_arr = np.array(xs, dtype=np.int64)
-        self.colw = np.diff(xs_arr)
-        self.slab_w = np.diff(xs_arr[self.cuts])[:, None]
-        self.h = np.diff(np.array(ys, dtype=np.int64))
-        self.cross = np.zeros((len(self.cuts) - 1, len(ys) - 1), dtype=np.int32)
-        self.part = np.zeros((len(xs) - 1, len(ys) - 1), dtype=np.int32)
-        self.pcov = np.zeros(self.cross.shape, dtype=np.int64)
+    def __init__(self, nx: int, ny: int, bound: int):
+        dtype = np.int16 if bound <= np.iinfo(np.int16).max else np.int32
+        self.cuts = list(range(0, nx, max(1, math.isqrt(nx)))) + [nx]
+        self.slab_w = np.diff(self.cuts)[:, None]
+        self.cross = np.zeros((len(self.cuts) - 1, ny), dtype=dtype)
+        self.part = np.zeros((nx, ny), dtype=dtype)
+        self.pcov = np.zeros(self.cross.shape, dtype=np.int32)
 
     def _partial(self, s: int, c0: int, c1: int, r0: int, r1: int, d: int) -> None:
         self.part[c0:c1, r0:r1] += d
         lo, hi = self.cuts[s], self.cuts[s + 1]
-        self.pcov[s, r0:r1] = self.colw[lo:hi] @ (self.part[lo:hi, r0:r1] > 0)
+        self.pcov[s, r0:r1] = (self.part[lo:hi, r0:r1] > 0).sum(axis=0, dtype=np.int32)
 
     def _apply(self, r: RankRect, d: int) -> None:
-        c0, c1 = self.col[r.x_lo], self.col[r.x_hi + 1]
-        r0, r1 = self.row[r.y_lo], self.row[r.y_hi + 1]
+        c0, c1, r0, r1 = r.x_lo - 1, r.x_hi, r.y_lo - 1, r.y_hi
         cuts = self.cuts
         a = bisect_left(cuts, c0)        # first cut at or right of x_lo
         b = bisect_right(cuts, c1) - 1   # last cut at or left of x_hi + 1
@@ -172,11 +156,10 @@ class _SlabCover:
 
     @property
     def covered_cells(self) -> int:
-        width = np.where(self.cross > 0, self.slab_w, self.pcov).sum(axis=0)
-        return int(self.h @ width)
+        return int(np.where(self.cross > 0, self.slab_w, self.pcov).sum())
 
     def has_hole(self) -> bool:
-        return self.covered_cells < self.full
+        return self.covered_cells < self.part.size
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +178,17 @@ def _execute(box: tuple[int, int], capacity: int,
              more: Callable[[], bool] | None = None) -> Iterator[tuple]:
     """Apply the trace, yielding (qi, struct, live) after positions[qi] updates.
 
-    ``positions`` ascend; position 0 is the preloaded set alone. Between two
-    query positions the updates are applied in one plain loop; after the
-    last position the rest are applied too, so a malformed tail still
-    raises. A move must start from its id's live rectangle (None for a dead
-    id), and a delete needs a live id. Stop iterating to stop early.
-    ``capacity`` is the structure's live bound n. Lookahead counts
-    rectangle changes, two for a move with both rectangles: the oy engine
-    rebuilds after every n changes, from the batch ahead (a move that
-    straddles the boundary joins the later batch). ``more``, when given,
-    appends to ``updates`` and ``positions`` and returns False once it has
-    nothing left. It is called when the next query position lies past the
-    end of ``positions``, until the lists hold that position and n changes
-    past the last move applied, and when the next oy batch is not whole.
+    ``positions`` ascend; position 0 is the preloaded set alone. The engine
+    is built and preloaded once, and one plain loop applies the updates up
+    to each query position; after the last position it applies the rest,
+    so a malformed tail still raises. A move must start from its id's live
+    rectangle (None for a dead id), and a delete needs a live id. Stop
+    iterating to stop early. ``capacity`` is the live bound n. ``more``,
+    when given, appends to ``updates`` and ``positions`` and returns False
+    once it has nothing left. When the next query position lies past the
+    end of ``positions``, it is called until the lists hold that position
+    and n rectangle changes (two for a move with both rectangles) past the
+    last move applied.
     """
     if impl not in ("naive", "oy"):
         raise ValueError(f"unknown implementation {impl!r}")
@@ -221,62 +202,39 @@ def _execute(box: tuple[int, int], capacity: int,
             raise MalformedTrace(f"duplicate id {uid!r}")
         live[uid] = r
 
-    def ahead(i: int, n_positions: int, need: int) -> tuple[int, int]:
-        """Pull until ``positions`` has n_positions entries and the moves from
-        i on make ``need`` changes. Returns the index past the fewest such
-        moves, less the last one when it overshoots, and the overshoot."""
-        nonlocal more
-        while True:
-            while need > 0 and i < len(updates):
-                need -= (updates[i][1] is not None) + (updates[i][2] is not None)
-                i += 1
-            if more is None or need <= 0 and len(positions) >= n_positions:
-                return i - (need < 0), max(0, -need)
-            if not more():
-                more = None
-
     limit = 2 * capacity
-    struct = None
-    k = end = qi = over = 0  # updates applied, end of the batch, next query, overshoot
+    struct = (_NaiveGrid if impl == "naive" else _SlabCover)(*box, bound=limit)
+    move = struct.move
+    for r in live.values():
+        move(None, r)
+    k = qi = 0  # updates applied, next query
     while True:
-        if qi == len(positions):  # n changes ahead, so that plan and engine alternate rarely
-            ahead(k, qi + 1, capacity)
+        if qi == len(positions):  # pull the next position and n changes past move k
+            i, need = k, capacity
+            while more is not None and (need > 0 or qi == len(positions)):
+                if i < len(updates):
+                    need -= (updates[i][1] is not None) + (updates[i][2] is not None)
+                    i += 1
+                elif not more():
+                    more = None
         last = qi == len(positions) or positions[qi] > len(updates)
         target = len(updates) if last else positions[qi]
-        while struct is None or k < target:
-            if k == end:  # a new batch: the naive grid is one, the slabs take n changes
-                if impl == "oy":
-                    # a move straddling the boundary opens the next batch, one change early
-                    end, over = ahead(k, 0, capacity + over)
-                    universe = list(live.values())
-                    for i in range(k, end):
-                        r = updates[i][2]
-                        if r is not None:
-                            universe.append(r)
-                    struct = _SlabCover(box, universe)
-                else:
-                    end = math.inf
-                    struct = _NaiveGrid(*box, bound=limit)
-                for r in live.values():
-                    struct.move(None, r)
-            move = struct.move
-            stop = min(target, end)
-            for i in range(k, stop):
-                uid, old, new = updates[i]
-                cur = live.get(uid)
-                if cur is not old and cur != old or old is new is None:
-                    raise MalformedTrace(f"delete of dead id {uid!r}" if cur is None else
-                                         f"duplicate id {uid!r}" if old is None else
-                                         f"id {uid!r} moves from {old} but holds {cur}")
-                if new is None:
-                    del live[uid]
-                else:
-                    _check_rect(new, box)
-                    if old is None and len(live) >= limit:
-                        raise MalformedTrace("live set exceeds twice the declared bound")
-                    live[uid] = new
-                move(old, new)
-            k = stop
+        for i in range(k, target):
+            uid, old, new = updates[i]
+            cur = live.get(uid)
+            if cur is not old and cur != old or old is new is None:
+                raise MalformedTrace(f"delete of dead id {uid!r}" if cur is None else
+                                     f"duplicate id {uid!r}" if old is None else
+                                     f"id {uid!r} moves from {old} but holds {cur}")
+            if new is None:
+                del live[uid]
+            else:
+                _check_rect(new, box)
+                if old is None and len(live) >= limit:
+                    raise MalformedTrace("live set exceeds twice the declared bound")
+                live[uid] = new
+            move(old, new)
+        k = target
         if last:
             return
         yield qi, struct, live
@@ -290,12 +248,12 @@ def run_plan(box: tuple[int, int], capacity: int,
              impl: str, more: Callable[[], bool] | None = None) -> tuple[int | None, dict | None]:
     """Run a preloaded trace, querying coverage at given update-prefix lengths.
 
-    Returns (index into query_positions of the first query that found the box
-    uncovered, live id->rect map at that moment), or (None, None). With
-    ``more``, the trace is streamed: ``updates`` and ``query_positions`` are
-    lists that ``more()`` extends whenever the engine needs what lies past
-    their end (see :func:`_execute`), so a plan is built only as far as the
-    engine runs it.
+    The ``impl`` engine is built once over the box. Returns (index into
+    query_positions of the first query that found the box uncovered, live
+    id->rect map at that moment), or (None, None). With ``more``, the trace
+    is streamed: ``updates`` and ``query_positions`` are lists that
+    ``more()`` extends by the one pull rule of :func:`_execute`, for either
+    engine, so a plan is built only as far as the engine runs it.
     """
     for qi, struct, live in _execute(box, capacity, initial, updates, query_positions,
                                      impl, more):

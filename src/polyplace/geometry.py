@@ -213,7 +213,15 @@ def _as_points(vertices: Iterable) -> list[Point]:
 
 
 def _clean_cycle(pts: list[Point]) -> tuple[list[Point], int]:
-    """Strip a duplicated closing vertex, reject bad edges, merge flat vertices."""
+    """Strip a duplicated closing vertex, reject bad edges, merge flat vertices.
+
+    A flat vertex lies on one line with its two neighbours. Merging a
+    straight one joins two edges of the same direction, so it changes no
+    other vertex's kind: one pass classifies every vertex against its input
+    neighbours, keeps the corners in order and raises at the first vertex
+    where the boundary folds back, as merging flat vertices one at a time
+    from the first would.
+    """
     if len(pts) >= 2 and pts[0] == pts[-1]:
         pts = pts[:-1]
     if len(pts) < 3:
@@ -226,31 +234,23 @@ def _clean_cycle(pts: list[Point]) -> tuple[list[Point], int]:
         if a.x != b.x and a.y != b.y:
             raise NonRectilinear(f"diagonal edge {a} -> {b}")
 
-    merged = 0
-    pts = list(pts)
-    changed = True
-    while changed:
-        changed = False
-        n = len(pts)
-        if n < 3:
-            break
-        for i in range(n):
-            a, b, c = pts[i - 1], pts[i], pts[(i + 1) % n]
-            if a.x == b.x == c.x:
-                straight = (b.y > a.y) == (c.y > b.y)
-            elif a.y == b.y == c.y:
-                straight = (b.x > a.x) == (c.x > b.x)
-            else:
-                continue
-            if not straight:
-                raise SelfIntersecting(f"boundary folds back at {b}")
-            del pts[i]
-            merged += 1
-            changed = True
-            break
-    if len(pts) < 4:
-        raise TooFewVertices(f"{len(pts)} corners after merging collinear vertices")
-    return pts, merged
+    corners = []
+    for i, b in enumerate(pts):
+        a, c = pts[i - 1], pts[(i + 1) % n]
+        if a.x == b.x == c.x:
+            straight = (b.y > a.y) == (c.y > b.y)
+        elif a.y == b.y == c.y:
+            straight = (b.x > a.x) == (c.x > b.x)
+        else:
+            corners.append(b)
+            continue
+        if not straight:
+            if not corners and n - i < 3:  # on one line, merged down to two first
+                raise TooFewVertices("2 corners after merging collinear vertices")
+            raise SelfIntersecting(f"boundary folds back at {b}")
+    if len(corners) < 4:
+        raise TooFewVertices(f"{len(corners)} corners after merging collinear vertices")
+    return corners, n - len(corners)
 
 
 def _check_simple(pts: list[Point]) -> None:
@@ -274,12 +274,17 @@ def _check_simple(pts: list[Point]) -> None:
     that move O(n²) bytes in the worst case.
     """
     n = len(pts)
+
+    def edge(i: int) -> str:
+        a, b = pts[i], pts[(i + 1) % n]
+        return f"({a.x}, {a.y})-({b.x}, {b.y})"
+
     flat = [a.y == pts[(i + 1) % n].y for i, a in enumerate(pts)]
     horiz = []  # (y, xlo, xhi, index)
     vert = []   # (x, ylo, yhi, index)
     for i, a in enumerate(pts):
         if flat[i] == flat[i - 1]:
-            raise PolygonError(f"consecutive edges {(i - 1) % n} and {i} are parallel")
+            raise PolygonError(f"consecutive edges {edge((i - 1) % n)} and {edge(i)} are parallel")
         b = pts[(i + 1) % n]
         if flat[i]:
             horiz.append((a.y, min(a.x, b.x), max(a.x, b.x), i))
@@ -290,7 +295,7 @@ def _check_simple(pts: list[Point]) -> None:
         edges.sort()
         for (line1, _, hi1, i), (line2, lo2, _, j) in zip(edges, edges[1:]):
             if line1 == line2 and lo2 <= hi1:
-                raise SelfIntersecting(f"{kind} edges {i} and {j} overlap")
+                raise SelfIntersecting(f"{kind} edges {edge(i)} and {edge(j)} overlap")
 
     # (x, 0 open / 1 query / 2 close, y or ylo, y or yhi, index)
     events = sorted([(xlo, 0, y, y, i) for y, xlo, _, i in horiz]
@@ -306,7 +311,7 @@ def _check_simple(pts: list[Point]) -> None:
             first = bisect_left(live, (lo, -1))
             if bisect_right(live, (hi, n)) - first > 2:
                 h = next(h for _, h in live[first:first + 3] if (i - h) % n not in (1, n - 1))
-                raise SelfIntersecting(f"edges {h} and {i} cross")
+                raise SelfIntersecting(f"edges {edge(h)} and {edge(i)} cross")
 
 
 def validate_polygon(vertices: Iterable) -> OrthoPolygon:
@@ -317,7 +322,9 @@ def validate_polygon(vertices: Iterable) -> OrthoPolygon:
     edges. Raises a :class:`PolygonError` subclass describing the first
     violated invariant otherwise. Simplicity is checked by one exact sweep of
     O(n log n) comparisons (see :func:`_check_simple`); when two non-adjacent
-    edges meet, the :class:`SelfIntersecting` message names one such pair.
+    edges meet, the :class:`SelfIntersecting` message names one such pair
+    by the end points of each edge, which are input vertices, since merging
+    drops only middle vertices.
     """
     pts = _as_points(vertices)
     if not pts:

@@ -234,10 +234,12 @@ def max_scale(pattern: OrthoPolygon, target: OrthoPolygon,
     offline dynamic cover structure (``impl``: "naive", the query-driven
     counting grid, or "oy", Overmars-Yap slabs), which stops at the first
     critical whose snapshot leaves a hole. The plan is extended only as far
-    as the engine asks, about n updates (the live bound) ahead of the update
-    it applies; oy's rebuild needs exactly that lookahead. The naive grid is the
-    default because it is the faster engine on the comb family, whose
-    answers sit at the last critical. The witness is the translation that
+    as the engine asks: when it runs out of query positions, up to the next
+    one and n rectangle changes (n the live bound) past the move it last
+    applied, so that planning and the engine alternate rarely. Both engines
+    are built once, with an nx x ny count over the rank box. The naive grid
+    is the default because it is the faster engine on the comb family,
+    whose answers sit at the last critical. The witness is the translation that
     the exact static test (:func:`find_hole`) finds at that scale.
 
     ``stats.criticals`` counts every critical of the walk and

@@ -11,7 +11,9 @@
 * Whole-trace replays of the dynamic cover engines: the first update that
   uncovers the box, and the covered cells after every update.
 * The pairwise simplicity check of a vertex cycle, against which the
-  polygon validator's sweep is checked.
+  polygon validator's sweep is checked, and the cleanup loop that merges
+  one flat vertex per rescan, against which the validator's one-pass
+  cleanup is checked.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import numpy as np
 
 from polyplace.dyncover import _execute, _NaiveGrid, live_bound, run_plan
 from polyplace.forbidden import CoordSets, Move, RankRect, _rank_rule
-from polyplace.geometry import AxisRect, Point, Rational
+from polyplace.geometry import (AxisRect, DegenerateEdge, NonRectilinear, Point, Rational,
+                                SelfIntersecting, TooFewVertices)
 
 # ---------------------------------------------------------------------------
 # static coverage
@@ -201,3 +204,46 @@ def simple_violation(pts: Sequence[Point]) -> tuple[int, int] | None:
             if edges_meet(pts, i, j):
                 return i, j
     return None
+
+
+def clean_cycle(pts: list[Point]) -> tuple[list[Point], int]:
+    """Strip a duplicated closing vertex, reject bad edges, merge flat
+    vertices: the first flat vertex of the cycle each time, rescanning from
+    vertex 0 after every merge. O(n * merged)."""
+    if len(pts) >= 2 and pts[0] == pts[-1]:
+        pts = pts[:-1]
+    if len(pts) < 3:
+        raise TooFewVertices(f"{len(pts)} vertices")
+    n = len(pts)
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        if a == b:
+            raise DegenerateEdge(f"repeated vertex {a}")
+        if a.x != b.x and a.y != b.y:
+            raise NonRectilinear(f"diagonal edge {a} -> {b}")
+
+    merged = 0
+    pts = list(pts)
+    changed = True
+    while changed:
+        changed = False
+        n = len(pts)
+        if n < 3:
+            break
+        for i in range(n):
+            a, b, c = pts[i - 1], pts[i], pts[(i + 1) % n]
+            if a.x == b.x == c.x:
+                straight = (b.y > a.y) == (c.y > b.y)
+            elif a.y == b.y == c.y:
+                straight = (b.x > a.x) == (c.x > b.x)
+            else:
+                continue
+            if not straight:
+                raise SelfIntersecting(f"boundary folds back at {b}")
+            del pts[i]
+            merged += 1
+            changed = True
+            break
+    if len(pts) < 4:
+        raise TooFewVertices(f"{len(pts)} corners after merging collinear vertices")
+    return pts, merged

@@ -63,7 +63,11 @@ def test_validate_large_comb(tmp_path, capsys):
     assert run(["validate", str(pushed)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invalid polygon"), err
-    assert re.search(r"edges \d+ and \d+ (overlap|cross)", err), err
+    # the two edges are named by their end points, which are vertices of the file
+    named = re.search(r"edges \((.+?)\)-\((.+?)\) and \((.+?)\)-\((.+?)\) (overlap|cross)", err)
+    assert named, err
+    given = {tuple(map(Fraction, v)) for v in verts}
+    assert all(tuple(map(Fraction, p.split(", "))) in given for p in named.groups()[:4]), err
 
 
 def test_contain(tmp_path, capsys):
@@ -142,18 +146,20 @@ def test_maxscale_trace_out_is_pinned(tmp_path):
     # trace files list every move as plain deletes and adds: a move with both
     # rectangles is its delete and then its add, and queries count those lines.
     # The streamed prefix is pinned too, since lookahead counts rectangle
-    # changes; in the random pair an oy batch boundary falls inside a move.
+    # changes. Both engines pull the plan by the same rule, so the random
+    # pair, answered early, dumps the same prefix under either engine.
     rng = random.Random(987123)
     for _ in range(27):
         pair = random_instance_pair(rng, max_p=20, max_q=20, span=50)
     comb = (unit_square(), comb_polygon(50, random.Random(50)))
+    pair_digest = "8d69e08b74ab0db5b7253932dcb34d02780e08af11e72f7e8447e239d9acb9e4"
     p, q, trace = tmp_path / "p.json", tmp_path / "q.json", tmp_path / "trace.txt"
     for (pattern, target), extra, digest in (
             (comb, [], "5fc23125b6290f224a77c27f7c691fef62bda5fc4ca39b70cb2857490d27f8a4"),
             (comb, ["--baseline"],
              "669dd9203f20a2824a3860f748847adf541c6cbcb2a61e1ad8982dcefb791de0"),
-            (pair, ["--impl", "oy"],
-             "101ea0c08208293a4c5be791c110e6799c536ee2f24c4fec653c78244382f0f4")):
+            (pair, ["--impl", "naive"], pair_digest),
+            (pair, ["--impl", "oy"], pair_digest)):
         save_polygon(str(p), pattern)
         save_polygon(str(q), target)
         assert run(["maxscale", "--p", str(p), "--q", str(q),

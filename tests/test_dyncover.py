@@ -5,7 +5,7 @@ import pytest
 from conftest import random_trace, split_moves
 from oracles import (TraceProblem, area_after_each, covered_cells, first_uncover,
                      trace_problem)
-from polyplace.dyncover import MalformedTrace, _execute, run_plan
+from polyplace.dyncover import MalformedTrace, _execute, _SlabCover, run_plan
 from polyplace.forbidden import RankRect, build_sweep
 from polyplace.hardness import gen_foursum
 from polyplace.instances import comb_polygon, unit_square
@@ -65,13 +65,45 @@ def test_differential_small(rng):
         assert first_uncover(tp, "naive") == first_uncover(tp, "oy")
 
 
-def test_oy_batch_boundaries(rng):
-    # capacity far below the trace length forces many rebuilds
-    tp = random_trace(rng, 7, 300, 25)
-    assert area_after_each(tp, "oy") == area_after_each(tp, "naive")
+def _cut_trace(rng, box, length, n=7):
+    """Moves in ``box`` whose rectangles span its whole width, end on the
+    oy slab cuts or on random columns, or take one column. The first add
+    covers the box, so the first hole comes only after it leaves."""
+    nx, ny = box
+    cuts = _SlabCover(nx, ny, bound=1).cuts  # zero-based column offsets
+    updates, live = [A(0, 1, nx, 1, ny)], {0: RankRect(1, nx, 1, ny)}
+    for uid in range(1, length):
+        if live and (len(live) >= n or rng.random() < 0.4):
+            victim = rng.choice(sorted(live))
+            updates.append((victim, live.pop(victim), None))
+            continue
+        kind = uid % 4
+        if kind == 0:                              # full width
+            x0, x1 = 1, nx
+        elif kind == 1:                            # both ends on cuts
+            a, b = sorted(rng.sample(cuts, 2))
+            x0, x1 = a + 1, b
+        elif kind == 2:                            # one column
+            x0 = x1 = rng.randint(1, nx)
+        else:                                      # one end on a cut
+            x0 = rng.choice(cuts[:-1]) + 1
+            x1 = rng.randint(x0, nx)
+            if rng.random() < 0.5:
+                x0, x1 = nx + 1 - x1, nx + 1 - x0
+        y0 = rng.randint(1, ny)
+        updates.append(A(uid, x0, x1, y0, rng.randint(y0, ny)))
+        live[uid] = updates[-1][2]
+    return TraceProblem(n=n, box=box, updates=updates)
+
+
+def test_oy_slab_cuts(rng):
+    # the slabs are cut once, about sqrt(nx) columns wide, whatever the trace
+    assert _SlabCover(50, 3, bound=1).cuts == list(range(0, 50, 7)) + [50]
+    # capacity far below the trace length, so the live set turns over often
+    traces = [random_trace(rng, 7, 300, 25)]
     # a box much wider than the capacity, with rectangles spanning every
-    # slab, rectangles whose x ends sit on a shared lattice (so on the slab
-    # cuts), and one-column rectangles
+    # slab, rectangles whose x ends sit on a shared lattice, and one-column
+    # rectangles
     width, height = 400, 12
     updates, live = [], {}
     for uid in range(300):
@@ -89,8 +121,18 @@ def test_oy_batch_boundaries(rng):
         y0 = rng.randint(1, height)
         updates.append(A(uid, x0, x1, y0, rng.randint(y0, height)))
         live[uid] = updates[-1][2]
-    tp = TraceProblem(n=7, box=(width, height), updates=updates)
-    assert area_after_each(tp, "oy") == area_after_each(tp, "naive")
+    traces.append(TraceProblem(n=7, box=(width, height), updates=updates))
+    # x ends on the cuts of a square slab count (49), a one-column last slab
+    # (50), slabs that divide the box evenly (48), one column, and one row
+    for box in ((1, 6), (49, 6), (50, 6), (48, 6), (50, 1), (1, 1)):
+        traces += [_cut_trace(rng, box, 200) for _ in range(3)]
+    uncovered = 0
+    for tp in traces:
+        assert area_after_each(tp, "oy") == area_after_each(tp, "naive"), tp.box
+        first = first_uncover(tp, "naive")
+        assert first_uncover(tp, "oy") == first, tp.box
+        uncovered += first is not None and first > 1
+    assert uncovered > len(traces) // 2
 
 
 def test_malformed_delete():

@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import edges_meet, simple_violation
+from oracles import clean_cycle, edges_meet, simple_violation
 from polyplace.geometry import (AxisRect, DegenerateEdge, NonPositiveScale,
                                 NonRectilinear, Placement, Point, PolygonError,
                                 SelfIntersecting, TooFewVertices, _check_simple,
-                                normalize_center, polygon_from_obj,
+                                _clean_cycle, normalize_center, polygon_from_obj,
                                 polygon_to_obj, rat, rat_str, transform,
                                 validate_polygon)
+from polyplace.instances import comb_polygon
 
 UNIT = [(0, 0), (1, 0), (1, 1), (0, 1)]
 LSHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+POINT = r"\((-?\d+(?:/\d+)?), (-?\d+(?:/\d+)?)\)"  # a vertex as a message names it
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -120,14 +122,79 @@ def test_sweep_matches_pairwise_oracle():
             counts["not simple"] += 1
             if doubled == 0:
                 continue
-            i, j = map(int, re.search(r"(\d+) and (\d+)", str(exc)).groups())
-            assert (i - j) % n not in (0, 1, n - 1), (verts, exc)
-            assert edges_meet(oriented, i, j), (verts, exc)
+            a, b, c, d = (Point(Fraction(x), Fraction(y))
+                          for x, y in re.findall(POINT, str(exc)))
+            named = [[i for i in range(n) if (oriented[i], oriented[(i + 1) % n]) == ends]
+                     for ends in ((a, b), (c, d))]
+            assert any((i - j) % n not in (0, 1, n - 1) and edges_meet(oriented, i, j)
+                       for i in named[0] for j in named[1]), (verts, exc)
         else:
             assert pair is None, (verts, pair)
             assert len(poly) == n
             counts["simple"] += 1
     assert min(counts.values()) > 1000, counts
+
+
+def _flat_cycle(rng: random.Random) -> list[Point]:
+    """A cycle with flat vertices: an alternating cycle with points added on
+    the lines of its edges, mostly between the ends (straight vertices) and
+    sometimes past them (fold-backs), and now and then a repeated vertex;
+    or, one time in ten, a cycle that lies on one line. Rotated at random,
+    and sometimes closed by a copy of its first vertex."""
+    if rng.random() < 0.1:
+        xs = [rng.randrange(6)]
+        for _ in range(rng.randint(2, 6)):
+            xs.append(rng.choice([x for x in range(6) if x != xs[-1]]))
+        if xs[0] == xs[-1]:
+            xs.pop()
+        verts = [Point(Fraction(x), Fraction(3)) for x in xs]
+    else:
+        base, verts = _alternating_cycle(rng, 9), []
+        added = rng.choice((0, 1, 1, 2, 3))  # most points one edge may get
+        for i, a in enumerate(base):
+            b = base[(i + 1) % len(base)]
+            verts.append(a)
+            ts = sorted(Fraction(t, 8) for t in rng.sample(range(1, 8), rng.randint(0, added)))
+            if ts and rng.random() < 0.1:
+                ts[rng.randrange(len(ts))] = Fraction(rng.choice((-3, -1, 9, 11)), 8)
+            verts += [a + (b - a).scaled(t) for t in ts]
+        if rng.random() < 0.05:
+            k = rng.randrange(len(verts))
+            verts.insert(k, verts[k])
+    start = rng.randrange(len(verts))
+    verts = verts[start:] + verts[:start]
+    return verts + verts[:1] if rng.random() < 0.1 else verts
+
+
+def _cleaned(clean, verts):
+    try:
+        return clean(list(verts))
+    except PolygonError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_one_pass_cleanup_matches_the_rescan_loop():
+    # the same corners and merge count, or the same error, as the loop that
+    # rescans from vertex 0 after every merge
+    rng = random.Random(19)
+    seen = {}
+    for _ in range(6000):
+        verts = _flat_cycle(rng)
+        got = _cleaned(_clean_cycle, verts)
+        assert got == _cleaned(clean_cycle, verts), verts
+        kind = got[0] if isinstance(got[0], str) else "merged" if got[1] else "clean"
+        seen[kind] = seen.get(kind, 0) + 1
+    assert set(seen) == {"merged", "clean", "SelfIntersecting", "TooFewVertices",
+                         "DegenerateEdge"}, seen
+    assert min(seen.values()) > 50, seen
+
+
+def test_many_collinear_vertices_merge_to_the_comb():
+    comb = comb_polygon(2000, random.Random(0))
+    first, last = comb.vertices[0], comb.vertices[-1]
+    extra = [last + (first - last).scaled(Fraction(k, 1001)) for k in range(1, 1001)]
+    poly = validate_polygon(list(comb.vertices) + extra)
+    assert poly.vertices == comb.vertices and poly.merged_vertices == 1000
 
 
 def test_flat_vertices_merged():

@@ -88,7 +88,7 @@ def test_max_scale_structured_shapes():
 
 def test_max_scale_impls_agree(rng):
     pairs = [random_instance_pair(rng, 16, 16, 30) for _ in range(8)]
-    # deep sweeps with many rebuilds: the answer at the comb's last critical,
+    # deep sweeps with many slab updates: the answer at the comb's last critical,
     # and a gadget with multi-way ties
     gadget = gen_foursum([0], [3], [1], [4])
     pairs += [(SQ, comb_polygon(50, random.Random(50))), (gadget.pattern, gadget.target)]
@@ -372,7 +372,7 @@ def test_streamed_plan_matches_the_drained_plan(monkeypatch):
             if impl == "oy":
                 changes = len(split_moves(plan.updates[:got.stats.updates])[0])
                 batches = max(batches, changes // plan.live_bound)
-    assert batches > 3  # the oy engine rebuilt from a streamed batch several times
+    assert batches > 3  # over 3n rectangle changes: many n-change pulls in one solve
 
 
 @pytest.mark.parametrize("impl", ["naive", "oy"])
