@@ -14,7 +14,7 @@ import sys
 
 from . import dyncover, hardness, svg
 from .decompose import cover_complement, cover_interior
-from .forbidden import build_sweep, read_trace, write_trace
+from .forbidden import build_sweep
 from .geometry import (OrthoPolygon, PolygonError, Point, load_polygon,
                        normalize_center, rat, rat_json, rat_str, save_polygon)
 from .solver import (PlacementResult, _max_scale_and_plan, _Problem, contains_fixed,
@@ -82,8 +82,8 @@ def _cmd_maxscale(args) -> int:
         if args.baseline:  # the baseline runs no sweep: dump max_scale's whole plan
             prob = _Problem(pattern, target)
             plan = build_sweep(prob.cs, start_below=prob.bbox_cap).drain()
-        write_trace(args.trace_out, plan.box_cells, plan.updates,
-                    plan.initial, plan.query_pos)
+        dyncover.write_trace(args.trace_out, plan.box_cells, plan.updates,
+                             plan.initial, plan.query_pos)
     _emit_result(res, args.json, args.svg, pattern, target)
     return 0
 
@@ -136,14 +136,11 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_dyncover(args) -> int:
     try:
-        box, initial, updates, query_pos = read_trace(args.trace)
+        box, initial, updates, query_pos = dyncover.read_trace(args.trace)
     except (OSError, ValueError) as exc:
         raise CliError(f"bad trace file {args.trace}: {exc}") from exc
     bound = dyncover.live_bound(initial, updates)
-    try:
-        failed, _ = dyncover.run_plan(box, bound, initial, updates, query_pos, args.impl)
-    except dyncover.MalformedTrace as exc:
-        raise CliError(f"bad trace file {args.trace}: {exc}") from exc
+    failed, _ = dyncover.run_plan(box, bound, initial, updates, query_pos, args.impl)
     print("none" if failed is None else failed + 1)
     return 0
 

@@ -1,12 +1,14 @@
-"""Offline dynamic rectangle cover over an integer cell grid.
+"""Offline dynamic rectangle cover over an integer cell grid, and its trace files.
 
 Given an offline trace of closed rank-space rectangles inside a box and
 ascending query positions in it, report the first query that finds the box
 not fully covered. An update is a move (id, old, new) from the id's live
 rectangle ``old`` to ``new``, None standing for no rectangle.
-The trace may be streamed: the engine asks for more only when it needs an
-update or a query position past what it holds. Two interchangeable engines,
-each changed by ``move(old, new)``:
+The trace may be streamed: the engine asks for more only when it needs a
+query position past what it holds. The engines trust the trace they run: a
+solve's plan is built consistent, and a trace file is checked in full,
+once, by :func:`read_trace`. Two interchangeable engines, each changed by
+``move(old, new)``:
 
 * ``naive`` (the default of :func:`polyplace.solver.max_scale`): a counting
   grid in int16 when the live bound fits it and int32 otherwise, changed by
@@ -24,8 +26,20 @@ each changed by ``move(old, new)``:
   the other (partial) rectangles per column and row, and the columns each
   slab's partials cover per row. A move removes its old rectangle and adds
   its new one, each O(1) numpy calls doing O(sqrt(nx) * ny) integer work; a
-  coverage read sums the slabs. It allocates an nx x ny count, as the naive
-  grid does.
+  query looks for a slab and row that no crossing rectangle covers and
+  whose partials leave a column bare. It allocates an nx x ny count, as the
+  naive grid does.
+
+A trace file holds the header "N <nx> <ny>", then preloaded rectangles
+"I <id> <x_lo> <x_hi> <y_lo> <y_hi>", then one event per line,
+"A <id> <x_lo> <x_hi> <y_lo> <y_hi>" or "D <id>", then "Q <pos>" lines, one
+per coverage query after the first <pos> events. A file without "Q" lines
+queries after every event. An id is a rectangle's key; it recurs when the
+rectangle is added again after its delete. A move with both rectangles is
+written as its delete and then its add. Reading pairs them back into one
+move, with the query positions counted in moves: a "D k" directly followed
+by an "A k", when no query falls between the two and the file has "Q"
+lines. Any other event is read as a move of its own.
 """
 
 from __future__ import annotations
@@ -40,7 +54,7 @@ from .forbidden import Move as Update, RankRect
 
 
 class MalformedTrace(ValueError):
-    """A move from a rectangle its id does not hold, out of the box, or over the bound."""
+    """A trace file that is not a valid trace, as :func:`read_trace` finds it."""
 
 
 def _minus(a: RankRect | None, b: RankRect | None) -> list[tuple[int, int, int, int]]:
@@ -154,90 +168,45 @@ class _SlabCover:
         if new is not None:
             self._apply(new, 1)
 
-    @property
-    def covered_cells(self) -> int:
-        return int(np.where(self.cross > 0, self.slab_w, self.pcov).sum())
-
     def has_hole(self) -> bool:
-        return self.covered_cells < self.part.size
+        return bool(((self.cross == 0) & (self.pcov < self.slab_w)).any())
 
 
 # ---------------------------------------------------------------------------
 # trace execution
 # ---------------------------------------------------------------------------
 
-def _check_rect(r: RankRect, box: tuple[int, int]) -> None:
-    nx, ny = box
-    if not (1 <= r.x_lo <= r.x_hi <= nx and 1 <= r.y_lo <= r.y_hi <= ny):
-        raise MalformedTrace(f"rectangle {r} outside box {box}")
-
-
 def _execute(box: tuple[int, int], capacity: int,
              initial: Sequence[tuple[object, RankRect]],
              updates: Sequence[Update], positions: Sequence[int], impl: str,
-             more: Callable[[], bool] | None = None) -> Iterator[tuple]:
-    """Apply the trace, yielding (qi, struct, live) after positions[qi] updates.
+             more: Callable[[], bool] | None = None) -> Iterator[tuple[int, object]]:
+    """Apply the trace, yielding (qi, struct) after positions[qi] updates.
 
     ``positions`` ascend; position 0 is the preloaded set alone. The engine
     is built and preloaded once, and one plain loop applies the updates up
-    to each query position; after the last position it applies the rest,
-    so a malformed tail still raises. A move must start from its id's live
-    rectangle (None for a dead id), and a delete needs a live id. Stop
-    iterating to stop early. ``capacity`` is the live bound n. ``more``,
-    when given, appends to ``updates`` and ``positions`` and returns False
-    once it has nothing left. When the next query position lies past the
-    end of ``positions``, it is called until the lists hold that position
-    and n rectangle changes (two for a move with both rectangles) past the
-    last move applied.
+    to each query position. The trace is trusted: every move starts from
+    its id's live rectangle, and at most twice ``capacity`` (the live bound
+    n) rectangles are live at once, which picks the engine's count type.
+    Stop iterating to stop early; iteration ends at the first position past
+    the updates held. ``more``, when given, appends to ``updates`` and
+    ``positions`` and returns False, appending nothing, once it has nothing
+    left; it is called only until the next query position is held.
     """
     if impl not in ("naive", "oy"):
         raise ValueError(f"unknown implementation {impl!r}")
-    capacity = max(1, capacity)
-    if len(initial) > 2 * capacity:
-        raise MalformedTrace("preloaded set exceeds twice the declared bound")
-    live: dict[object, RankRect] = {}
-    for uid, r in initial:
-        _check_rect(r, box)
-        if uid in live:
-            raise MalformedTrace(f"duplicate id {uid!r}")
-        live[uid] = r
-
-    limit = 2 * capacity
-    struct = (_NaiveGrid if impl == "naive" else _SlabCover)(*box, bound=limit)
+    struct = (_NaiveGrid if impl == "naive" else _SlabCover)(*box, bound=2 * max(1, capacity))
     move = struct.move
-    for r in live.values():
+    for _, r in initial:
         move(None, r)
     k = qi = 0  # updates applied, next query
     while True:
-        if qi == len(positions):  # pull the next position and n changes past move k
-            i, need = k, capacity
-            while more is not None and (need > 0 or qi == len(positions)):
-                if i < len(updates):
-                    need -= (updates[i][1] is not None) + (updates[i][2] is not None)
-                    i += 1
-                elif not more():
-                    more = None
-        last = qi == len(positions) or positions[qi] > len(updates)
-        target = len(updates) if last else positions[qi]
-        for i in range(k, target):
-            uid, old, new = updates[i]
-            cur = live.get(uid)
-            if cur is not old and cur != old or old is new is None:
-                raise MalformedTrace(f"delete of dead id {uid!r}" if cur is None else
-                                     f"duplicate id {uid!r}" if old is None else
-                                     f"id {uid!r} moves from {old} but holds {cur}")
-            if new is None:
-                del live[uid]
-            else:
-                _check_rect(new, box)
-                if old is None and len(live) >= limit:
-                    raise MalformedTrace("live set exceeds twice the declared bound")
-                live[uid] = new
+        while qi == len(positions) or positions[qi] > len(updates):
+            if more is None or not more():
+                return
+        for _, old, new in updates[k:positions[qi]]:
             move(old, new)
-        k = target
-        if last:
-            return
-        yield qi, struct, live
+        k = positions[qi]
+        yield qi, struct
         qi += 1
 
 
@@ -248,17 +217,23 @@ def run_plan(box: tuple[int, int], capacity: int,
              impl: str, more: Callable[[], bool] | None = None) -> tuple[int | None, dict | None]:
     """Run a preloaded trace, querying coverage at given update-prefix lengths.
 
-    The ``impl`` engine is built once over the box. Returns (index into
-    query_positions of the first query that found the box uncovered, live
-    id->rect map at that moment), or (None, None). With ``more``, the trace
-    is streamed: ``updates`` and ``query_positions`` are lists that
-    ``more()`` extends by the one pull rule of :func:`_execute`, for either
-    engine, so a plan is built only as far as the engine runs it.
+    The ``impl`` engine is built once over the box, and the trace is trusted
+    (see :func:`_execute`). Returns (index into query_positions of the first
+    query that found the box uncovered, live id->rect map at that moment),
+    or (None, None). With ``more``, the trace is streamed: ``updates`` and
+    ``query_positions`` are lists that ``more()`` extends until they hold
+    the next query position, for either engine, so a plan is built only as
+    far as the engine runs it.
     """
-    for qi, struct, live in _execute(box, capacity, initial, updates, query_positions,
-                                     impl, more):
+    for qi, struct in _execute(box, capacity, initial, updates, query_positions, impl, more):
         if struct.has_hole():
-            return qi, dict(live)
+            live = dict(initial)
+            for uid, _, new in updates[:query_positions[qi]]:
+                if new is None:
+                    del live[uid]
+                else:
+                    live[uid] = new
+            return qi, live
     return None, None
 
 
@@ -270,3 +245,92 @@ def live_bound(initial: Sequence[tuple[object, RankRect]], updates: Sequence[Upd
         (live.discard if r is None else live.add)(uid)
         peak = max(peak, len(live))
     return peak
+
+
+# ---------------------------------------------------------------------------
+# trace files (the format is in the module docstring)
+# ---------------------------------------------------------------------------
+
+_TRACE_FIELDS = {"I": 6, "A": 6, "D": 2, "Q": 2}  # fields of each body line
+
+
+def write_trace(path: str, box_cells: tuple[int, int],
+                updates: Sequence[Update],
+                initial: Sequence[tuple[int, RankRect]], query_pos: Sequence[int]) -> None:
+    events = [0]  # event lines written before each move
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"N {box_cells[0]} {box_cells[1]}\n")
+        for uid, r in initial:
+            fh.write(f"I {uid} {r.x_lo} {r.x_hi} {r.y_lo} {r.y_hi}\n")
+        for uid, old, r in updates:
+            if old is not None:
+                fh.write(f"D {uid}\n")
+            if r is not None:
+                fh.write(f"A {uid} {r.x_lo} {r.x_hi} {r.y_lo} {r.y_hi}\n")
+            events.append(events[-1] + (old is not None) + (r is not None))
+        for pos in query_pos:
+            fh.write(f"Q {events[pos]}\n")
+
+
+def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
+                                   list[Update], list[int]]:
+    """Box, preloaded rectangles, moves and query positions of a trace file.
+
+    The whole file is checked, so the engines can trust what it returns:
+    every rectangle lies in the box, an "I" or "A" names a dead id, and a
+    "D" a live one. The first fault raises :class:`MalformedTrace`.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.split() for ln in fh if ln.strip()]
+    if not lines or lines[0][0] != "N" or len(lines[0]) != 3:
+        raise MalformedTrace("trace file must start with an 'N <nx> <ny>' header")
+    nx, ny = box_cells = (int(lines[0][1]), int(lines[0][2]))
+    if min(box_cells) < 1:
+        raise MalformedTrace(f"box {nx} x {ny} has no cells")
+    initial: list[tuple[int, RankRect]] = []
+    events: list[Update] = []  # one per event line
+    query_pos: list[int] = []
+    current: dict[int, RankRect] = {}
+    for parts in lines[1:]:
+        tag, line = parts[0], " ".join(parts)
+        if _TRACE_FIELDS.get(tag) != len(parts):
+            raise MalformedTrace(f"bad trace line {line!r}")
+        if tag == "Q":
+            query_pos.append(int(parts[1]))
+            continue
+        uid = int(parts[1])
+        if tag == "D":
+            if uid not in current:
+                raise MalformedTrace(f"delete of dead id {uid!r}")
+            events.append((uid, current.pop(uid), None))
+            continue
+        if tag == "I" and events:
+            raise MalformedTrace(f"preloaded rectangle {line!r} after the first event")
+        if uid in current:
+            raise MalformedTrace(f"duplicate id {uid!r}")
+        r = current[uid] = RankRect(*map(int, parts[2:]))
+        if not (1 <= r.x_lo <= r.x_hi <= nx and 1 <= r.y_lo <= r.y_hi <= ny):
+            raise MalformedTrace(f"rectangle {line!r} outside box {nx} x {ny}")
+        if tag == "I":
+            initial.append((uid, r))
+        else:
+            events.append((uid, None, r))
+    if query_pos != sorted(query_pos) or any(not 0 <= p <= len(events) for p in query_pos):
+        raise MalformedTrace("query positions must be ascending and within the events")
+    if not query_pos:
+        return box_cells, initial, events, list(range(1, len(events) + 1))
+    queried = set(query_pos)
+    moves: list[Update] = []
+    at = [0]  # moves read before each event line
+    i = 0
+    while i < len(events):
+        uid, old, new = events[i]
+        if (old is not None and i + 1 < len(events) and i + 1 not in queried
+                and events[i + 1][0] == uid and events[i + 1][2] is not None):
+            new = events[i + 1][2]
+            i += 1
+            at.append(None)  # no query reads the state between the two lines
+        moves.append((uid, old, new))
+        at.append(len(moves))
+        i += 1
+    return box_cells, initial, moves, [at[p] for p in query_pos]

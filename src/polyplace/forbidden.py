@@ -30,7 +30,8 @@ over the x cells. The plan is lazy: it walks one critical further each time
 the dynamic cover engine asks, so a solve that ends at an early critical
 never builds the rest. Rectangles are keyed 0..n-1, then n..n+3 for the
 bands L, R, B, T around B(scale); an update is a move (key, old, new) of a
-key whose rectangle changed, None standing for no rectangle.
+key whose rectangle changed, None standing for no rectangle. The trace's
+execution and its file format belong to :mod:`polyplace.dyncover`.
 """
 
 from __future__ import annotations
@@ -512,88 +513,3 @@ def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan
                      updates=updates, query_pos=query_pos, below_pos=below_pos,
                      live_bound=cs.n_rects + 4, skipped_above=walk.skipped,
                      total=walk.total, _steps=steps())
-
-
-# ---------------------------------------------------------------------------
-# update-trace file format: header "N <nx> <ny>", then preloaded rectangles
-# "I <id> <x_lo> <x_hi> <y_lo> <y_hi>", then one event per line,
-# "A <id> <x_lo> <x_hi> <y_lo> <y_hi>" or "D <id>", then "Q <pos>" lines, one
-# per coverage query after the first <pos> events. A file without "Q" lines
-# queries after every event. An id is a rectangle's key; it recurs when the
-# rectangle is added again after its delete. A move with both rectangles is
-# written as its delete and then its add. Reading pairs them back into one
-# move, with the query positions counted in moves: a "D k" of a live id
-# directly followed by an "A k", when no query falls between the two and the
-# file has "Q" lines. Any other event is read as a move of its own, a delete
-# from the rectangle the lines above last gave the id (None if dead).
-# ---------------------------------------------------------------------------
-
-_TRACE_FIELDS = {"I": 6, "A": 6, "D": 2, "Q": 2}  # fields of each body line
-
-def write_trace(path: str, box_cells: tuple[int, int],
-                updates: Sequence[Move],
-                initial: Sequence[tuple[int, RankRect]], query_pos: Sequence[int]) -> None:
-    events = [0]  # event lines written before each move
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"N {box_cells[0]} {box_cells[1]}\n")
-        for uid, r in initial:
-            fh.write(f"I {uid} {r.x_lo} {r.x_hi} {r.y_lo} {r.y_hi}\n")
-        for uid, old, r in updates:
-            if old is not None:
-                fh.write(f"D {uid}\n")
-            if r is not None:
-                fh.write(f"A {uid} {r.x_lo} {r.x_hi} {r.y_lo} {r.y_hi}\n")
-            events.append(events[-1] + (old is not None) + (r is not None))
-        for pos in query_pos:
-            fh.write(f"Q {events[pos]}\n")
-
-
-def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
-                                   list[Move], list[int]]:
-    """Box, preloaded rectangles, moves and query positions of a trace file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.split() for ln in fh if ln.strip()]
-    if not lines or lines[0][0] != "N" or len(lines[0]) != 3:
-        raise ValueError("trace file must start with an 'N <nx> <ny>' header")
-    box_cells = (int(lines[0][1]), int(lines[0][2]))
-    if min(box_cells) < 1:
-        raise ValueError(f"box {box_cells[0]} x {box_cells[1]} has no cells")
-    initial: list[tuple[int, RankRect]] = []
-    events: list[Move] = []  # one per event line
-    query_pos: list[int] = []
-    current: dict[int, RankRect] = {}
-    for parts in lines[1:]:
-        if _TRACE_FIELDS.get(parts[0]) != len(parts):
-            raise ValueError(f"bad trace line {' '.join(parts)!r}")
-        if parts[0] == "I" and events:
-            raise ValueError(f"preloaded rectangle {' '.join(parts)!r} after the first event")
-        if parts[0] in ("A", "I"):
-            uid, x_lo, x_hi, y_lo, y_hi = map(int, parts[1:])
-            r = current[uid] = RankRect(x_lo, x_hi, y_lo, y_hi)
-            if parts[0] == "I":
-                initial.append((uid, r))
-            else:
-                events.append((uid, None, r))
-        elif parts[0] == "D":
-            events.append((int(parts[1]), current.pop(int(parts[1]), None), None))
-        else:
-            query_pos.append(int(parts[1]))
-    if query_pos != sorted(query_pos) or any(not 0 <= p <= len(events) for p in query_pos):
-        raise ValueError("query positions must be ascending and within the events")
-    if not query_pos:
-        return box_cells, initial, events, list(range(1, len(events) + 1))
-    queried = set(query_pos)
-    moves: list[Move] = []
-    at = [0]  # moves read before each event line
-    i = 0
-    while i < len(events):
-        uid, old, new = events[i]
-        if (old is not None and i + 1 < len(events) and i + 1 not in queried
-                and events[i + 1][0] == uid and events[i + 1][2] is not None):
-            new = events[i + 1][2]
-            i += 1
-            at.append(None)  # no query reads the state between the two lines
-        moves.append((uid, old, new))
-        at.append(len(moves))
-        i += 1
-    return box_cells, initial, moves, [at[p] for p in query_pos]

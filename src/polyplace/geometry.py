@@ -91,6 +91,9 @@ class Point:
         yield self.x
         yield self.y
 
+    def __str__(self) -> str:  # as error messages name a vertex: "(x, y)"
+        return f"({self.x}, {self.y})"
+
 
 ORIGIN = Point(Fraction(0), Fraction(0))
 
@@ -276,8 +279,7 @@ def _check_simple(pts: list[Point]) -> None:
     n = len(pts)
 
     def edge(i: int) -> str:
-        a, b = pts[i], pts[(i + 1) % n]
-        return f"({a.x}, {a.y})-({b.x}, {b.y})"
+        return f"{pts[i]}-{pts[(i + 1) % n]}"
 
     flat = [a.y == pts[(i + 1) % n].y for i, a in enumerate(pts)]
     horiz = []  # (y, xlo, xhi, index)

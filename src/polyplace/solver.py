@@ -43,7 +43,7 @@ from .geometry import (AxisRect, NonPositiveScale, OrthoPolygon, Point,
 @dataclass
 class SolveStats:
     criticals: int = 0
-    updates: int = 0  # moves the dynamic cover applied (max_scale only)
+    updates: int = 0  # max_scale only: the plan's moves up to the failing query, or all
     queries: int = 0
     skipped: int = 0  # criticals above the bbox-fit cap, infeasible without a query
 
@@ -234,17 +234,17 @@ def max_scale(pattern: OrthoPolygon, target: OrthoPolygon,
     offline dynamic cover structure (``impl``: "naive", the query-driven
     counting grid, or "oy", Overmars-Yap slabs), which stops at the first
     critical whose snapshot leaves a hole. The plan is extended only as far
-    as the engine asks: when it runs out of query positions, up to the next
-    one and n rectangle changes (n the live bound) past the move it last
-    applied, so that planning and the engine alternate rarely. Both engines
-    are built once, with an nx x ny count over the rank box. The naive grid
-    is the default because it is the faster engine on the comb family,
-    whose answers sit at the last critical. The witness is the translation that
-    the exact static test (:func:`find_hole`) finds at that scale.
+    as the engine asks, one critical at a time until it holds the next query
+    position, and the engine trusts it without re-checking its moves. Both
+    engines are built once, with an nx x ny count over the rank box. The
+    naive grid is the default because it is the faster engine on the comb
+    family, whose answers sit at the last critical. The witness is the
+    translation that the exact static test (:func:`find_hole`) finds at
+    that scale.
 
     ``stats.criticals`` counts every critical of the walk and
-    ``stats.updates`` the moves the engine applied: up to the failing
-    query, or all of them when the instance is infeasible.
+    ``stats.updates`` the plan's moves up to the failing query, or all of
+    them when the instance is infeasible.
     """
     return _max_scale_and_plan(pattern, target, impl)[0]
 

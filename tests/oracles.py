@@ -10,6 +10,10 @@
   incremental order is checked. They share only the rank rule with it.
 * Whole-trace replays of the dynamic cover engines: the first update that
   uncovers the box, and the covered cells after every update.
+* Per-move checks of an in-memory trace, which the engines do not make,
+  against which the solver's plans are checked: every move starts from its
+  id's live rectangle, and the live set stays in the box and within twice
+  its bound.
 * The pairwise simplicity check of a vertex cycle, against which the
   polygon validator's sweep is checked, and the cleanup loop that merges
   one flat vertex per rescan, against which the validator's one-pass
@@ -25,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from polyplace.dyncover import _execute, _NaiveGrid, live_bound, run_plan
+from polyplace.dyncover import MalformedTrace, _execute, _NaiveGrid, live_bound, run_plan
 from polyplace.forbidden import CoordSets, Move, RankRect, _rank_rule
 from polyplace.geometry import (AxisRect, DegenerateEdge, NonRectilinear, Point, Rational,
                                 SelfIntersecting, TooFewVertices)
@@ -166,16 +170,56 @@ def first_uncover(tp: TraceProblem, impl: str = "naive") -> int | None:
 
 
 def covered_cells(struct) -> int:
-    """Covered cells of an engine: the grid's nonzero counts, or the slabs' sum."""
+    """Covered cells of an engine: the grid's nonzero counts, or per slab
+    and row, the whole slab when a rectangle crosses it, else its partials'."""
     if isinstance(struct, _NaiveGrid):
         return int(np.count_nonzero(struct.grid))
-    return struct.covered_cells
+    return int(np.where(struct.cross > 0, struct.slab_w, struct.pcov).sum())
 
 
 def area_after_each(tp: TraceProblem, impl: str = "naive") -> list[int]:
     """Covered-cell count after each update prefix."""
-    return [covered_cells(struct) for _, struct, _ in
+    return [covered_cells(struct) for _, struct in
             _execute(tp.box, tp.n, [], tp.updates, range(1, len(tp.updates) + 1), impl)]
+
+
+def check_moves(box: tuple[int, int], capacity: int,
+                initial: Sequence[tuple[object, RankRect]], updates: Sequence[Move]) -> None:
+    """Raise MalformedTrace at the first move the engines could not trust.
+
+    Every rectangle must lie in the box, the preloaded ids must differ, and
+    at most twice ``capacity`` rectangles may be live. A move must start
+    from its id's live rectangle (None for a dead id), and a delete needs a
+    live id.
+    """
+    nx, ny = box
+    limit = 2 * max(1, capacity)
+
+    def inside(r: RankRect) -> None:
+        if not (1 <= r.x_lo <= r.x_hi <= nx and 1 <= r.y_lo <= r.y_hi <= ny):
+            raise MalformedTrace(f"rectangle {r} outside box {box}")
+
+    if len(initial) > limit:
+        raise MalformedTrace("preloaded set exceeds twice the declared bound")
+    live: dict[object, RankRect] = {}
+    for uid, r in initial:
+        inside(r)
+        if uid in live:
+            raise MalformedTrace(f"duplicate id {uid!r}")
+        live[uid] = r
+    for uid, old, new in updates:
+        cur = live.get(uid)
+        if cur is not old and cur != old or old is new is None:
+            raise MalformedTrace(f"delete of dead id {uid!r}" if cur is None else
+                                 f"duplicate id {uid!r}" if old is None else
+                                 f"id {uid!r} moves from {old} but holds {cur}")
+        if new is None:
+            del live[uid]
+        else:
+            inside(new)
+            if old is None and len(live) >= limit:
+                raise MalformedTrace("live set exceeds twice the declared bound")
+            live[uid] = new
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import pytest
 import polyplace.cli
 import polyplace.solver
 from polyplace.cli import run
-from polyplace.forbidden import RankRect, build_sweep, read_trace, write_trace
+from polyplace.dyncover import read_trace, write_trace
+from polyplace.forbidden import RankRect, build_sweep
 from polyplace.geometry import Point, load_polygon, save_polygon, validate_polygon
 from polyplace.instances import comb_polygon, random_instance_pair, unit_square
 from polyplace.solver import _Problem, verify_containment
@@ -35,16 +36,23 @@ def test_validate(tmp_path, capsys):
 
 def test_validate_bad_polygon(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    # a diagonal edge, a zero denominator, a float coordinate, vertices that are not pairs
-    for text in ('{"vertices": [[0,0],[1,1],[0,1]]}',
+    # a diagonal edge, a repeated vertex, a zero denominator, a float
+    # coordinate, vertices that are not pairs
+    errs = []
+    for text in ('{"vertices": [[0,0],[2,0],[2,1],["1/2",2],[0,2]]}',
+                 '{"vertices": [[0,0],[0,0],[1,0],[1,1],[0,1]]}',
                  '{"vertices": [[0,0],["1/0",0],[1,1],[0,1]]}',
                  '{"vertices": [[0,0],[1.5,0],[1.5,1],[0,1]]}',
                  '{"vertices": [0, 1, 2, 3]}'):
         bad.write_text(text)
         assert run(["validate", str(bad)]) == 1, text
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid polygon"), (text, err)
-        assert len(err.strip().splitlines()) == 1
+        errs.append(capsys.readouterr().err)
+        assert errs[-1].startswith("error: invalid polygon"), (text, errs[-1])
+        assert len(errs[-1].strip().splitlines()) == 1
+    # the bad edges name their points as (x, y), not by their reprs
+    assert "diagonal edge (2, 1) -> (1/2, 2)" in errs[0]
+    assert "repeated vertex (0, 0)" in errs[1]
+    assert not any("Point(" in err or "Fraction(" in err for err in errs[:2]), errs
 
 
 def test_validate_large_comb(tmp_path, capsys):
@@ -145,9 +153,10 @@ def test_maxscale_trace_out_and_dyncover(tmp_path, capsys, monkeypatch):
 def test_maxscale_trace_out_is_pinned(tmp_path):
     # trace files list every move as plain deletes and adds: a move with both
     # rectangles is its delete and then its add, and queries count those lines.
-    # The streamed prefix is pinned too, since lookahead counts rectangle
-    # changes. Both engines pull the plan by the same rule, so the random
-    # pair, answered early, dumps the same prefix under either engine.
+    # The streamed prefix is pinned too: the plan is pulled a critical at a
+    # time until it holds the next query position. Both engines pull it by
+    # that one rule, so the random pair, answered early, dumps the same
+    # prefix under either engine.
     rng = random.Random(987123)
     for _ in range(27):
         pair = random_instance_pair(rng, max_p=20, max_q=20, span=50)
@@ -181,6 +190,12 @@ def test_dyncover_malformed_trace(tmp_path, capsys):
         # read as one move with the add after it, it would be a plain add
         ("N 3 3\nI 0 1 3 1 3\nD 5\nA 5 1 3 1 3\nQ 2\n", "delete of dead id"),
         ("N 3 3\nA 0 1 3 1 3\nA 0 1 3 1 3\n", "duplicate id"),  # an add of a live id
+        ("N 3 3\nI 0 1 3 1 3\nI 0 1 3 1 3\n", "duplicate id"),  # a repeated preloaded id
+        # a second delete of one id, after a first that leaves the box covered
+        ("N 3 3\nI 0 1 3 1 3\nA 1 1 3 1 3\nD 1\nD 1\nQ 3\n", "delete of dead id 1"),
+        # rectangles past the box, named by their file line
+        ("N 3 3\nA 0 1 4 1 2\n", "rectangle 'A 0 1 4 1 2' outside box 3 x 3"),
+        ("N 3 3\nI 0 0 3 1 3\nD 0\n", "rectangle 'I 0 0 3 1 3' outside box 3 x 3"),
         ("N 4\n", "header"),                       # missing box size
         ("N 3 3\nD\n", "bad trace line 'D'"),      # delete without an id
         ("N 3 3\nQ\n", "bad trace line 'Q'"),      # query without a position

@@ -5,7 +5,9 @@ import pytest
 from conftest import random_trace, split_moves
 from oracles import (TraceProblem, area_after_each, covered_cells, first_uncover,
                      trace_problem)
-from polyplace.dyncover import MalformedTrace, _execute, _SlabCover, run_plan
+from polyplace.cli import run
+from polyplace.dyncover import (MalformedTrace, _execute, _SlabCover, read_trace, run_plan,
+                                write_trace)
 from polyplace.forbidden import RankRect, build_sweep
 from polyplace.hardness import gen_foursum
 from polyplace.instances import comb_polygon, unit_square
@@ -135,45 +137,40 @@ def test_oy_slab_cuts(rng):
     assert uncovered > len(traces) // 2
 
 
-def test_malformed_delete():
-    # a second delete of an id, after a first that leaves the box covered
+def _written(tmp_path, box, updates, initial=()):
+    """The path of a trace file holding an in-memory trace, queried after every move."""
+    path = tmp_path / "t.txt"
+    write_trace(str(path), box, updates, initial, range(len(updates) + 1))
+    return str(path)
+
+
+def test_malformed_delete(tmp_path):
+    # a delete of an id never added, and a second delete of one id
     twice = [A(0, 1, 3, 1, 3), A(1, 1, 3, 1, 3), D(1, 1, 3, 1, 3), D(1, 1, 3, 1, 3)]
-    for ups in ([D(5, 1, 3, 1, 3)], [(0, None, None)], twice):
-        for impl in ("naive", "oy"):
-            with pytest.raises(MalformedTrace, match="dead id"):
-                first_uncover(TraceProblem(2, (3, 3), ups), impl)
+    for ups in ([D(5, 1, 3, 1, 3)], twice):
+        with pytest.raises(MalformedTrace, match="delete of dead id"):
+            read_trace(_written(tmp_path, (3, 3), ups))
 
 
 @pytest.mark.parametrize("impl", ["naive", "oy"])
 @pytest.mark.parametrize("bad, message", [
-    (M(0, (1, 2, 1, 3), (1, 3, 1, 3)), "but holds"),          # old is not the live one
-    (M(1, (1, 3, 1, 3), (1, 3, 1, 2)), "dead id"),            # a move of a dead id
-    ((1, None, None), "dead id"),                             # a delete of a dead id
-    (A(0, 1, 3, 1, 3), "duplicate id"),                       # an add of a live id
+    pytest.param(M(1, (1, 3, 1, 3), (1, 3, 1, 2)), "dead id", id="bad1-dead id"),  # of a dead id
+    pytest.param(A(0, 1, 3, 1, 3), "duplicate id", id="bad3-duplicate id"),      # of a live id
 ])
-def test_malformed_move(impl, bad, message):
-    # the first move covers the box, so the engine reaches the bad one
-    tp = TraceProblem(2, (3, 3), [A(0, 1, 3, 1, 3), bad])
+def test_malformed_move(tmp_path, capsys, impl, bad, message):
+    # the file is refused when it is read, before either engine runs
+    path = _written(tmp_path, (3, 3), [A(0, 1, 3, 1, 3), bad])
     with pytest.raises(MalformedTrace, match=message):
-        first_uncover(tp, impl)
+        read_trace(path)
+    assert run(["dyncover", "--trace", path, "--impl", impl]) == 1
+    assert message in capsys.readouterr().err
 
 
-def test_malformed_out_of_box():
-    tp = TraceProblem(2, (3, 3), [A(0, 1, 4, 1, 2)])
-    with pytest.raises(MalformedTrace):
-        first_uncover(tp, "naive")
-
-
-def test_malformed_overflow():
-    # full-box adds keep coverage intact, so the live-set bound must trip
-    ups = [A(i, 1, 3, 1, 3) for i in range(5)]
-    tp = TraceProblem(1, (3, 3), ups)
-    with pytest.raises(MalformedTrace):
-        first_uncover(tp, "naive")
-    # a move keeps the live count, so the full live set may still move
-    ups[2:] = [M(1, (1, 3, 1, 3), (1, 2, 1, 3))]
-    for impl in ("naive", "oy"):
-        assert first_uncover(TraceProblem(1, (3, 3), ups), impl) is None
+def test_malformed_out_of_box(tmp_path):
+    # an added and a preloaded rectangle past the box's right side
+    for initial, ups in (([], [A(0, 1, 4, 1, 2)]), ([(0, RankRect(1, 4, 1, 2))], [])):
+        with pytest.raises(MalformedTrace, match="outside box 3 x 3"):
+            read_trace(_written(tmp_path, (3, 3), ups, initial))
 
 
 def test_run_plan_queries(rng):
@@ -269,13 +266,6 @@ def test_count_type_boundary():
     tp = TraceProblem(2 ** 15, (1, 1), ups)
     assert area_after_each(tp, "naive") == [1] * (2 * stack - 1) + [0]
     assert first_uncover(tp, "naive") == 2 * stack
-
-
-def test_malformed_preload_overflow():
-    initial = [(i, RankRect(1, 3, 1, 3)) for i in range(3)]
-    for impl in ("naive", "oy"):
-        with pytest.raises(MalformedTrace):
-            run_plan((3, 3), 1, initial, [], [0], impl)
 
 
 def test_trace_problem_infers_bound():
@@ -388,7 +378,7 @@ def test_readd_pairs_differential(rng, shape, same_id):
             # covered cells after every update, and after every reshaped
             # rectangle with nothing read in between
             assert area_after_each(TraceProblem(n, box, full), impl)[len(initial):] == expected
-            after_pairs = [covered_cells(struct) for _, struct, _ in
+            after_pairs = [covered_cells(struct) for _, struct in
                            _execute(box, n, initial, updates,
                                     range(step, len(updates) + 1, step), impl)]
             assert after_pairs == expected[step - 1::step]

@@ -7,9 +7,10 @@ import polyplace.forbidden
 from conftest import split_moves
 from oracles import covers_box, rank_snapshot
 from polyplace.decompose import RectCover, cover_complement, cover_interior
+from polyplace.dyncover import read_trace, write_trace
 from polyplace.forbidden import (CoordSets, Descent, LinearForm, _Axis, _AxisState,
                                  _axis_events, build_sweep, coordinate_functions,
-                                 critical_values, read_trace, write_trace)
+                                 critical_values)
 from polyplace.geometry import AxisRect, normalize_center, validate_polygon
 from polyplace.hardness import gen_average, gen_foursum
 from polyplace.instances import comb_polygon, random_instance_pair, unit_square

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import polyplace.solver
 from conftest import split_moves
+from oracles import check_moves
 from polyplace import dyncover
 from polyplace.forbidden import _axis_events, build_sweep, critical_values
 from polyplace.geometry import (Placement, Point, transform, validate_polygon)
@@ -372,7 +373,28 @@ def test_streamed_plan_matches_the_drained_plan(monkeypatch):
             if impl == "oy":
                 changes = len(split_moves(plan.updates[:got.stats.updates])[0])
                 batches = max(batches, changes // plan.live_bound)
-    assert batches > 3  # over 3n rectangle changes: many n-change pulls in one solve
+    assert batches > 3  # some solve streams over 3n rectangle changes, many pulls deep
+
+
+def test_plans_pass_the_per_move_checks():
+    # the engines trust the solver's plans, so each must pass the per-move
+    # checks, with the bbox-fit cap and without it
+    rng = random.Random(987123)  # criterion 1's distribution
+    cases = [random_instance_pair(rng, max_p=20, max_q=20, span=50) for _ in range(60)]
+    cases += _foursum_gadgets(random.Random(0), 4)
+    cases.append((unit_square(), comb_polygon(50, random.Random(50))))
+    for pattern, target in cases:
+        prob = _Problem(pattern, target)
+        for cap in (prob.bbox_cap, None):
+            plan = build_sweep(prob.cs, start_below=cap).drain()
+            check_moves(plan.box_cells, plan.live_bound, plan.initial, plan.updates)
+    # the checks see a wrong ``old`` in a copy of the last plan
+    k = next(i for i, (_, old, _) in enumerate(plan.updates) if old is not None)
+    key, old, new = plan.updates[k]
+    wrong = list(plan.updates)
+    wrong[k] = key, old._replace(y_lo=old.y_lo + 1), new
+    with pytest.raises(dyncover.MalformedTrace, match="but holds"):
+        check_moves(plan.box_cells, plan.live_bound, plan.initial, wrong)
 
 
 @pytest.mark.parametrize("impl", ["naive", "oy"])

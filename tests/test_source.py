@@ -104,3 +104,19 @@ def test_src_holds_no_test_only_code():
     unreached = sorted(f"{module}.{name}" for name in defs.keys() - reached
                        for module, _ in defs[name])
     assert not unreached, f"no solve, CLI command or perfbench code reaches {unreached}"
+
+
+def test_malformed_trace_is_raised_only_by_the_reader():
+    # the engines trust what they run: a solve's plan is built consistent, and
+    # a trace file is checked in full, once, when dyncover.read_trace reads it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if "MalformedTrace" in (getattr(exc, "id", None), getattr(exc, "attr", None)):
+                        found.append((path.stem, getattr(top, "name", None), node.lineno))
+    assert len(found) >= 4, found  # dead delete, duplicate id, out of box, ...
+    elsewhere = [f for f in found if f[:2] != ("dyncover", "read_trace")]
+    assert not elsewhere, f"MalformedTrace raised outside dyncover.read_trace: {elsewhere}"
