@@ -28,7 +28,7 @@ class CliError(Exception):
 def _load(path: str) -> OrthoPolygon:
     try:
         return load_polygon(path)
-    except (OSError, PolygonError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (OSError, PolygonError, TypeError, ValueError) as exc:
         raise CliError(f"invalid polygon file {path}: {exc}") from exc
 
 
@@ -153,7 +153,7 @@ def _cmd_plot(args) -> int:
             raise CliError("--placement requires --p")
         try:
             lam, tx, ty = (rat(v) for v in args.placement)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise CliError(f"bad placement {' '.join(args.placement)}: {exc}") from exc
         if lam <= 0:
             raise CliError(f"bad placement: scale {rat_str(lam)} is not positive")

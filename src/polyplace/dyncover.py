@@ -280,11 +280,18 @@ def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
     every rectangle lies in the box, an "I" or "A" names a dead id, and a
     "D" a live one. The first fault raises :class:`MalformedTrace`.
     """
+    def fields(parts: list[str]) -> list[int]:
+        """The integers after a line's tag."""
+        try:
+            return [int(p) for p in parts[1:]]
+        except ValueError:
+            raise MalformedTrace(f"non-integer field in trace line {' '.join(parts)!r}") from None
+
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.split() for ln in fh if ln.strip()]
     if not lines or lines[0][0] != "N" or len(lines[0]) != 3:
         raise MalformedTrace("trace file must start with an 'N <nx> <ny>' header")
-    nx, ny = box_cells = (int(lines[0][1]), int(lines[0][2]))
+    nx, ny = box_cells = tuple(fields(lines[0]))
     if min(box_cells) < 1:
         raise MalformedTrace(f"box {nx} x {ny} has no cells")
     initial: list[tuple[int, RankRect]] = []
@@ -295,10 +302,11 @@ def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
         tag, line = parts[0], " ".join(parts)
         if _TRACE_FIELDS.get(tag) != len(parts):
             raise MalformedTrace(f"bad trace line {line!r}")
+        nums = fields(parts)
         if tag == "Q":
-            query_pos.append(int(parts[1]))
+            query_pos.append(nums[0])
             continue
-        uid = int(parts[1])
+        uid = nums[0]
         if tag == "D":
             if uid not in current:
                 raise MalformedTrace(f"delete of dead id {uid!r}")
@@ -308,7 +316,7 @@ def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
             raise MalformedTrace(f"preloaded rectangle {line!r} after the first event")
         if uid in current:
             raise MalformedTrace(f"duplicate id {uid!r}")
-        r = current[uid] = RankRect(*map(int, parts[2:]))
+        r = current[uid] = RankRect(*nums[1:])
         if not (1 <= r.x_lo <= r.x_hi <= nx and 1 <= r.y_lo <= r.y_hi <= ny):
             raise MalformedTrace(f"rectangle {line!r} outside box {nx} x {ny}")
         if tag == "I":

@@ -26,12 +26,13 @@ that meet and the caller's own events at each. Both sweeps consume it: the
 2-D plan (:func:`build_sweep`) emits the trace of the closed rank
 rectangles, touching only the rectangles whose defining forms participate
 in a tie at each critical, and the x-only solver counts its active pairs
-over the x cells. The plan is lazy: it walks one critical further each time
-the dynamic cover engine asks, so a solve that ends at an early critical
-never builds the rest. Rectangles are keyed 0..n-1, then n..n+3 for the
-bands L, R, B, T around B(scale); an update is a move (key, old, new) of a
-key whose rectangle changed, None standing for no rectangle. The trace's
-execution and its file format belong to :mod:`polyplace.dyncover`.
+and the bands L and R over the x cells. The plan is lazy: it walks one
+critical further each time the dynamic cover engine asks, so a solve that
+ends at an early critical never builds the rest. Rectangles are keyed
+0..n-1, then n..n+3 for the bands L, R, B, T around B(scale); an update is
+a move (key, old, new) of a key whose rectangle changed, None standing for
+no rectangle. The trace's execution and its file format belong to
+:mod:`polyplace.dyncover`.
 """
 
 from __future__ import annotations

@@ -46,7 +46,8 @@ def rat(value) -> Fraction:
     """Coerce an int, Fraction, or ``"num/den"`` string to an exact rational.
 
     Floats are rejected on purpose: they would smuggle rounding into an
-    otherwise exact pipeline.
+    otherwise exact pipeline. A malformed string, a zero denominator
+    included, raises a ``ValueError`` that names it.
     """
     if isinstance(value, Fraction):
         return value
@@ -55,7 +56,10 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"expected int, Fraction or 'num/den' string, got {type(value).__name__}")
 
 

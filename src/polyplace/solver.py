@@ -14,8 +14,9 @@ Five user-facing entry points:
   at its four corners) at every critical scale.
 * :func:`max_scale_x`: translation restricted to the x axis with the
   bounding-box bottoms kept aligned, by a 1-D descending sweep that moves
-  the active pairs' intervals over a plain cell count and keeps the zero
-  cells of the translation box's x range as a live count.
+  the active pairs' intervals and the bands L and R outside the
+  translation box over one cell count whose zeros are counted live; the
+  first zero cell gives the witness.
 
 All solvers center both polygons on their bounding-box centers first, so
 translations are expressed between the centered frames and results are
@@ -25,7 +26,7 @@ invariant under translating either input.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -322,27 +323,26 @@ def _x_events(cs: CoordSets, acts: list[tuple[int, int, int, int]]) -> list[tupl
 
 
 class _ZeroCount:
-    """A plain count over the cells 1..size, with its zeros in one range.
+    """A plain count over the cells 1..size, with its zero cells counted live.
 
-    ``zeros`` is the number of cells in ``cnt[b0..b1]`` that hold 0 (none
-    when b0 > b1), kept live. Intervals of cells move by the cells between
-    their old and new ends, and the range by the cells that enter or leave
-    it, so a step costs only the cells that changed.
+    ``zeros`` is the number of cells 1..size that hold 0. Intervals of cells
+    move by the cells between their old and new ends, so a step costs only
+    the cells that changed.
     """
 
-    __slots__ = ("cnt", "b0", "b1", "zeros")
+    __slots__ = ("cnt", "zeros")
 
     def __init__(self, size: int):
         self.cnt = [0] * (size + 1)
-        self.b0, self.b1, self.zeros = 1, 0, 0
+        self.zeros = size
 
     def _add(self, a: int, b: int, d: int) -> None:
         """Add d (1 or -1) to the cells a..b."""
-        cnt, b0, b1 = self.cnt, self.b0, self.b1
-        crossed = 1 if d > 0 else 0  # a cell of the range leaves 0 at 1, or reaches 0
+        cnt = self.cnt
+        crossed = 1 if d > 0 else 0  # a cell leaves 0 at 1, or reaches 0
         for c in range(a, b + 1):
             v = cnt[c] = cnt[c] + d
-            if v == crossed and b0 <= c <= b1:
+            if v == crossed:
                 self.zeros -= d
 
     def move(self, old: tuple[int, int] | None, new: tuple[int, int] | None) -> None:
@@ -363,16 +363,6 @@ class _ZeroCount:
         elif n1 < o1:
             self._add(n1 + 1, o1, -1)
 
-    def span(self, b0: int, b1: int) -> None:
-        """Make [b0, b1] the range whose zeros are counted."""
-        cnt, c0, c1 = self.cnt, self.b0, self.b1
-        if b0 > b1 or c0 > c1:  # an empty range: count afresh
-            self.zeros = cnt[b0:b1 + 1].count(0)
-        else:  # each end moves over a strip, entering cells counted in, leaving ones out
-            self.zeros += (cnt[b0:c0].count(0) - cnt[c0:b0].count(0)
-                           + cnt[c1 + 1:b1 + 1].count(0) - cnt[b1 + 1:c1 + 1].count(0))
-        self.b0, self.b1 = b0, b1
-
 
 def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
     """Largest scale with translation restricted to the x axis.
@@ -388,67 +378,70 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
     The candidates at most the bbox-fit cap are the criticals of the x
     axis's :class:`~polyplace.forbidden.Descent`, the other candidates its
     extra events. Over the walk's x order, a plain count (a list of ints,
-    :class:`_ZeroCount`) of the active pairs covers the x rank cells, each
-    open interval encoded as in the 2-D sweep, and keeps a live count of the
-    zero cells in B's x cell range. At each candidate the pairs whose
-    interval closes there are deactivated and re-put with the active pairs
-    of the tied x nodes (an inactive pair holds no cells), B's range is
-    moved to its current ends and the zero count read; then the ties are
-    resolved below it, the pairs whose interval opens there activated and
-    the tied pairs re-put again. A re-put moves the pair's cells from its
-    old interval to its new one, touching only the strips between their
-    ends (both whole intervals only when they do not overlap, as on an open
-    or a close), and B's range moves by the cells that enter or leave it.
-    So a candidate costs the cells that moved, not B's width.
-    At the first hole, the witness is the smallest point of B's x extent
-    that the open x intervals of the pairs active at lam* leave uncovered,
-    checked pairwise.
+    :class:`_ZeroCount`) covers the x rank cells with the active pairs'
+    open intervals and with the 2-D plan's bands L and R, each encoded as
+    in :func:`~polyplace.forbidden.build_sweep`; the bands hold the cells
+    outside B's x range, so the count's zero cells are the free cells of
+    B. At each candidate the pairs whose interval closes there are
+    deactivated and re-put with the keys of the tied x nodes, bands
+    included (an inactive pair holds no cells), and the zero count read;
+    then the ties are resolved below it, the pairs whose interval opens
+    there activated and the tied keys re-put again. A re-put moves the
+    key's cells from its old interval to its new one, touching only the
+    strips between their ends (both whole intervals only when they do not
+    overlap, as on an open or a close), so a candidate costs the cells that
+    moved, not B's width.
+    At the first candidate with a zero cell, the witness is read off the
+    count: the first zero cell lies in the rank group of the least point
+    of B's x extent that no active pair covers, and the witness is that
+    group's value, checked pairwise.
     """
     prob = _Problem(pattern, target)
     cs = prob.cs
     xaxis = cs.xaxis
-    (xa0, xb0), (xa1, xb1), (ya0, yb0), _ = cs.box_sides
+    n = cs.n_rects
+    ya0, yb0 = cs.box_sides[2]
     acts = [(ya0 - Ya, Yb - yb0, ya0 - ya, yb - yb0)
             for (_, _, _, _, ya, yb, Ya, Yb) in cs.sides]
-
-    def active_at(num: int, den: int) -> list[bool]:
-        return [a1 * num < c1 * den and a2 * num > c2 * den for a1, c1, a2, c2 in acts]
-
     walk = Descent(cs, (xaxis,), prob.bbox_cap, _x_events(cs, acts))
     stats = SolveStats(criticals=walk.total, skipped=walk.skipped)
-    lo, hi = walk.states[0].lo, walk.states[0].hi
+    num, den = walk.start
+    active = [a1 * num < c1 * den and a2 * num > c2 * den for a1, c1, a2, c2 in acts]
+    active += (True, True)  # the bands L and R, keys n and n + 1
+    order, lo, hi = walk.states[0].order, walk.states[0].lo, walk.states[0].hi
     bx0, bx1 = xaxis.node_of["box", 0], xaxis.node_of["box", 1]
-    n = cs.n_rects
-    pairs_of = [[k for k in keys if k < n] for keys in xaxis.keys]
     rect_nodes = cs.rect_nodes
-    active = active_at(*walk.start)
-    count = _ZeroCount(cs.rank_box[0])  # cells 1..wx2
-    cells: list[tuple[int, int] | None] = [None] * n  # what each pair adds to the count
+    wx2 = cs.rank_box[0]
+    count = _ZeroCount(wx2)
+    cells: list[tuple[int, int] | None] = [None] * (n + 2)  # what each key adds to the count
 
-    def reput(i: int) -> None:
+    def reput(key: int) -> None:
         new = None
-        if active[i]:
-            x_lo, x_hi = 2 * hi[rect_nodes[i][0]], 2 * lo[rect_nodes[i][1]] - 1
+        if key == n:
+            new = (1, 2 * lo[bx0] - 1)
+        elif key > n:
+            new = (2 * hi[bx1], wx2)
+        elif active[key]:
+            x_lo, x_hi = 2 * hi[rect_nodes[key][0]], 2 * lo[rect_nodes[key][1]] - 1
             if x_lo <= x_hi:
                 new = (x_lo, x_hi)
-        old = cells[i]
+        old = cells[key]
         if new != old:
             count.move(old, new)
-            cells[i] = new
+            cells[key] = new
 
-    for i in range(n):
-        reput(i)
+    for key in range(n + 2):
+        reput(key)
 
     for db, da, (met,), extras in walk:
-        tied = {p for node in met for p in pairs_of[node] if active[p]}
+        tied = {k for node in met for k in xaxis.keys[node] if active[k]}
         for _, _, tag, j in extras:
             if tag == _CLOSE:
                 active[j] = False
                 tied.add(j)
-        for p in tied:
-            reput(p)
+        for k in tied:
+            reput(k)
         stats.queries += 1
-        count.span(2 * lo[bx0], 2 * hi[bx1] - 1)
         if count.zeros:
             break
         walk.below()
@@ -456,44 +449,21 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
             if tag == _OPEN:
                 active[j] = True
                 tied.add(j)
-        for p in tied:
-            reput(p)
+        for k in tied:
+            reput(k)
     else:
         # the walk is never empty: B's sides meet at the cap, on x or at h_Q / h_P
         if not stats.queries:
             raise RuntimeError("internal inconsistency: the x-only walk has no candidate")
         return PlacementResult("infeasible", stats=stats, lambda_sup=Fraction(db, da))
 
-    spans = ((xa * db + xb * da, Xa * db + Xb * da)
-             for (xa, xb, Xa, Xb, *_), on in zip(cs.sides, active_at(db, da)) if on)
-    hole = _open_cover_hole([sp for sp in spans if sp[0] < sp[1]],
-                            xa0 * db + xb0 * da, xa1 * db + xb1 * da)
-    if hole is None:
-        raise RuntimeError("internal inconsistency: the sweep reported a hole "
-                           "the 1D test cannot find")
+    # rank r holds the cells 2r - 1 and 2r; the node of the first zero's rank
+    r = (count.cnt.index(0, 1) + 1) // 2
+    node = order[bisect_right(order, r, key=lo.__getitem__) - 1]
     lam = Fraction(db, da)
     box = prob.fit_box(lam)
-    tau = Point(Fraction(hole, da * cs.scale), box.y0)
+    x = xaxis.alphas[node] * db + xaxis.betas[node] * da
+    tau = Point(Fraction(x, da * cs.scale), box.y0)
     if not _fits(prob.pcov.rects, prob.qcov.rects, box, lam, tau):
         raise RuntimeError("internal inconsistency: 1D witness fails verification")
     return PlacementResult("feasible", lam, tau, stats)
-
-
-def _open_cover_hole(intervals: list[tuple[int, int]], lo: int, hi: int):
-    """Smallest point of [lo, hi] missed by a union of open intervals."""
-    intervals.sort()
-    cur = lo
-    best = None
-    ptr = 0
-    n = len(intervals)
-    while True:
-        while ptr < n and intervals[ptr][0] < cur:
-            b = intervals[ptr][1]
-            if best is None or b > best:
-                best = b
-            ptr += 1
-        if best is None or best <= cur:
-            return cur
-        cur = best
-        if cur > hi:
-            return None

@@ -52,7 +52,8 @@ def test_validate_bad_polygon(tmp_path, capsys):
     # the bad edges name their points as (x, y), not by their reprs
     assert "diagonal edge (2, 1) -> (1/2, 2)" in errs[0]
     assert "repeated vertex (0, 0)" in errs[1]
-    assert not any("Point(" in err or "Fraction(" in err for err in errs[:2]), errs
+    assert "zero denominator in '1/0'" in errs[2]
+    assert not any("Point(" in err or "Fraction(" in err for err in errs[:3]), errs
 
 
 def test_validate_large_comb(tmp_path, capsys):
@@ -204,6 +205,10 @@ def test_dyncover_malformed_trace(tmp_path, capsys):
         ("N 3 0\n", "no cells"),
         # a preloaded rectangle listed after an event would be preloaded ahead of it
         ("N 2 2\nA 0 1 2 1 2\nI 1 1 2 1 2\nD 0\nQ 1\n", "after the first event"),
+        # fields that are not integers, named by their line
+        ("N 3 3\nA 0 1 x 1 3\n", "non-integer field in trace line 'A 0 1 x 1 3'"),
+        ("N 4 y\n", "non-integer field in trace line 'N 4 y'"),
+        ("N 3 3\nQ z\n", "non-integer field in trace line 'Q z'"),
     ]
     for text, message in cases:
         trace.write_text(text)
@@ -211,6 +216,7 @@ def test_dyncover_malformed_trace(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: bad trace file") and message in err, (text, err)
         assert len(err.strip().splitlines()) == 1
+        assert "invalid literal" not in err, (text, err)
 
 
 R = RankRect
@@ -276,6 +282,10 @@ def test_gen_and_plot_bad_input(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}"), (argv, err)
         assert len(err.strip().splitlines()) == 1
+    # a zero denominator is named by its input, not by Fraction's repr
+    assert run(["plot", "--p", p, "--q", q, "--placement", "1", "1/0", "0",
+                "--svg", str(tmp_path / "a.svg")]) == 1
+    assert capsys.readouterr().err == "error: bad placement 1 1/0 0: zero denominator in '1/0'\n"
     assert not (tmp_path / "out").exists() and not (tmp_path / "a.svg").exists()
 
 

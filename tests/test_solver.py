@@ -35,6 +35,15 @@ WIDE = validate_polygon([(0, 0), (3, 0), (3, 2), (0, 2)])
 ARM = validate_polygon([(0, 0), (3, 0), (3, 1), (1, 1), (1, 3), (0, 3)])
 
 
+def _comb(q):
+    return comb_polygon(q, random.Random(q))
+
+
+def _transposed_comb(q):
+    """The comb with x and y swapped."""
+    return validate_polygon([(v.y, v.x) for v in _comb(q).vertices])
+
+
 def test_verify_examples():
     assert verify_containment(SQ, SQ, F(1), P(0, 0))
     assert not verify_containment(SQ, SQ, F(1), P("1/2", 0))
@@ -102,9 +111,12 @@ def test_max_scale_impls_agree(rng):
 
 def test_deep_2d_sweeps_agree_across_engines_and_the_baseline():
     # p' >= 4 and at least 50 queries, found by a seeded search
-    for s in (6, 9, 16, 91, 93, 112, 228, 250):
-        pat, tgt = random_instance_pair(random.Random(s), 24, 60, 80)
-        assert len(_Problem(pat, tgt).pcov.rects) >= 4
+    pairs = [random_instance_pair(random.Random(s), 24, 60, 80)
+             for s in (6, 9, 16, 91, 93, 112, 228, 250)]
+    assert all(len(_Problem(pat, tgt).pcov.rects) >= 4 for pat, tgt in pairs)
+    # and the transposed combs, which sweep nearly all their criticals
+    pairs += [(SQ, _transposed_comb(q)) for q in (50, 100)]
+    for pat, tgt in pairs:
         base = max_scale_baseline(pat, tgt)
         assert base.stats.queries >= 50
         for impl in ("naive", "oy"):
@@ -431,7 +443,7 @@ def test_max_scale_x_matches_reference():
         n = rng.randint(3, 5)
         inst = gen_average(rng.sample(range(-n ** 3, n ** 3 + 1), n))
         pairs.append((inst.pattern, inst.target))
-    pairs += [(SQ, comb_polygon(q, random.Random(q))) for q in (50, 100)]
+    pairs += [(SQ, comb(q)) for comb in (_comb, _transposed_comb) for q in (50, 100)]
     for k in range(10):
         inst = _average_gadget(rng, k)
         pairs.append((inst.pattern, inst.target))
@@ -457,8 +469,9 @@ def test_max_scale_x_raises_on_an_empty_walk(monkeypatch):
         max_scale_x(SQ, WIDE)
 
 
-def test_zero_count_follows_moves_and_its_range():
-    # seeded random moves and ranges, each step checked against a recount
+def test_zero_count_follows_moves_and_bands():
+    # seeded random moves of pair intervals and of the bands L = [1, a] and
+    # R = [b, size], each step checked against a recount
     rng, size, seen = random.Random(2026), 30, set()
 
     def interval(lo, hi):
@@ -466,32 +479,19 @@ def test_zero_count_follows_moves_and_its_range():
         return max(a, 1), min(b, size)
 
     for _ in range(30):
-        count, spans = _ZeroCount(size), [None] * 4
+        count, spans = _ZeroCount(size), [None] * 4 + [(1, 1), (size, size)]
+        count.move(None, spans[4])
+        count.move(None, spans[5])
         for _ in range(150):
-            b0, b1 = count.b0, count.b1
             before = [sum(1 for sp in spans if sp and sp[0] <= c <= sp[1])
                       for c in range(size + 1)]
-            if rng.random() < 0.3:
-                kind = rng.randrange(3)
-                if kind == 0:
-                    n0, n1 = interval(1, size)
-                elif kind == 1:
-                    n0 = rng.randint(2, size + 1)
-                    n0, n1 = n0, n0 - 1
-                else:
-                    n0 = min(max(b0 + rng.randint(-3, 3), 1), size)
-                    n1 = min(max(b1 + rng.randint(-3, 3), 1), size)
-                if b0 <= b1:
-                    if n0 > n1:
-                        seen.add("range empties")
-                    elif n0 <= b0 and b1 <= n1 and (n0, n1) != (b0, b1):
-                        seen.add("range grows")
-                    elif b0 <= n0 and n1 <= b1 and (n0, n1) != (b0, b1):
-                        seen.add("range shrinks")
-                count.span(n0, n1)
+            i = rng.randrange(len(spans))
+            old, new = spans[i], None
+            if i == 4:
+                new = 1, rng.randint(1, size)
+            elif i == 5:
+                new = rng.randint(1, size), size
             else:
-                i = rng.randrange(len(spans))
-                old, new = spans[i], None
                 kind = rng.randrange(4)
                 if kind == 1:
                     new = interval(1, size)
@@ -499,22 +499,23 @@ def test_zero_count_follows_moves_and_its_range():
                     new = interval(old[0] - 3, old[0] + 3)[0], interval(old[1] - 3, old[1] + 3)[1]
                     if new[0] > new[1]:
                         new = None
+            if i < 4:
                 if old is not None and new is not None:
                     seen.add("overlap" if old[0] <= new[1] and new[0] <= old[1] else "disjoint")
-                if new is not None and b0 <= b1:
-                    if new[0] in (b0, b1) or new[1] in (b0, b1):
-                        seen.add("touches B's ends")
-                    if new[0] < b0 <= new[1] or new[0] <= b1 < new[1]:
-                        seen.add("straddles B's ends")
-                count.move(old, new)
-                spans[i] = new
+            elif new != old:
+                grows = new[0] <= old[0] and old[1] <= new[1]
+                seen.add("band grows" if grows else "band shrinks")
+            count.move(old, new)
+            spans[i] = new
+            if spans[5][0] <= spans[4][1]:
+                seen.add("bands overlap")
             want = [sum(1 for sp in spans if sp and sp[0] <= c <= sp[1]) for c in range(size + 1)]
             assert count.cnt == want
-            assert count.zeros == sum(1 for c in range(count.b0, count.b1 + 1) if want[c] == 0)
+            assert count.zeros == want[1:].count(0)
             if any(b and not w for b, w in zip(before, want)):
                 seen.add("back to 0")
-    assert seen == {"range empties", "range grows", "range shrinks", "overlap", "disjoint",
-                    "touches B's ends", "straddles B's ends", "back to 0"}
+    assert seen == {"band grows", "band shrinks", "bands overlap", "overlap", "disjoint",
+                    "back to 0"}
 
 
 def test_max_scale_x_at_a_mixed_critical():
