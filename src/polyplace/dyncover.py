@@ -15,7 +15,10 @@ once, by :func:`read_trace`. Two interchangeable engines, each changed by
   vectorized slice ``+=``/``-=``. A move whose rectangles overlap (a sweep
   key re-emitted at a critical) applies only their symmetric difference, at
   most four slices each way, so it touches the strips the rectangle lost
-  and gained; any other move is one slice each way.
+  and gained; any other move is one slice each way. The common re-emitted
+  key keeps one axis's span and overlaps on the other, so it only moves
+  that axis's ends: such a move lowers or raises one strip at each end,
+  read straight off the two rectangles.
   Holes are found on query: the first query checks the whole grid; after a
   query that found the box full, a cell can only have dropped to zero where
   its count fell since, so the next query checks just the slices that were
@@ -86,7 +89,9 @@ class _NaiveGrid:
     ``bound`` caps every cell count (the live-set bound), so it picks the
     count type. A move whose old and new rectangles overlap applies only
     their symmetric difference (the strips a re-emitted rectangle lost and
-    gained); any other move applies each of them whole. ``_removed`` lists
+    gained), directly when they share one axis's span and through
+    :func:`_minus` otherwise; any other move applies each of them whole.
+    ``_removed`` lists
     the slices whose counts fell since the last query that found the box
     full; it is None before the first query and after one that found a
     hole, when the next query checks the whole grid.
@@ -104,6 +109,38 @@ class _NaiveGrid:
             self._removed.append((x0, x1, y0, y1))
 
     def move(self, old: RankRect | None, new: RankRect | None) -> None:
+        if old is not None and new is not None:
+            ox0, ox1, oy0, oy1 = old
+            nx0, nx1, ny0, ny1 = new
+            grid = self.grid
+            if oy0 == ny0 and oy1 == ny1 and ox0 <= nx1 and nx0 <= ox1:
+                # one y span, overlapping in x: each x end lowers or raises a strip
+                y0 = oy0 - 1
+                if ox0 < nx0:
+                    self._lower(ox0 - 1, nx0 - 1, y0, oy1)
+                elif nx0 < ox0:
+                    cells = grid[nx0 - 1:ox0 - 1, y0:oy1]
+                    cells += 1
+                if nx1 < ox1:
+                    self._lower(nx1, ox1, y0, oy1)
+                elif ox1 < nx1:
+                    cells = grid[ox1:nx1, y0:oy1]
+                    cells += 1
+                return
+            if ox0 == nx0 and ox1 == nx1 and oy0 <= ny1 and ny0 <= oy1:
+                # one x span, overlapping in y: the same along y
+                x0 = ox0 - 1
+                if oy0 < ny0:
+                    self._lower(x0, ox1, oy0 - 1, ny0 - 1)
+                elif ny0 < oy0:
+                    cells = grid[x0:ox1, ny0 - 1:oy0 - 1]
+                    cells += 1
+                if ny1 < oy1:
+                    self._lower(x0, ox1, ny1, oy1)
+                elif oy1 < ny1:
+                    cells = grid[x0:ox1, oy1:ny1]
+                    cells += 1
+                return
         for piece in _minus(old, new):
             self._lower(*piece)
         for x0, x1, y0, y1 in _minus(new, old):

@@ -75,10 +75,13 @@ class _Axis:
     ``node_of`` maps every owner to its node. ``keys[node]`` lists the sweep
     keys of the forms merged into the node: the owning rect's index, or
     ``band + k`` for the box side ("box", k), where ``band`` is the key
-    of the axis's lower band (L on x, B on y).
+    of the axis's lower band (L on x, B on y). The first ``reads_hi[node]``
+    of them are those whose rank rectangle reads the node's max rank (a
+    rect's low side, the band R or T); the others read its min rank (a
+    rect's high side, the band L or B).
     """
 
-    __slots__ = ("alphas", "betas", "weights", "keys", "node_of")
+    __slots__ = ("alphas", "betas", "weights", "keys", "reads_hi", "node_of")
 
     def __init__(self, entries: Sequence[tuple[LinearForm, tuple]], scale: int,
                  band: int):
@@ -87,6 +90,7 @@ class _Axis:
         self.betas: list[int] = []
         self.weights: list[int] = []
         self.keys: list[list[int]] = []
+        self.reads_hi: list[int] = []
         self.node_of: dict[tuple, int] = {}
         for form, owner in entries:
             a, b = form.alpha, form.beta
@@ -100,8 +104,14 @@ class _Axis:
                 self.betas.append(key[1])
                 self.weights.append(0)
                 self.keys.append([])
+                self.reads_hi.append(0)
             self.weights[node] += 1
-            self.keys[node].append(band + owner[1] if owner[0] == "box" else owner[1])
+            sweep_key = band + owner[1] if owner[0] == "box" else owner[1]
+            if owner[0] == "lo" or owner == ("box", 1):
+                self.keys[node].insert(self.reads_hi[node], sweep_key)
+                self.reads_hi[node] += 1
+            else:
+                self.keys[node].append(sweep_key)
             self.node_of[owner] = node
 
 
@@ -279,6 +289,12 @@ class _AxisState:
 
     ``lo[node]`` / ``hi[node]`` are the node's min and max rank; while the
     snapshot at a critical is emitted, tied nodes hold their group's interval.
+    A tie of two nodes, the common critical, takes a direct path both ways:
+    :meth:`tie_pair` reads their two positions and checks adjacency and the
+    one equal value, and :meth:`reorder_below` puts them in order and splits
+    the shared interval without a sort or a rerank. :meth:`tie_groups` takes
+    it for two involved nodes, and :class:`Descent` for each of a critical's
+    meets on an axis when no two of them share a node.
     """
 
     __slots__ = ("axis", "order", "pos", "lo", "hi")
@@ -302,45 +318,77 @@ class _AxisState:
             taken += self.axis.weights[node]
             self.hi[node] = taken
 
-    def tie_groups(self, involved: set[int], num: int, den: int):
-        """Group the involved nodes by value at num/den; each shares its group's ranks."""
-        alphas, betas, pos, order = self.axis.alphas, self.axis.betas, self.pos, self.order
-        if len(involved) == 2:  # the common case, a single pair: no grouping needed
-            a, b = pair = list(involved)
-            if alphas[a] * num + betas[a] * den != alphas[b] * num + betas[b] * den:
-                raise RuntimeError("critical without a coinciding pair")
-            tied = [pair]
-        else:
-            byval: dict[int, list[int]] = {}
-            for node in involved:
-                byval.setdefault(alphas[node] * num + betas[node] * den, []).append(node)
-            tied = byval.values()
+    def tie_pair(self, a: int, b: int, num: int, den: int) -> tuple[int, tuple[int, int]]:
+        """The tie of two nodes at num/den, sharing its ranks, as the group (start, (a, b)).
+
+        The direct path of :meth:`tie_groups` for a pair: it reads the two
+        positions, checks their adjacency and the one equal value, and puts
+        the nodes in their order.
+        """
+        alphas, betas, pos = self.axis.alphas, self.axis.betas, self.pos
+        if alphas[a] * num + betas[a] * den != alphas[b] * num + betas[b] * den:
+            raise RuntimeError("critical without a coinciding pair")
+        start = pos[a]
+        if pos[b] < start:
+            a, b, start = b, a, pos[b]
+        if pos[b] != start + 1:
+            raise RuntimeError("tie group not contiguous")
+        self.lo[b], self.hi[a] = self.lo[a], self.hi[b]
+        return start, (a, b)
+
+    def tie_groups(self, involved, num: int, den: int):
+        """Group the involved nodes by value at num/den; each shares its group's ranks.
+
+        Returns the groups as (start, nodes), ``start`` the position of the
+        group's first node.
+        """
+        if len(involved) == 2:
+            return (self.tie_pair(*involved, num, den),)
+        alphas, betas, pos, lo, hi = self.axis.alphas, self.axis.betas, self.pos, self.lo, self.hi
+        byval: dict[int, list[int]] = {}
+        for node in involved:
+            byval.setdefault(alphas[node] * num + betas[node] * den, []).append(node)
         groups: list[tuple[int, list[int]]] = []
-        for nodes in tied:
+        for nodes in byval.values():
             if len(nodes) < 2:
                 raise RuntimeError("critical without a coinciding pair")
             ps = [pos[n] for n in nodes]
             start, last = min(ps), max(ps)
             if last - start != len(ps) - 1:
                 raise RuntimeError("tie group not contiguous")
-            lo, hi = self.lo[order[start]], self.hi[order[last]]
+            glo, ghi = lo[self.order[start]], hi[self.order[last]]
             for n in nodes:
-                self.lo[n], self.hi[n] = lo, hi
+                lo[n], hi[n] = glo, ghi
             groups.append((start, nodes))
         return groups
 
-    def reorder_below(self, groups) -> None:
-        """Resolve each tie for scales just below the critical value."""
-        alphas, order = self.axis.alphas, self.order
+    def reorder_below(self, groups, moved: set[int]) -> None:
+        """Resolve each tie for scales just below the critical value.
+
+        Adds to ``moved`` the sweep keys whose rank rectangle may change: in
+        each group, the new order changes the max rank of every node but the
+        last and the min rank of every node but the first.
+        """
+        axis, order, pos, lo, hi = self.axis, self.order, self.pos, self.lo, self.hi
+        alphas, keys, reads_hi = axis.alphas, axis.keys, axis.reads_hi
         for start, nodes in groups:
-            taken = self.lo[nodes[0]] - 1  # the group's shared interval starts here
             # value just below the critical is v - alpha*eps: descending alpha
             if len(nodes) == 2:
                 a, b = nodes
-                order[start], order[start + 1] = (a, b) if alphas[a] >= alphas[b] else (b, a)
+                if alphas[a] < alphas[b]:
+                    a, b = b, a
+                order[start], order[start + 1] = a, b
+                pos[a], pos[b] = start, start + 1
+                hi[a] = lo[a] + axis.weights[a] - 1  # lo[a]: the pair's shared start
+                lo[b] = hi[a] + 1
+                moved.update(keys[a][:reads_hi[a]], keys[b][reads_hi[b]:])
             else:
-                order[start:start + len(nodes)] = sorted(nodes, key=lambda n: -alphas[n])
-            self._rerank(start, start + len(nodes), taken)
+                stop = start + len(nodes)
+                taken = lo[nodes[0]] - 1  # the group's shared interval starts here
+                order[start:stop] = sorted(nodes, key=lambda n: -alphas[n])
+                self._rerank(start, stop, taken)
+                moved.update(*(keys[n][:reads_hi[n]] for n in order[start:stop - 1]),
+                             *(keys[n][reads_hi[n]:] for n in order[start + 1:stop]))
 
 
 class Descent:
@@ -356,7 +404,10 @@ class Descent:
     extras): the scale of its first listed event (x meets first), each axis's
     set of nodes that meet there, and its extra events. Its tie groups are
     applied, tied nodes sharing their group's ranks; :meth:`below` resolves
-    them for the scales just below, as does resuming the walk.
+    them for the scales just below, as does resuming the walk, and returns
+    the sweep keys whose rank rectangle the resolution may change. The sets
+    are the caller's to read, not to change: where one event makes the critical, the
+    common case, the axes it does not touch share one empty frozenset.
     """
 
     def __init__(self, cs: CoordSets, axes: Sequence[_Axis],
@@ -397,31 +448,61 @@ class Descent:
         return (db, da) if da > 0 else (-db, -da)
 
     def __iter__(self):
-        states, scale, blank = self.states, self._scale, [()] * len(self.states)
-        for _, group in groupby(islice(self._events, self._first, None), itemgetter(0)):
-            met, extras = tuple(map(set, blank)), []
-            for ev in group:
+        states, scale, events = self.states, self._scale, self._events
+        unmet = (frozenset(),) * len(states)  # no node of any axis meets
+        k, end = self._first, len(events)
+        while k < end:
+            ev = events[k]
+            stop = k + 1
+            while stop < end and events[stop][0] == ev[0]:
+                stop += 1
+            if stop == k + 1:  # one event makes the critical: a pair meets, or an extra
+                db, da = scale(ev)
                 _, s, i, j = ev
                 if s < 0:
-                    extras.append(i)
+                    met, extras, ties = unmet, [i], ()
                 else:
-                    nodes = met[s]
-                    nodes.add(i)
-                    nodes.add(j)
-            db, da = scale(ev)  # the group's first listed event
-            self._ties = ties = []
-            for st, nodes in zip(states, met):
-                if nodes:
-                    ties.append((st, st.tie_groups(nodes, db, da)))
+                    pair = {i, j}
+                    met, extras = unmet[:s] + (pair,) + unmet[s + 1:], []
+                    ties = ((states[s], states[s].tie_groups(pair, db, da)),)
+            else:
+                met, extras = tuple(set() for _ in states), []
+                meets: tuple[list[tuple[int, int]], ...] = tuple([] for _ in states)
+                for ev in events[k:stop]:
+                    _, s, i, j = ev
+                    if s < 0:
+                        extras.append(i)
+                    else:
+                        met[s].update((i, j))
+                        meets[s].append((i, j))
+                db, da = scale(ev)  # the group's first listed event
+                ties = []
+                for st, nodes, pairs in zip(states, met, meets):
+                    # the nodes of a group of three or more meet pairwise, so
+                    # meets that share no node are each a group of their own
+                    if len(nodes) == 2 * len(pairs):
+                        groups = [st.tie_pair(i, j, db, da) for i, j in pairs]
+                    else:
+                        groups = st.tie_groups(nodes, db, da)
+                    if groups:
+                        ties.append((st, groups))
+            k = stop
+            self._ties = ties
             yield db, da, met, extras
             if self._ties:
                 self.below()
 
-    def below(self) -> None:
-        """Resolve the current critical's ties for the scales just below it."""
+    def below(self) -> set[int]:
+        """Resolve the current critical's ties for the scales just below it.
+
+        Returns the sweep keys whose rank rectangle may change with it (see
+        :meth:`_AxisState.reorder_below`).
+        """
+        moved: set[int] = set()
         for state, groups in self._ties:
-            state.reorder_below(groups)
+            state.reorder_below(groups, moved)
         self._ties = ()
+        return moved
 
 
 @dataclass
@@ -471,13 +552,17 @@ def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan
     Only the :class:`Descent` of both axes and the preloaded state are
     built here; each :meth:`SweepPlan.extend` takes the next critical of
     the walk, re-emits the rectangles of its tied nodes, records the query
-    position, resolves the ties and re-emits them again. With
+    position, resolves the ties and re-emits the rectangles that
+    :meth:`Descent.below` names, those whose side reads a rank the
+    resolution changed. Each re-emission computes a key's rectangle once
+    and records a move only if it changed, keys in ascending order. With
     ``start_below`` given, criticals above it are dropped and the sweep
     starts inside the region just above the first kept critical; the
     snapshot there is region-determined, so results at kept criticals are
     unchanged.
     """
     xaxis, yaxis = cs.xaxis, cs.yaxis
+    xkeys, ykeys = xaxis.keys, yaxis.keys
     walk = Descent(cs, (xaxis, yaxis), start_below)
     xstate, ystate = walk.states
     rect = _rank_rule(cs, (xstate.lo, xstate.hi), (ystate.lo, ystate.hi))
@@ -499,14 +584,16 @@ def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan
     def steps() -> Iterator[None]:  # holds the lists, not the plan: no cycle to outlive a solve
         for db, da, (ex, ey), _ in walk:
             criticals.append((db, da))
-            affected = {key for node in ex for key in xaxis.keys[node]}
-            affected.update(key for node in ey for key in yaxis.keys[node])
+            affected: set[int] = set()
+            for node in ex:
+                affected.update(xkeys[node])
+            for node in ey:
+                affected.update(ykeys[node])
             keys = sorted(affected)
 
             emit(keys)
             query_pos.append(len(updates))
-            walk.below()
-            emit(keys)
+            emit(sorted(walk.below()))
             below_pos.append(len(updates))
             yield
 

@@ -386,7 +386,8 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
     deactivated and re-put with the keys of the tied x nodes, bands
     included (an inactive pair holds no cells), and the zero count read;
     then the ties are resolved below it, the pairs whose interval opens
-    there activated and the tied keys re-put again. A re-put moves the
+    there activated and re-put, and so are the active keys whose side reads
+    a rank the resolution changed. A re-put moves the
     key's cells from its old interval to its new one, touching only the
     strips between their ends (both whole intervals only when they do not
     overlap, as on an open or a close), so a candidate costs the cells that
@@ -444,7 +445,7 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
         stats.queries += 1
         if count.zeros:
             break
-        walk.below()
+        tied = {k for k in walk.below() if active[k]}
         for _, _, tag, j in extras:
             if tag == _OPEN:
                 active[j] = True

@@ -12,6 +12,7 @@ from polyplace.cli import run
 from polyplace.dyncover import read_trace, write_trace
 from polyplace.forbidden import RankRect, build_sweep
 from polyplace.geometry import Point, load_polygon, save_polygon, validate_polygon
+from polyplace.hardness import gen_foursum
 from polyplace.instances import comb_polygon, random_instance_pair, unit_square
 from polyplace.solver import _Problem, verify_containment
 
@@ -157,11 +158,15 @@ def test_maxscale_trace_out_is_pinned(tmp_path):
     # The streamed prefix is pinned too: the plan is pulled a critical at a
     # time until it holds the next query position. Both engines pull it by
     # that one rule, so the random pair, answered early, dumps the same
-    # prefix under either engine.
+    # prefix under either engine. The foursum gadget pins a plan with
+    # multi-way ties, whose streamed prefix both engines dump alike too.
     rng = random.Random(987123)
     for _ in range(27):
         pair = random_instance_pair(rng, max_p=20, max_q=20, span=50)
     comb = (unit_square(), comb_polygon(50, random.Random(50)))
+    gadget = gen_foursum([0], [3], [1], [4])
+    foursum = (gadget.pattern, gadget.target)
+    foursum_digest = "708cd1c69d988b113a0982feb85374a02b16f13ecd2dda4f130a6e1fc9fe0e5c"
     pair_digest = "8d69e08b74ab0db5b7253932dcb34d02780e08af11e72f7e8447e239d9acb9e4"
     p, q, trace = tmp_path / "p.json", tmp_path / "q.json", tmp_path / "trace.txt"
     for (pattern, target), extra, digest in (
@@ -169,7 +174,9 @@ def test_maxscale_trace_out_is_pinned(tmp_path):
             (comb, ["--baseline"],
              "669dd9203f20a2824a3860f748847adf541c6cbcb2a61e1ad8982dcefb791de0"),
             (pair, ["--impl", "naive"], pair_digest),
-            (pair, ["--impl", "oy"], pair_digest)):
+            (pair, ["--impl", "oy"], pair_digest),
+            (foursum, ["--impl", "naive"], foursum_digest),
+            (foursum, ["--impl", "oy"], foursum_digest)):
         save_polygon(str(p), pattern)
         save_polygon(str(q), target)
         assert run(["maxscale", "--p", str(p), "--q", str(q),

@@ -1,13 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_trace, split_moves
 from oracles import (TraceProblem, area_after_each, covered_cells, first_uncover,
                      trace_problem)
 from polyplace.cli import run
-from polyplace.dyncover import (MalformedTrace, _execute, _SlabCover, read_trace, run_plan,
-                                write_trace)
+from polyplace.dyncover import (MalformedTrace, _execute, _minus, _NaiveGrid, _SlabCover,
+                                read_trace, run_plan, write_trace)
 from polyplace.forbidden import RankRect, build_sweep
 from polyplace.hardness import gen_foursum
 from polyplace.instances import comb_polygon, unit_square
@@ -388,6 +389,31 @@ def test_readd_pairs_differential(rng, shape, same_id):
                       if (expected[k - 1] if k else width * width) < width * width), None)
         for impl in ("naive", "oy"):
             assert run_plan(box, n, initial, updates, pos, impl)[0] == first
+
+
+def test_naive_move_every_shape():
+    # every ordered pair of rectangles in a 4 x 4 box, None included. The grid
+    # after a move is the one with the old rectangle subtracted whole and the
+    # new one added whole; the slices lowered are the old cells outside the new,
+    # cut as _minus cuts them; and a query after one that found the box full
+    # sees a hole exactly where a count fell to zero.
+    spans = [(lo, hi) for lo in range(1, 5) for hi in range(lo, 5)]
+    rects = [None] + [RankRect(*xs, *ys) for xs in spans for ys in spans]
+    cells = {}
+    for r in rects:
+        cells[r] = np.zeros((4, 4), dtype=np.int16)
+        if r is not None:
+            cells[r][r.x_lo - 1:r.x_hi, r.y_lo - 1:r.y_hi] = 1
+    for old in rects:
+        for new in rects:
+            grid = _NaiveGrid(4, 4, bound=2)
+            grid.grid[:] = 1  # each cell covered once: by old inside it, by another outside
+            assert not grid.has_hole()
+            grid.move(old, new)
+            want = 1 - cells[old] + cells[new]
+            assert np.array_equal(grid.grid, want), (old, new)
+            assert grid._removed == _minus(old, new), (old, new)
+            assert grid.has_hole() == (not want.all()), (old, new)
 
 
 @pytest.mark.parametrize("impl", ["naive", "oy"])

@@ -9,8 +9,8 @@ from oracles import covers_box, rank_snapshot
 from polyplace.decompose import RectCover, cover_complement, cover_interior
 from polyplace.dyncover import read_trace, write_trace
 from polyplace.forbidden import (CoordSets, Descent, LinearForm, _Axis, _AxisState,
-                                 _axis_events, build_sweep, coordinate_functions,
-                                 critical_values)
+                                 _axis_events, _rank_rule, build_sweep,
+                                 coordinate_functions, critical_values)
 from polyplace.geometry import AxisRect, normalize_center, validate_polygon
 from polyplace.hardness import gen_average, gen_foursum
 from polyplace.instances import comb_polygon, random_instance_pair, unit_square
@@ -229,6 +229,67 @@ def test_tie_group_without_a_pair_raises():
     state = _AxisState(axis, 1, 1)
     with pytest.raises(RuntimeError, match="coinciding pair"):
         state.tie_groups({0}, 1, 1)
+
+
+def _axis_state(forms, num, den):
+    """The axis of integer (alpha, beta) forms, ordered at the scale num / den."""
+    owners = [(side, i) for i in range(len(forms)) for side in ("lo", "hi")]
+    axis = _Axis([(LinearForm(F(a), F(b)), owner) for (a, b), owner in zip(forms, owners)],
+                 1, 0)
+    return _AxisState(axis, num, den)
+
+
+def test_tie_group_faults_raise():
+    # two nodes whose values differ at the critical
+    state = _axis_state([(0, 0), (1, 1)], 1, 1)
+    with pytest.raises(RuntimeError, match="coinciding pair"):
+        state.tie_groups({0, 1}, 1, 1)
+    # at scale 2 the order is d, b, c, a (values 4, 6, 7, 8); at scale 1, a, b
+    # and d all take the value 4 while c, between them, takes 7
+    a, b, c, d = range(4)
+    forms = [(4, 0), (2, 2), (0, 7), (0, 4)]
+    assert _axis_state(forms, 2, 1).order == [d, b, c, a]
+    for nodes in ({a, b}, {a, b, d}):
+        with pytest.raises(RuntimeError, match="tie group not contiguous"):
+            _axis_state(forms, 2, 1).tie_groups(nodes, 1, 1)
+
+
+def test_two_node_tie_shares_and_swaps():
+    # b and d meet at scale 1, adjacent in the order d, b, c, a of scale 2
+    a, b, c, d = range(4)
+    state = _axis_state([(4, 0), (2, 2), (0, 7), (0, 4)], 2, 1)
+    groups = state.tie_groups({b, d}, 1, 1)
+    assert [(start, sorted(nodes)) for start, nodes in groups] == [(0, [b, d])]
+    assert (state.lo[b], state.hi[b], state.lo[d], state.hi[d]) == (1, 2, 1, 2)
+    moved = set()
+    state.reorder_below(groups, moved)  # below the meet, descending alpha: b, then d
+    assert state.order == [b, d, c, a] and state.pos == [3, 0, 2, 1]
+    assert (state.lo, state.hi) == ([4, 1, 3, 2], [4, 1, 3, 2])
+    # b's max rank fell and d's min rank rose; b is the high side of key 0,
+    # which reads only b's min rank, so key 1 alone may move
+    assert (state.axis.keys, state.axis.reads_hi) == ([[0], [0], [1], [1]], [1, 0, 1, 0])
+    assert moved == {1}
+
+
+def test_reads_hi_splits_keys_as_the_rank_rule_reads_them(rng):
+    # each node's keys list first those whose rank rectangle moves with the
+    # node's max rank, then those that move with its min rank, the bands
+    # included: a tie's resolution re-emits keys by this split
+    def wide(axis):  # min ranks far above max ranks: no rectangle is empty
+        return [[100] * len(axis.alphas), [1] * len(axis.alphas)]
+
+    cs = _Problem(*random_instance_pair(rng, 12, 12, 20)).cs
+    base = _rank_rule(cs, wide(cs.xaxis), wide(cs.yaxis))
+    for slot, axis in enumerate((cs.xaxis, cs.yaxis)):
+        for node, keys in enumerate(axis.keys):
+            reads = []
+            for side, step in ((1, 1), (0, -1)):  # the max rank up, then the min rank down
+                ranks = [wide(cs.xaxis), wide(cs.yaxis)]
+                ranks[slot][side][node] += step
+                rule = _rank_rule(cs, *ranks)
+                reads.append(sorted(k for k in keys if rule(k) != base(k)))
+            split = axis.reads_hi[node]
+            assert reads == [sorted(keys[:split]), sorted(keys[split:])], (slot, node)
 
 
 def test_update_count_bound(rng):
