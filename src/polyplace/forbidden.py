@@ -22,7 +22,10 @@ integer key; it becomes a ``Fraction`` only where a solver returns it.
 
 One descending walk, :class:`Descent`, visits the criticals at most a cap,
 largest first, keeping each axis's sorted order and handing over the nodes
-that meet and the caller's own events at each. Both sweeps consume it: the
+that meet and the caller's own events at each. It holds every event as one
+int, the exact key shifted left past a code of the event's place in
+generation order, so a plain descending sort orders the keys and, within a
+key, puts the first generated event last. Both sweeps consume it: the
 2-D plan (:func:`build_sweep`) emits the trace of the closed rank
 rectangles, touching only the rectangles whose defining forms participate
 in a tie at each critical, and the x-only solver counts its active pairs
@@ -41,8 +44,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby, islice, product
-from operator import itemgetter
+from itertools import groupby, islice, product, repeat
+from operator import rshift
 from typing import Iterator, NamedTuple, Sequence
 
 from .decompose import RectCover
@@ -197,13 +200,18 @@ def coordinate_functions(pcov: RectCover, qcov: RectCover, box: AxisRect) -> Coo
 # critical scales
 # ---------------------------------------------------------------------------
 
-def _axis_events(axis: _Axis):
-    """Every pair of nodes that meet at a positive scale db / da, as (db, da, i, j)."""
+def _meets(axis: _Axis, m: int, shift: int, code: int, stride: int) -> Iterator[int]:
+    """Every pair of nodes i < j that meet at a positive scale db / da, packed.
+
+    A meet is the one int ``key << shift | code + i * stride + j``, with
+    ``key = db * m // da`` its exact key (see :func:`_key_scale`), da > 0.
+    """
     alphas, betas = axis.alphas, axis.betas
     n = len(alphas)
     for i in range(n):
         ai = alphas[i]
         bi = betas[i]
+        row = code + i * stride
         for j in range(i + 1, n):
             da = ai - alphas[j]
             if da == 0:
@@ -212,7 +220,7 @@ def _axis_events(axis: _Axis):
             if da < 0:
                 da, db = -da, -db
             if db > 0:  # otherwise they meet at a scale <= 0
-                yield db, da, i, j
+                yield (db * m // da) << shift | row + j
 
 
 def _key_scale(xaxis: _Axis, yaxis: _Axis) -> int:
@@ -229,9 +237,17 @@ def _key_scale(xaxis: _Axis, yaxis: _Axis) -> int:
 def critical_values(cs: CoordSets) -> list[Rational]:
     """All positive scales where two same-axis forms meet, strictly descending."""
     m = _key_scale(cs.xaxis, cs.yaxis)
-    scales = {db * m // da: (db, da) for axis in (cs.xaxis, cs.yaxis)
-              for db, da, _, _ in _axis_events(axis)}
-    return [Fraction(*scales[key]) for key in sorted(scales, reverse=True)]
+    scales: dict[int, Fraction] = {}
+    for axis in (cs.xaxis, cs.yaxis):
+        alphas, betas = axis.alphas, axis.betas
+        n = len(alphas)
+        shift = (n * n).bit_length()
+        for ev in _meets(axis, m, shift, 0, n):
+            key = ev >> shift
+            if key not in scales:
+                i, j = divmod(ev - (key << shift), n)
+                scales[key] = Fraction(betas[j] - betas[i], alphas[i] - alphas[j])
+    return [scales[key] for key in sorted(scales, reverse=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -396,40 +412,53 @@ class Descent:
 
     The meets of ``axes`` and the caller's events (db, da, ...) of ``extra``
     are keyed as in :func:`_key_scale` (each da an alpha difference of
-    ``cs``) and sorted once, as one list. ``total`` counts their scales and
-    ``skipped`` those above the cap. ``states`` hold each axis's order from
-    ``start``, a scale (num, den) just above the first kept critical.
+    ``cs``) and sorted once, as one list of ints, one per event: the key
+    shifted left past a code of the event's place in generation order. With
+    n the most nodes on an axis, the meet of nodes i < j on axis s has the
+    code (s * n + i) * n + j, and the k-th extra event len(axes) * n * n + k.
+    A descending sort with no key function thus orders the keys and, within
+    a key, lists the events last generated first, so a critical's first
+    generated event (x meets first, in (i, j) order) ends its group. An
+    event holds one int and its list slot: about 42 bytes on the combs and
+    49 on the average gadgets, whose keys are longer. ``total`` counts the
+    scales and ``skipped`` those above the cap. ``states`` hold each axis's
+    order from ``start``, a scale (num, den) just above the first kept
+    critical.
 
     Iterating yields each kept critical, largest first, as (db, da, met,
-    extras): the scale of its first listed event (x meets first), each axis's
-    set of nodes that meet there, and its extra events. Its tie groups are
-    applied, tied nodes sharing their group's ranks; :meth:`below` resolves
-    them for the scales just below, as does resuming the walk, and returns
-    the sweep keys whose rank rectangle the resolution may change. The sets
-    are the caller's to read, not to change: where one event makes the critical, the
-    common case, the axes it does not touch share one empty frozenset.
+    extras): the scale of its first generated event, each axis's set of
+    nodes that meet there, and its extra events, last generated first. Its
+    tie groups are applied, tied nodes sharing their group's ranks;
+    :meth:`below` resolves them for the scales just below, as does resuming
+    the walk, and returns the sweep keys whose rank rectangle the resolution
+    may change. The sets are the caller's to read, not to change: where one
+    event makes the critical, the common case, the axes it does not touch
+    share one empty frozenset.
     """
 
     def __init__(self, cs: CoordSets, axes: Sequence[_Axis],
                  cap: Rational | None, extra: Sequence[tuple] = ()):
         m = _key_scale(cs.xaxis, cs.yaxis)
-        events = [(db * m // da, s, i, j)
-                  for s, axis in enumerate(axes) for db, da, i, j in _axis_events(axis)]
-        events += [(ev[0] * m // ev[1], -1, ev, None) for ev in extra]
-        # reversed first, the stable sort lists each key's first event last
-        events.reverse()
-        events.sort(key=itemgetter(0), reverse=True)
-        self.axes = axes
+        n = max(len(axis.alphas) for axis in axes)
+        xtra = len(axes) * n * n  # the code of the first extra event
+        shift = (xtra + len(extra)).bit_length()
+        events: list[int] = []
+        for s, axis in enumerate(axes):
+            events += _meets(axis, m, shift, s * n * n, n)
+        events += [(ev[0] * m // ev[1]) << shift | xtra + k for k, ev in enumerate(extra)]
+        events.sort(reverse=True)
+        self.axes, self._extra = axes, extra
+        self._stride, self._xtra, self._shift = n, xtra, shift
         first = 0
         if cap is not None:  # past the keys above the cap's; on the cap's own key, exactly
             ckey = cap.numerator * m // cap.denominator
-            first = bisect_left(events, -ckey, key=lambda ev: -ev[0])
-            if first < len(events) and events[first][0] == ckey:
+            first = bisect_left(events, -ckey, key=lambda ev: -(ev >> shift))
+            if first < len(events) and events[first] >> shift == ckey:
                 db, da = self._scale(events[first])
                 if db * cap.denominator > cap.numerator * da:
-                    first = bisect_left(events, 1 - ckey, key=lambda ev: -ev[0])
-        self.total = sum(1 for _ in groupby(events, itemgetter(0)))
-        self.skipped = sum(1 for _ in groupby(islice(events, first), itemgetter(0)))
+                    first = bisect_left(events, 1 - ckey, key=lambda ev: -(ev >> shift))
+        self.total = sum(1 for _ in groupby(map(rshift, events, repeat(shift))))
+        self.skipped = sum(1 for _ in groupby(map(rshift, islice(events, first), repeat(shift))))
         num, den = 1, 1
         if events:  # midway between the last skipped and first kept; with one, a/b and a/b + 2
             a, b = self._scale(events[max(first - 1, 0)])
@@ -439,43 +468,61 @@ class Descent:
         self.states = [_AxisState(axis, num, den) for axis in axes]
         self._events, self._first, self._ties = events, first, ()
 
-    def _scale(self, ev: tuple) -> tuple[int, int]:
-        _, s, i, j = ev
-        if s < 0:
-            return i[0], i[1]
-        axis = self.axes[s]
-        da, db = axis.alphas[i] - axis.alphas[j], axis.betas[j] - axis.betas[i]
+    def _scale(self, ev: int) -> tuple[int, int]:
+        """The scale (db, da), da > 0, of the event ``ev``."""
+        code, n = ev & ((1 << self._shift) - 1), self._stride
+        if code >= self._xtra:
+            extra = self._extra[code - self._xtra]
+            return extra[0], extra[1]
+        s, ij = divmod(code, n * n)
+        i, j = divmod(ij, n)
+        alphas, betas = self.axes[s].alphas, self.axes[s].betas
+        da, db = alphas[i] - alphas[j], betas[j] - betas[i]
         return (db, da) if da > 0 else (-db, -da)
 
     def __iter__(self):
-        states, scale, events = self.states, self._scale, self._events
+        states, extra = self.states, self._extra
+        events, shift, n, xtra = self._events, self._shift, self._stride, self._xtra
+        nn = n * n
+        forms = [(axis.alphas, axis.betas) for axis in self.axes]
         unmet = (frozenset(),) * len(states)  # no node of any axis meets
         k, end = self._first, len(events)
         while k < end:
             ev = events[k]
+            low = ev >> shift << shift  # the least int with ev's key
             stop = k + 1
-            while stop < end and events[stop][0] == ev[0]:
+            while stop < end and events[stop] >= low:
                 stop += 1
+            code = events[stop - 1] - low  # the group's first generated event gives the scale
+            if code >= xtra:
+                first = extra[code - xtra]
+                db, da = first[0], first[1]
+            else:
+                s, ij = divmod(code, nn)
+                i, j = divmod(ij, n)
+                alphas, betas = forms[s]
+                da, db = alphas[i] - alphas[j], betas[j] - betas[i]
+                if da < 0:
+                    da, db = -da, -db
             if stop == k + 1:  # one event makes the critical: a pair meets, or an extra
-                db, da = scale(ev)
-                _, s, i, j = ev
-                if s < 0:
-                    met, extras, ties = unmet, [i], ()
+                if code >= xtra:
+                    met, extras, ties = unmet, [first], ()
                 else:
-                    pair = {i, j}
-                    met, extras = unmet[:s] + (pair,) + unmet[s + 1:], []
-                    ties = ((states[s], states[s].tie_groups(pair, db, da)),)
+                    st = states[s]
+                    met, extras = unmet[:s] + ({i, j},) + unmet[s + 1:], []
+                    ties = ((st, (st.tie_pair(i, j, db, da),)),)
             else:
                 met, extras = tuple(set() for _ in states), []
                 meets: tuple[list[tuple[int, int]], ...] = tuple([] for _ in states)
                 for ev in events[k:stop]:
-                    _, s, i, j = ev
-                    if s < 0:
-                        extras.append(i)
+                    code = ev - low
+                    if code >= xtra:
+                        extras.append(extra[code - xtra])
                     else:
-                        met[s].update((i, j))
-                        meets[s].append((i, j))
-                db, da = scale(ev)  # the group's first listed event
+                        s, ij = divmod(code, nn)
+                        pair = divmod(ij, n)
+                        met[s].update(pair)
+                        meets[s].append(pair)
                 ties = []
                 for st, nodes, pairs in zip(states, met, meets):
                     # the nodes of a group of three or more meet pairwise, so

@@ -8,6 +8,9 @@
   check the rank-space encoding and the solvers' static test.
 * Rank snapshots from a full sort at one scale, against which the sweep's
   incremental order is checked. They share only the rank rule with it.
+* The descending walk's criticals keyed by ``Fraction``, against which the
+  walk's integer keys, node sets and order of the caller's events are
+  checked.
 * Whole-trace replays of the dynamic cover engines: the first update that
   uncovers the box, and the covered cells after every update.
 * Per-move checks of an in-memory trace, which the engines do not make,
@@ -143,6 +146,43 @@ def rank_snapshot(cs: CoordSets, lam: Rational) -> dict[int, RankRect]:
         if r is not None:
             snap[key] = r
     return snap
+
+
+# ---------------------------------------------------------------------------
+# the descending walk
+# ---------------------------------------------------------------------------
+
+
+def walk_reference(axes: Sequence, extra: Sequence[tuple] = ()) -> list[tuple]:
+    """The criticals of a walk over ``axes`` and ``extra``, largest first, keyed by Fraction.
+
+    Nodes i < j of an axis meet at (b_j - b_i) / (a_i - a_j) when that is
+    positive, and an extra event (db, da, ...) sits at db / da. Events are
+    generated axis by axis, meets in (i, j) order, then the extras in order.
+    Each critical is (db, da, met, extras): the (db, da), da > 0, of its
+    first generated event, each axis's set of meeting nodes, and its extra
+    events, last generated first.
+    """
+    groups: dict[Fraction, list] = {}
+    for s, axis in enumerate(axes):
+        a, b = axis.alphas, axis.betas
+        for i in range(len(a)):
+            for j in range(i + 1, len(a)):
+                if a[i] != a[j] and Fraction(b[j] - b[i], a[i] - a[j]) > 0:
+                    sign = 1 if a[i] > a[j] else -1
+                    pair = (sign * (b[j] - b[i]), sign * (a[i] - a[j]))
+                    groups.setdefault(Fraction(*pair), []).append((pair, s, (i, j)))
+    for ev in extra:
+        groups.setdefault(Fraction(ev[0], ev[1]), []).append(((ev[0], ev[1]), None, ev))
+    out = []
+    for lam in sorted(groups, reverse=True):
+        met: tuple[set, ...] = tuple(set() for _ in axes)
+        for _, s, what in groups[lam]:
+            if s is not None:
+                met[s].update(what)
+        extras = [what for _, s, what in reversed(groups[lam]) if s is None]
+        out.append((*groups[lam][0][0], met, extras))
+    return out
 
 
 # ---------------------------------------------------------------------------

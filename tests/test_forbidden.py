@@ -1,16 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import polyplace.forbidden
 from conftest import split_moves
-from oracles import covers_box, rank_snapshot
+from oracles import covers_box, rank_snapshot, walk_reference
 from polyplace.decompose import RectCover, cover_complement, cover_interior
 from polyplace.dyncover import read_trace, write_trace
 from polyplace.forbidden import (CoordSets, Descent, LinearForm, _Axis, _AxisState,
-                                 _axis_events, _rank_rule, build_sweep,
-                                 coordinate_functions, critical_values)
+                                 _rank_rule, build_sweep, coordinate_functions,
+                                 critical_values)
 from polyplace.geometry import AxisRect, normalize_center, validate_polygon
 from polyplace.hardness import gen_average, gen_foursum
 from polyplace.instances import comb_polygon, random_instance_pair, unit_square
@@ -254,6 +258,49 @@ def test_tie_group_faults_raise():
             _axis_state(forms, 2, 1).tie_groups(nodes, 1, 1)
 
 
+_INVARIANTS = """
+import random
+import sys
+from fractions import Fraction
+from polyplace.forbidden import LinearForm, _Axis, _AxisState
+from polyplace.instances import comb_polygon, random_instance_pair, unit_square
+from polyplace.solver import max_scale, max_scale_x
+
+print("optimize", sys.flags.optimize)
+for forms, nodes in (([(0, 0), (1, 1)], {0, 1}),  # unequal values at scale 1
+                     ([(4, 0), (2, 2), (0, 7), (0, 4)], {0, 1})):  # a and b, not adjacent
+    owners = [(side, i) for i in range(len(forms)) for side in ("lo", "hi")]
+    axis = _Axis([(LinearForm(Fraction(a), Fraction(b)), owner)
+                  for (a, b), owner in zip(forms, owners)], 1, 0)
+    try:
+        _AxisState(axis, 2, 1).tie_groups(nodes, 1, 1)
+        print("no error")
+    except RuntimeError as exc:
+        print(exc)
+rng = random.Random(7)
+pairs = [random_instance_pair(rng, 12, 12, 20) for _ in range(4)]
+pairs.append((unit_square(), comb_polygon(30, random.Random(30))))
+for pat, tgt in pairs:
+    for solve in (max_scale, max_scale_x):
+        res = solve(pat, tgt)
+        print(res.status, res.lambda_star, res.witness, res.lambda_sup, res.stats)
+"""
+
+
+def test_runtime_invariants_hold_under_optimize():
+    # the invariants are raised, not asserted, so python -O keeps them and
+    # the solves' answers
+    src = str(Path(polyplace.forbidden.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    runs = [subprocess.run([sys.executable, *flag, "-c", _INVARIANTS], env=env, check=True,
+                           capture_output=True, text=True, timeout=120).stdout.splitlines()
+            for flag in (["-O"], [])]
+    optimized, plain = runs
+    assert (optimized[0], plain[0]) == ("optimize 1", "optimize 0")
+    assert optimized[1:3] == ["critical without a coinciding pair", "tie group not contiguous"]
+    assert optimized[1:] == plain[1:] and len(plain) == 13
+
+
 def test_two_node_tie_shares_and_swaps():
     # b and d meet at scale 1, adjacent in the order d, b, c, a of scale 2
     a, b, c, d = range(4)
@@ -317,15 +364,6 @@ def test_trace_file_round_trip(tmp_path, rng):
     assert first == f"N {plan.box_cells[0]} {plan.box_cells[1]}"
 
 
-def _fraction_events(xaxis, yaxis):
-    """Independent reference: every meeting pair keyed and sorted as a Fraction."""
-    events = {}
-    for slot, axis in enumerate((xaxis, yaxis)):
-        for db, da, i, j in _axis_events(axis):
-            events.setdefault(F(db, da), (set(), set()))[slot].update((i, j))
-    return [(lam, *events[lam]) for lam in sorted(events, reverse=True)]
-
-
 def _walked(cs, cap=None, resolve=True):
     """(db, da, x nodes, y nodes) of each critical of the walk over both axes."""
     walk = Descent(cs, (cs.xaxis, cs.yaxis), cap)
@@ -354,17 +392,13 @@ def test_critical_keys_are_exact():
         inst = gen_average(values)
         problems.append(_Problem(inst.pattern, inst.target))
     for prob in problems:
-        want = _fraction_events(prob.cs.xaxis, prob.cs.yaxis)
-        walk, got = _walked(prob.cs)
-        assert [(F(db, da), xs, ys) for db, da, xs, ys in got] == want
-        assert (walk.total, walk.skipped) == (len(want), 0)
-        assert critical_values(prob.cs) == [lam for lam, _, _ in want]
         # a critical's pair is that of its first meet, x before y, in (i, j) order
-        first = {}
-        for axis in (prob.cs.xaxis, prob.cs.yaxis):
-            for db, da, _, _ in _axis_events(axis):
-                first.setdefault(F(db, da), (db, da))
-        assert [(db, da) for db, da, _, _ in got] == [first[lam] for lam, _, _ in want]
+        want = [(db, da, *met) for db, da, met, _ in
+                walk_reference((prob.cs.xaxis, prob.cs.yaxis))]
+        walk, got = _walked(prob.cs)
+        assert got == want
+        assert (walk.total, walk.skipped) == (len(want), 0)
+        assert critical_values(prob.cs) == [F(db, da) for db, da, _, _ in want]
         # a walk that never calls below() resolves each tie on resuming
         assert _walked(prob.cs, resolve=False)[1] == got
         # from the bbox-fit cap, only the criticals above it are skipped
@@ -372,7 +406,7 @@ def test_critical_keys_are_exact():
         walk, kept = _walked(prob.cs, cap)
         assert walk.skipped + len(kept) == walk.total == len(want)
         assert kept == got[walk.skipped:] and F(*kept[0][:2]) <= cap
-        assert all(lam > cap for lam, _, _ in want[:walk.skipped])
+        assert all(F(db, da) > cap for db, da, _, _ in want[:walk.skipped])
 
     # neighbouring Farey fractions 1/(D-1) > 1/D with D the whole alpha span,
     # so they differ by exactly 1/(D(D-1)): they must stay two criticals

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 from itertools import combinations
@@ -10,16 +11,15 @@ from hypothesis import strategies as st
 
 import polyplace.solver
 from conftest import split_moves
-from oracles import check_moves
+from oracles import check_moves, walk_reference
 from polyplace import dyncover
-from polyplace.forbidden import _axis_events, build_sweep, critical_values
+from polyplace.forbidden import Descent, build_sweep, critical_values
 from polyplace.geometry import (Placement, Point, transform, validate_polygon)
 from polyplace.hardness import gen_average, gen_foursum
 from polyplace.instances import comb_polygon, random_instance_pair, unit_square
 from polyplace.solver import (PlacementResult, SolveStats, _max_scale_and_plan, _Problem,
-                              _ZeroCount, contains_fixed, find_hole, max_scale,
-                              max_scale_baseline, max_scale_x,
-                              verify_containment)
+                              _x_events, _ZeroCount, contains_fixed, find_hole, max_scale,
+                              max_scale_baseline, max_scale_x, verify_containment)
 
 
 def F(n, d=1):
@@ -436,6 +436,54 @@ def test_max_scale_frees_its_plan_without_the_cycle_collector():
         gc.enable()
 
 
+def _x_walk_events(cs):
+    """max_scale_x's extra events: B's bottom and top meeting, and every pair's activity ends."""
+    ya0, yb0 = cs.box_sides[2]
+    acts = [(ya0 - Ya, Yb - yb0, ya0 - ya, yb - yb0)
+            for (_, _, _, _, ya, yb, Ya, Yb) in cs.sides]
+    return _x_events(cs, acts)
+
+
+def test_x_only_walk_matches_the_fraction_reference():
+    # max_scale_x reads the closes and opens of a critical from its extra
+    # events, so their order at each critical is checked along with the
+    # scale and the met nodes, with and without the bbox-fit cap
+    rng = random.Random(987123)
+    problems = [_Problem(*random_instance_pair(rng, max_p=20, max_q=20, span=50))
+                for _ in range(40)]
+    problems += [_Problem(inst.pattern, inst.target)
+                 for inst in (_average_gadget(rng, k) for k in range(6))]
+    problems += [_Problem(SQ, comb(50)) for comb in (_comb, _transposed_comb)]
+    shared = two_extras = 0
+    for prob in problems:
+        cs = prob.cs
+        extra = _x_walk_events(cs)
+        want = walk_reference((cs.xaxis,), extra)
+        shared += sum(1 for _, _, (met,), extras in want if met and extras)
+        two_extras += sum(1 for *_, extras in want if len(extras) > 1)
+        for cap in (None, prob.bbox_cap):
+            walk = Descent(cs, (cs.xaxis,), cap, extra)
+            kept = [c for c in want if cap is None or F(c[0], c[1]) <= cap]
+            assert list(walk) == kept
+            assert (walk.total, walk.skipped) == (len(want), len(want) - len(kept))
+    # an extra shares its key with a meet, and two extras share a key
+    assert shared and two_extras
+
+
+def test_x_only_walk_holds_one_int_per_event():
+    # the walk's events of the unit square in the q = 400 comb, about 20,000,
+    # packed one int each; as (key, axis, i, j) tuples they peaked at 2.8 MB
+    prob = _Problem(SQ, comb_polygon(400, random.Random(400)))
+    extra = _x_walk_events(prob.cs)
+    tracemalloc.start()
+    try:
+        Descent(prob.cs, (prob.cs.xaxis,), prob.bbox_cap, extra)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+
+
 def test_max_scale_x_matches_reference():
     rng = random.Random(4242)
     pairs = [random_instance_pair(rng, 12, 12, 20) for _ in range(60)]
@@ -533,7 +581,7 @@ def test_max_scale_x_at_a_mixed_critical():
     want = _max_scale_x_reference(pat, tgt)
     assert (want.lambda_star, want.witness, want.stats) == (res.lambda_star, res.witness, res.stats)
     cs = _Problem(pat, tgt).cs
-    meets = {F(db, da) for db, da, _, _ in _axis_events(cs.xaxis)}
+    meets = {F(db, da) for db, da, _, _ in walk_reference((cs.xaxis,))}
     ya0, yb0 = cs.box_sides[2]  # B's bottom
     closes = {F(yb - yb0, ya0 - ya) for (_, _, _, _, ya, yb, _, _) in cs.sides if ya0 != ya}
     assert F(4) in meets and F(4) in closes
