@@ -10,7 +10,8 @@ many critical values; between criticals the combinatorial picture is frozen.
 Encoding each coordinate by its rank, with every rank split into an ``end``
 (2r-1) and a ``start`` (2r) cell, turns the open rectangles into closed
 integer ones whose union covers the rank-space box exactly when the real
-rectangles cover B(scale).
+rectangles cover B(scale). A distinct side value takes one rank, or two
+where an interval ends and another starts at it (see :class:`CoordSets`).
 
 Every side is normalized once, when :func:`coordinate_functions` builds the
 :class:`CoordSets`: an integer form alpha * scale + beta over one common
@@ -81,7 +82,9 @@ class _Axis:
     of the axis's lower band (L on x, B on y). The first ``reads_hi[node]``
     of them are those whose rank rectangle reads the node's max rank (a
     rect's low side, the band R or T); the others read its min rank (a
-    rect's high side, the band L or B).
+    rect's high side, the band L or B). ``weights[node]`` is the node's
+    number of ranks: 2 when its keys hold both kinds, 1 otherwise (see
+    :class:`CoordSets`).
     """
 
     __slots__ = ("alphas", "betas", "weights", "keys", "reads_hi", "node_of")
@@ -91,7 +94,6 @@ class _Axis:
         index: dict[tuple[int, int], int] = {}
         self.alphas: list[int] = []
         self.betas: list[int] = []
-        self.weights: list[int] = []
         self.keys: list[list[int]] = []
         self.reads_hi: list[int] = []
         self.node_of: dict[tuple, int] = {}
@@ -105,10 +107,8 @@ class _Axis:
                 index[key] = node
                 self.alphas.append(key[0])
                 self.betas.append(key[1])
-                self.weights.append(0)
                 self.keys.append([])
                 self.reads_hi.append(0)
-            self.weights[node] += 1
             sweep_key = band + owner[1] if owner[0] == "box" else owner[1]
             if owner[0] == "lo" or owner == ("box", 1):
                 self.keys[node].insert(self.reads_hi[node], sweep_key)
@@ -116,6 +116,8 @@ class _Axis:
             else:
                 self.keys[node].append(sweep_key)
             self.node_of[owner] = node
+        self.weights: list[int] = [2 if 0 < r < len(k) else 1
+                                   for r, k in zip(self.reads_hi, self.keys)]
 
 
 @dataclass
@@ -134,12 +136,25 @@ class CoordSets:
     their integer (alpha, beta) pairs in that order, flattened, and
     ``box_sides`` the integer (alpha, beta) pairs of B's sides bx0, bx1, by0,
     by1.
+
+    ``rank_box`` is twice the summed node weights of each axis: a node of
+    weight w takes w ranks, so 2w cells. Its weight is 2 when an interval
+    starts at it (a pair's ``lo`` side, or B's high side, where band R or T
+    starts) and one ends at it (a pair's ``hi`` side, or B's low side), and
+    1 otherwise. That is sound: a value v needs a cell of its own only for
+    a contact hole at v, between an interval that ends at v and one that
+    starts there. Where none ends at v, every rectangle that covers the
+    points just left of v also covers v; where none starts there, the same
+    holds just right of v. So a free v has a free neighbouring cell. A tie
+    group at a critical shares its nodes' ranks, at least two. One rank for
+    every node is unsound: it misses the contact hole, as on one of the
+    random pairs of acceptance criterion 1.
     """
 
     n_rects: int
     x_entries: list[tuple[LinearForm, tuple]]
     y_entries: list[tuple[LinearForm, tuple]]
-    rank_box: tuple[int, int] = field(init=False)  # cells: twice the entry counts
+    rank_box: tuple[int, int] = field(init=False)  # cells: twice the summed weights
     scale: int = field(init=False)
     xaxis: _Axis = field(init=False, repr=False)
     yaxis: _Axis = field(init=False, repr=False)
@@ -148,7 +163,6 @@ class CoordSets:
     box_sides: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.rank_box = 2 * len(self.x_entries), 2 * len(self.y_entries)
         denoms = [1]
         for entries in (self.x_entries, self.y_entries):
             for form, _ in entries:
@@ -157,6 +171,7 @@ class CoordSets:
         n = self.n_rects
         self.xaxis = _Axis(self.x_entries, self.scale, n)
         self.yaxis = _Axis(self.y_entries, self.scale, n + 2)
+        self.rank_box = 2 * sum(self.xaxis.weights), 2 * sum(self.yaxis.weights)
         xn, yn = self.xaxis.node_of, self.yaxis.node_of
         self.rect_nodes = [(xn["lo", i], xn["hi", i], yn["lo", i], yn["hi", i])
                            for i in range(n)]

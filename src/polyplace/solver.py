@@ -297,16 +297,19 @@ def max_scale_baseline(pattern: OrthoPolygon, target: OrthoPolygon) -> Placement
 _OPEN, _CLOSE, _MARK = -1, -2, -3  # tags of the x-only events other than meets
 
 
-def _x_events(cs: CoordSets, acts: list[tuple[int, int, int, int]]) -> list[tuple]:
-    """The x-only candidates other than the x meets, as (db, da, tag, j).
+def _x_events(cs: CoordSets) -> tuple[list[tuple[int, int, int, int]], list[tuple]]:
+    """Each pair's activity, and the x-only candidates other than the x meets.
 
-    At the scale db / da, pair j's activity interval opens (``_OPEN``) or
-    closes (``_CLOSE``), or the scale is a candidate that changes nothing
-    (``_MARK``). ``acts[j]`` is pair j's activity (a1, c1, a2, c2): it is
-    active iff a1*lam < c1 and a2*lam > c2.
+    Pair j's activity ``acts[j]`` is (a1, c1, a2, c2): it is active iff
+    a1*lam < c1 and a2*lam > c2, that is while B's bottom lies inside its
+    open y interval. The events are (db, da, tag, j): at the scale db / da,
+    pair j's activity interval opens (``_OPEN``) or closes (``_CLOSE``), or
+    the scale is a candidate that changes nothing (``_MARK``).
     """
-    # B's bottom and top meet at h_Q / h_P, where ya0 - ya1 is a y alpha difference
     (ya0, yb0), (ya1, yb1) = cs.box_sides[2:]
+    acts = [(ya0 - Ya, Yb - yb0, ya0 - ya, yb - yb0)
+            for (_, _, _, _, ya, yb, Ya, Yb) in cs.sides]
+    # B's bottom and top meet at h_Q / h_P, where ya0 - ya1 is a y alpha difference
     events = [(yb1 - yb0, ya0 - ya1, _MARK, 0)]
     for j, (a1, c1, a2, c2) in enumerate(acts):
         # ya0 is the largest y alpha, so the slopes are alpha differences >= 0
@@ -319,7 +322,7 @@ def _x_events(cs: CoordSets, acts: list[tuple[int, int, int, int]]) -> list[tupl
             events.append((c1, a1, _OPEN if live else _MARK, j))
         if a2 and c2 > 0:
             events.append((c2, a2, _CLOSE if live else _MARK, j))
-    return events
+    return acts, events
 
 
 class _ZeroCount:
@@ -401,10 +404,8 @@ def max_scale_x(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:
     cs = prob.cs
     xaxis = cs.xaxis
     n = cs.n_rects
-    ya0, yb0 = cs.box_sides[2]
-    acts = [(ya0 - Ya, Yb - yb0, ya0 - ya, yb - yb0)
-            for (_, _, _, _, ya, yb, Ya, Yb) in cs.sides]
-    walk = Descent(cs, (xaxis,), prob.bbox_cap, _x_events(cs, acts))
+    acts, extra = _x_events(cs)
+    walk = Descent(cs, (xaxis,), prob.bbox_cap, extra)
     stats = SolveStats(criticals=walk.total, skipped=walk.skipped)
     num, den = walk.start
     active = [a1 * num < c1 * den and a2 * num > c2 * den for a1, c1, a2, c2 in acts]

@@ -166,13 +166,13 @@ def test_maxscale_trace_out_is_pinned(tmp_path):
     comb = (unit_square(), comb_polygon(50, random.Random(50)))
     gadget = gen_foursum([0], [3], [1], [4])
     foursum = (gadget.pattern, gadget.target)
-    foursum_digest = "708cd1c69d988b113a0982feb85374a02b16f13ecd2dda4f130a6e1fc9fe0e5c"
-    pair_digest = "8d69e08b74ab0db5b7253932dcb34d02780e08af11e72f7e8447e239d9acb9e4"
+    foursum_digest = "a6c9a6ce1d5dc1f44f54e9a3cfa95d7ed5f3865c6602ad8419c8fd933126d0a8"
+    pair_digest = "42c2b8a1c5a01ec5078e223c1cadb84e46d31a64e49821201a76e069f8150ecb"
     p, q, trace = tmp_path / "p.json", tmp_path / "q.json", tmp_path / "trace.txt"
     for (pattern, target), extra, digest in (
-            (comb, [], "5fc23125b6290f224a77c27f7c691fef62bda5fc4ca39b70cb2857490d27f8a4"),
+            (comb, [], "bcc62717c04eb5b0f2a937f222649602d1ab143d407f7d5a77dcda0d5a02d1bf"),
             (comb, ["--baseline"],
-             "669dd9203f20a2824a3860f748847adf541c6cbcb2a61e1ad8982dcefb791de0"),
+             "838e7080d7ef7da12e015d89ed897ae3347f6cd80bdde4c45553a037c9781684"),
             (pair, ["--impl", "naive"], pair_digest),
             (pair, ["--impl", "oy"], pair_digest),
             (foursum, ["--impl", "naive"], foursum_digest),

@@ -227,6 +227,37 @@ def test_open_closed_equivalence(rng):
             assert closed == open_cover
 
 
+def test_weight_two_only_where_an_interval_starts_and_ends(rng):
+    # an interval starts at a pair's low side and at B's high side (band R
+    # or T) and ends at a pair's high side and at B's low side (band L or B)
+    problems = [_Problem(*random_instance_pair(rng, 12, 12, 20)) for _ in range(4)]
+    for inst in (gen_foursum([0, 2], [3, -1], [1], [4, 2]), gen_average([-7, 1, 4, 9])):
+        problems.append(_Problem(inst.pattern, inst.target))
+    seen = set()
+    for prob in problems:
+        cs = prob.cs
+        for axis, entries in ((cs.xaxis, cs.x_entries), (cs.yaxis, cs.y_entries)):
+            starts, ends = set(), set()
+            for _, owner in entries:
+                starting = owner[0] == "lo" or owner == ("box", 1)
+                (starts if starting else ends).add(axis.node_of[owner])
+            assert axis.weights == [2 if node in starts and node in ends else 1
+                                    for node in range(len(axis.weights))]
+            seen.update(axis.weights)
+        assert cs.rank_box == (2 * sum(cs.xaxis.weights), 2 * sum(cs.yaxis.weights))
+    assert seen == {1, 2}
+
+
+def test_rank_boxes_of_the_seed_0_workloads_are_pinned():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import comb_deep, gadget_ties
+
+    boxes = {inst.label: _Problem(inst.pattern, inst.target).cs.rank_box
+             for inst in comb_deep(0) + gadget_ties(0)}
+    assert [boxes[f"foursum{k}"] for k in range(4)] == [(312, 164)] * 4
+    assert boxes["comb200-square"] == (396, 104)
+
+
 def test_tie_group_without_a_pair_raises():
     axis = _Axis([(LinearForm(F(0), F(0)), ("box", 0)),
                   (LinearForm(F(1), F(1)), ("box", 1))], 1, 0)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import polyplace.solver
 from conftest import split_moves
-from oracles import check_moves, walk_reference
+from oracles import check_moves, covers_box, rank_snapshot, walk_reference
 from polyplace import dyncover
 from polyplace.forbidden import Descent, build_sweep, critical_values
 from polyplace.geometry import (Placement, Point, transform, validate_polygon)
@@ -347,6 +347,41 @@ def test_sweep_and_baseline_agree_on_foursum_gadgets():
         assert verify_containment(inst.pattern, inst.target, fast.lambda_star, fast.witness)
 
 
+def test_closed_snapshot_matches_find_hole_on_ties():
+    # criterion 3 on multi-way ties and weight-2 nodes: the closed rank
+    # snapshot covers the rank box exactly when B(lam) has no free point,
+    # at criticals (tied nodes sharing their group's ranks) and at region
+    # midpoints, around the answer and spread over the capped walk
+    rng = random.Random(24)
+    # criterion 1's 22nd pair: just below its answer 8/5, each free translation
+    # sits where a forbidden interval ends and another starts
+    contact = (validate_polygon([(0, -10), (7, -10), (7, -4), (10, -4), (10, -1), (2, -1),
+                                 (2, -4), (0, -4)]),
+               validate_polygon([(-38, -27), (-32, -27), (-32, -35), (-24, -35), (-24, -8),
+                                 (47, -8), (47, 2), (-32, 2), (-32, -8), (-38, -8)]))
+    problems = [_Problem(*contact), _Problem(SQ, _transposed_comb(50))]
+    for _ in range(4):
+        inst = gen_foursum(*(rng.sample(range(-5, 6), rng.randint(2, 4)) for _ in range(4)))
+        problems.append(_Problem(inst.pattern, inst.target))
+    outcomes, doubled = set(), 0
+    for prob in problems:
+        cs = prob.cs
+        doubled += (cs.xaxis.weights + cs.yaxis.weights).count(2)
+        crits = [c for c in critical_values(cs) if c <= prob.bbox_cap]
+        picks = set(range(0, len(crits), max(1, len(crits) // 12)))
+        for i, c in enumerate(crits):
+            if find_hole(prob, c) is not None:
+                picks.update(range(max(0, i - 3), min(len(crits), i + 4)))
+                break
+        for i in sorted(picks):
+            below = crits[i + 1] if i + 1 < len(crits) else crits[i] / 2
+            for lam in (crits[i], (crits[i] + below) / 2):
+                closed = covers_box(list(rank_snapshot(cs, lam).values()), cs.rank_box)
+                assert closed == (find_hole(prob, lam) is None), lam
+                outcomes.add(closed)
+    assert outcomes == {True, False} and doubled > 0
+
+
 def _foursum_gadgets(rng, count):
     """``count`` gadgets on four 4-element sets from [-6, 6], drawn like the
     benchmark's gadget-ties sets but with no planted solution."""
@@ -436,14 +471,6 @@ def test_max_scale_frees_its_plan_without_the_cycle_collector():
         gc.enable()
 
 
-def _x_walk_events(cs):
-    """max_scale_x's extra events: B's bottom and top meeting, and every pair's activity ends."""
-    ya0, yb0 = cs.box_sides[2]
-    acts = [(ya0 - Ya, Yb - yb0, ya0 - ya, yb - yb0)
-            for (_, _, _, _, ya, yb, Ya, Yb) in cs.sides]
-    return _x_events(cs, acts)
-
-
 def test_x_only_walk_matches_the_fraction_reference():
     # max_scale_x reads the closes and opens of a critical from its extra
     # events, so their order at each critical is checked along with the
@@ -457,7 +484,7 @@ def test_x_only_walk_matches_the_fraction_reference():
     shared = two_extras = 0
     for prob in problems:
         cs = prob.cs
-        extra = _x_walk_events(cs)
+        extra = _x_events(cs)[1]
         want = walk_reference((cs.xaxis,), extra)
         shared += sum(1 for _, _, (met,), extras in want if met and extras)
         two_extras += sum(1 for *_, extras in want if len(extras) > 1)
@@ -474,7 +501,7 @@ def test_x_only_walk_holds_one_int_per_event():
     # the walk's events of the unit square in the q = 400 comb, about 20,000,
     # packed one int each; as (key, axis, i, j) tuples they peaked at 2.8 MB
     prob = _Problem(SQ, comb_polygon(400, random.Random(400)))
-    extra = _x_walk_events(prob.cs)
+    extra = _x_events(prob.cs)[1]
     tracemalloc.start()
     try:
         Descent(prob.cs, (prob.cs.xaxis,), prob.bbox_cap, extra)
