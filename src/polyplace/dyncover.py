@@ -13,12 +13,12 @@ once, by :func:`read_trace`. Two interchangeable engines, each changed by
 * ``naive`` (the default of :func:`polyplace.solver.max_scale`): a counting
   grid in int16 when the live bound fits it and int32 otherwise, changed by
   vectorized slice ``+=``/``-=``. A move whose rectangles overlap (a sweep
-  key re-emitted at a critical) applies only their symmetric difference, at
-  most four slices each way, so it touches the strips the rectangle lost
-  and gained; any other move is one slice each way. The common re-emitted
-  key keeps one axis's span and overlaps on the other, so it only moves
-  that axis's ends: such a move lowers or raises one strip at each end,
-  read straight off the two rectangles.
+  key re-emitted at a critical) applies only their symmetric difference,
+  one strip at each end that moved: an x end lowers a strip over the old
+  rectangle's rows or raises one over the new one's, and a y end does the
+  same over the columns the two share. So the common re-emitted key, which
+  keeps one axis's span, touches only the other axis's ends. Any other
+  move is one slice each way.
   Holes are found on query: the first query checks the whole grid; after a
   query that found the box full, a cell can only have dropped to zero where
   its count fell since, so the next query checks just the slices that were
@@ -60,40 +60,17 @@ class MalformedTrace(ValueError):
     """A trace file that is not a valid trace, as :func:`read_trace` finds it."""
 
 
-def _minus(a: RankRect | None, b: RankRect | None) -> list[tuple[int, int, int, int]]:
-    """The cells of a outside b (all of a if b is None or disjoint from it), as
-    at most four disjoint grid slices (x0, x1, y0, y1), zero-based, half-open."""
-    if a is None:
-        return []
-    ax0, ax1, ay0, ay1 = a.x_lo - 1, a.x_hi, a.y_lo - 1, a.y_hi
-    if (b is None or a.x_hi < b.x_lo or b.x_hi < a.x_lo
-            or a.y_hi < b.y_lo or b.y_hi < a.y_lo):
-        return [(ax0, ax1, ay0, ay1)]
-    bx0, bx1, by0, by1 = b.x_lo - 1, b.x_hi, b.y_lo - 1, b.y_hi
-    pieces = []
-    if ax0 < bx0:
-        pieces.append((ax0, bx0, ay0, ay1))
-    if bx1 < ax1:
-        pieces.append((bx1, ax1, ay0, ay1))
-    mx0, mx1 = max(ax0, bx0), min(ax1, bx1)
-    if ay0 < by0:
-        pieces.append((mx0, mx1, ay0, by0))
-    if by1 < ay1:
-        pieces.append((mx0, mx1, by1, ay1))
-    return pieces
-
-
 class _NaiveGrid:
     """Counting-grid engine: per-cell cover counts, checked for holes on query.
 
     ``bound`` caps every cell count (the live-set bound), so it picks the
     count type. A move whose old and new rectangles overlap applies only
-    their symmetric difference (the strips a re-emitted rectangle lost and
-    gained), directly when they share one axis's span and through
-    :func:`_minus` otherwise; any other move applies each of them whole.
-    ``_removed`` lists
-    the slices whose counts fell since the last query that found the box
-    full; it is None before the first query and after one that found a
+    their symmetric difference, the strips a re-emitted rectangle lost and
+    gained: one strip at each end that moved, over its own rectangle's rows
+    for an x end and over the columns both share for a y end. Any other
+    move applies each rectangle whole. ``_removed`` lists the slices whose
+    counts fell since the last query that found the box full, in the order
+    they fell; it is None before the first query and after one that found a
     hole, when the next query checks the whole grid.
     """
 
@@ -109,42 +86,42 @@ class _NaiveGrid:
             self._removed.append((x0, x1, y0, y1))
 
     def move(self, old: RankRect | None, new: RankRect | None) -> None:
+        grid = self.grid
         if old is not None and new is not None:
             ox0, ox1, oy0, oy1 = old
             nx0, nx1, ny0, ny1 = new
-            grid = self.grid
-            if oy0 == ny0 and oy1 == ny1 and ox0 <= nx1 and nx0 <= ox1:
-                # one y span, overlapping in x: each x end lowers or raises a strip
-                y0 = oy0 - 1
-                if ox0 < nx0:
-                    self._lower(ox0 - 1, nx0 - 1, y0, oy1)
-                elif nx0 < ox0:
-                    cells = grid[nx0 - 1:ox0 - 1, y0:oy1]
-                    cells += 1
-                if nx1 < ox1:
-                    self._lower(nx1, ox1, y0, oy1)
-                elif ox1 < nx1:
-                    cells = grid[ox1:nx1, y0:oy1]
-                    cells += 1
+            if ox0 <= nx1 and nx0 <= ox1 and oy0 <= ny1 and ny0 <= oy1:
+                # overlapping: at each x end a strip over its rectangle's rows,
+                # then at each y end a strip over the columns both share
+                if ox0 != nx0 or ox1 != nx1:
+                    if ox0 < nx0:
+                        self._lower(ox0 - 1, nx0 - 1, oy0 - 1, oy1)
+                    elif nx0 < ox0:
+                        cells = grid[nx0 - 1:ox0 - 1, ny0 - 1:ny1]
+                        cells += 1
+                    if nx1 < ox1:
+                        self._lower(nx1, ox1, oy0 - 1, oy1)
+                    elif ox1 < nx1:
+                        cells = grid[ox1:nx1, ny0 - 1:ny1]
+                        cells += 1
+                if oy0 != ny0 or oy1 != ny1:
+                    # the shared columns, without a max/min call per move
+                    x0, x1 = (ox0 if nx0 < ox0 else nx0) - 1, ox1 if ox1 < nx1 else nx1
+                    if oy0 < ny0:
+                        self._lower(x0, x1, oy0 - 1, ny0 - 1)
+                    elif ny0 < oy0:
+                        cells = grid[x0:x1, ny0 - 1:oy0 - 1]
+                        cells += 1
+                    if ny1 < oy1:
+                        self._lower(x0, x1, ny1, oy1)
+                    elif oy1 < ny1:
+                        cells = grid[x0:x1, oy1:ny1]
+                        cells += 1
                 return
-            if ox0 == nx0 and ox1 == nx1 and oy0 <= ny1 and ny0 <= oy1:
-                # one x span, overlapping in y: the same along y
-                x0 = ox0 - 1
-                if oy0 < ny0:
-                    self._lower(x0, ox1, oy0 - 1, ny0 - 1)
-                elif ny0 < oy0:
-                    cells = grid[x0:ox1, ny0 - 1:oy0 - 1]
-                    cells += 1
-                if ny1 < oy1:
-                    self._lower(x0, ox1, ny1, oy1)
-                elif oy1 < ny1:
-                    cells = grid[x0:ox1, oy1:ny1]
-                    cells += 1
-                return
-        for piece in _minus(old, new):
-            self._lower(*piece)
-        for x0, x1, y0, y1 in _minus(new, old):
-            cells = self.grid[x0:x1, y0:y1]
+        if old is not None:
+            self._lower(old.x_lo - 1, old.x_hi, old.y_lo - 1, old.y_hi)
+        if new is not None:
+            cells = grid[new.x_lo - 1:new.x_hi, new.y_lo - 1:new.y_hi]
             cells += 1
 
     def has_hole(self) -> bool:
@@ -314,8 +291,8 @@ def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
     """Box, preloaded rectangles, moves and query positions of a trace file.
 
     The whole file is checked, so the engines can trust what it returns:
-    every rectangle lies in the box, an "I" or "A" names a dead id, and a
-    "D" a live one. The first fault raises :class:`MalformedTrace`.
+    every rectangle is non-empty and lies in the box, an "I" or "A" names a
+    dead id, and a "D" a live one. The first fault raises :class:`MalformedTrace`.
     """
     def fields(parts: list[str]) -> list[int]:
         """The integers after a line's tag."""
@@ -354,6 +331,8 @@ def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
         if uid in current:
             raise MalformedTrace(f"duplicate id {uid!r}")
         r = current[uid] = RankRect(*nums[1:])
+        if r.x_lo > r.x_hi or r.y_lo > r.y_hi:
+            raise MalformedTrace(f"empty rectangle {line!r}")
         if not (1 <= r.x_lo <= r.x_hi <= nx and 1 <= r.y_lo <= r.y_hi <= ny):
             raise MalformedTrace(f"rectangle {line!r} outside box {nx} x {ny}")
         if tag == "I":

@@ -131,10 +131,6 @@ class AxisRect:
     def center(self) -> Point:
         return Point((self.x0 + self.x1) / 2, (self.y0 + self.y1) / 2)
 
-    def translated(self, delta: Point) -> "AxisRect":
-        return AxisRect(self.x0 + delta.x, self.x1 + delta.x,
-                        self.y0 + delta.y, self.y1 + delta.y)
-
     def inflated(self, margin: Rational) -> "AxisRect":
         return AxisRect(self.x0 - margin, self.x1 + margin,
                         self.y0 - margin, self.y1 + margin)

@@ -9,7 +9,8 @@ import pytest
 
 from oracles import TraceProblem
 from polyplace.forbidden import RankRect
-from polyplace.geometry import AxisRect, OrthoPolygon, Point
+from polyplace.geometry import AxisRect, OrthoPolygon, Point, validate_polygon
+from polyplace.instances import comb_polygon
 
 
 def point_on_boundary(poly: OrthoPolygon, p: Point) -> bool:
@@ -102,6 +103,15 @@ def split_moves(updates, positions=()):
             events.append((key, None, new))
         at.append(len(events))
     return events, [at[p] for p in positions]
+
+
+def _comb(q):
+    return comb_polygon(q, random.Random(q))
+
+
+def _transposed_comb(q):
+    """The comb with x and y swapped."""
+    return validate_polygon([(v.y, v.x) for v in _comb(q).vertices])
 
 
 @pytest.fixture

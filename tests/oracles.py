@@ -12,7 +12,9 @@
   walk's integer keys, node sets and order of the caller's events are
   checked.
 * Whole-trace replays of the dynamic cover engines: the first update that
-  uncovers the box, and the covered cells after every update.
+  uncovers the box, and the covered cells after every update. The cells of
+  one rectangle outside another as grid slices, against which the naive
+  grid's overlapping move is checked.
 * Per-move checks of an in-memory trace, which the engines do not make,
   against which the solver's plans are checked: every move starts from its
   id's live rectangle, and the live set stays in the box and within twice
@@ -200,6 +202,29 @@ class TraceProblem:
 def trace_problem(box: tuple[int, int], updates: Sequence[Move]) -> TraceProblem:
     """Wrap raw updates, inferring the live bound from the trace itself."""
     return TraceProblem(n=live_bound([], updates), box=box, updates=list(updates))
+
+
+def _minus(a: RankRect | None, b: RankRect | None) -> list[tuple[int, int, int, int]]:
+    """The cells of a outside b (all of a if b is None or disjoint from it), as
+    at most four disjoint grid slices (x0, x1, y0, y1), zero-based, half-open."""
+    if a is None:
+        return []
+    ax0, ax1, ay0, ay1 = a.x_lo - 1, a.x_hi, a.y_lo - 1, a.y_hi
+    if (b is None or a.x_hi < b.x_lo or b.x_hi < a.x_lo
+            or a.y_hi < b.y_lo or b.y_hi < a.y_lo):
+        return [(ax0, ax1, ay0, ay1)]
+    bx0, bx1, by0, by1 = b.x_lo - 1, b.x_hi, b.y_lo - 1, b.y_hi
+    pieces = []
+    if ax0 < bx0:
+        pieces.append((ax0, bx0, ay0, ay1))
+    if bx1 < ax1:
+        pieces.append((bx1, ax1, ay0, ay1))
+    mx0, mx1 = max(ax0, bx0), min(ax1, bx1)
+    if ay0 < by0:
+        pieces.append((mx0, mx1, ay0, by0))
+    if by1 < ay1:
+        pieces.append((mx0, mx1, by1, ay1))
+    return pieces
 
 
 def first_uncover(tp: TraceProblem, impl: str = "naive") -> int | None:

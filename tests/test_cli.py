@@ -204,6 +204,8 @@ def test_dyncover_malformed_trace(tmp_path, capsys):
         # rectangles past the box, named by their file line
         ("N 3 3\nA 0 1 4 1 2\n", "rectangle 'A 0 1 4 1 2' outside box 3 x 3"),
         ("N 3 3\nI 0 0 3 1 3\nD 0\n", "rectangle 'I 0 0 3 1 3' outside box 3 x 3"),
+        # an inverted rectangle inside the box is named as empty
+        ("N 3 3\nA 0 2 1 1 1\n", "empty rectangle 'A 0 2 1 1 1'"),
         ("N 4\n", "header"),                       # missing box size
         ("N 3 3\nD\n", "bad trace line 'D'"),      # delete without an id
         ("N 3 3\nQ\n", "bad trace line 'Q'"),      # query without a position

@@ -1,17 +1,16 @@
-import random
 
 import numpy as np
 import pytest
 
-from conftest import random_trace, split_moves
-from oracles import (TraceProblem, area_after_each, covered_cells, first_uncover,
+from conftest import _comb, _transposed_comb, random_trace, split_moves
+from oracles import (TraceProblem, _minus, area_after_each, covered_cells, first_uncover,
                      trace_problem)
 from polyplace.cli import run
-from polyplace.dyncover import (MalformedTrace, _execute, _minus, _NaiveGrid, _SlabCover,
-                                read_trace, run_plan, write_trace)
+from polyplace.dyncover import (MalformedTrace, _execute, _NaiveGrid, _SlabCover, read_trace,
+                                run_plan, write_trace)
 from polyplace.forbidden import RankRect, build_sweep
 from polyplace.hardness import gen_foursum
-from polyplace.instances import comb_polygon, unit_square
+from polyplace.instances import unit_square
 from polyplace.solver import _Problem
 
 
@@ -431,7 +430,8 @@ def test_hole_only_in_a_shrink_strip(impl):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: (unit_square(), comb_polygon(50, random.Random(50))),
+    lambda: (unit_square(), _comb(50)),
+    lambda: (unit_square(), _transposed_comb(50)),
     lambda: (lambda g: (g.pattern, g.target))(gen_foursum([0], [3], [1], [4])),
 ])
 def test_seed_plans_agree_across_engines(make):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyplace.solver
-from conftest import split_moves
+from conftest import _comb, _transposed_comb, split_moves
 from oracles import check_moves, covers_box, rank_snapshot, walk_reference
 from polyplace import dyncover
 from polyplace.forbidden import Descent, build_sweep, critical_values
@@ -33,15 +33,6 @@ def P(x, y):
 SQ = unit_square()
 WIDE = validate_polygon([(0, 0), (3, 0), (3, 2), (0, 2)])
 ARM = validate_polygon([(0, 0), (3, 0), (3, 1), (1, 1), (1, 3), (0, 3)])
-
-
-def _comb(q):
-    return comb_polygon(q, random.Random(q))
-
-
-def _transposed_comb(q):
-    """The comb with x and y swapped."""
-    return validate_polygon([(v.y, v.x) for v in _comb(q).vertices])
 
 
 def test_verify_examples():
