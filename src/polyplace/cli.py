@@ -82,8 +82,8 @@ def _cmd_maxscale(args) -> int:
         if args.baseline:  # the baseline runs no sweep: dump max_scale's whole plan
             prob = _Problem(pattern, target)
             plan = build_sweep(prob.cs, start_below=prob.bbox_cap).drain()
-        dyncover.write_trace(args.trace_out, plan.box_cells, plan.updates,
-                             plan.initial, plan.query_pos)
+        dyncover.write_trace(args.trace_out, plan.box_cells, plan.initial,
+                             plan.updates, plan.query_pos)
     _emit_result(res, args.json, args.svg, pattern, target)
     return 0
 
@@ -227,7 +227,7 @@ def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
+    except (CliError, OSError) as exc:  # OSError: an output file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PolygonError as exc:

@@ -34,15 +34,14 @@ once, by :func:`read_trace`. Two interchangeable engines, each changed by
   naive grid does.
 
 A trace file holds the header "N <nx> <ny>", then preloaded rectangles
-"I <id> <x_lo> <x_hi> <y_lo> <y_hi>", then one event per line,
-"A <id> <x_lo> <x_hi> <y_lo> <y_hi>" or "D <id>", then "Q <pos>" lines, one
-per coverage query after the first <pos> events. A file without "Q" lines
-queries after every event. An id is a rectangle's key; it recurs when the
-rectangle is added again after its delete. A move with both rectangles is
-written as its delete and then its add. Reading pairs them back into one
-move, with the query positions counted in moves: a "D k" directly followed
-by an "A k", when no query falls between the two and the file has "Q"
-lines. Any other event is read as a move of its own.
+"I <id> <x_lo> <x_hi> <y_lo> <y_hi>", then one move per line: an add
+"A <id> <x_lo> <x_hi> <y_lo> <y_hi>" of a dead id, a delete "D <id>" of a
+live one, or a move "M <id> <x_lo> <x_hi> <y_lo> <y_hi>" of a live id to a
+new rectangle. Then come "Q <pos>" lines, one per coverage query after the
+first <pos> moves; a file without "Q" lines queries after every move. An
+id is a rectangle's key; it recurs when the rectangle is added again after
+its delete. Files that write a move as its "D" and then its "A" line still
+read, as the plain delete and add, with the queries counted in those lines.
 """
 
 from __future__ import annotations
@@ -265,34 +264,35 @@ def live_bound(initial: Sequence[tuple[object, RankRect]], updates: Sequence[Upd
 # trace files (the format is in the module docstring)
 # ---------------------------------------------------------------------------
 
-_TRACE_FIELDS = {"I": 6, "A": 6, "D": 2, "Q": 2}  # fields of each body line
+_TRACE_FIELDS = {"I": 6, "A": 6, "M": 6, "D": 2, "Q": 2}  # fields of each body line
 
 
 def write_trace(path: str, box_cells: tuple[int, int],
-                updates: Sequence[Update],
-                initial: Sequence[tuple[int, RankRect]], query_pos: Sequence[int]) -> None:
-    events = [0]  # event lines written before each move
+                initial: Sequence[tuple[int, RankRect]], updates: Sequence[Update],
+                query_pos: Sequence[int]) -> None:
+    """Write a trace file, one line per move, in the order :func:`read_trace` returns."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"N {box_cells[0]} {box_cells[1]}\n")
         for uid, r in initial:
             fh.write(f"I {uid} {r.x_lo} {r.x_hi} {r.y_lo} {r.y_hi}\n")
         for uid, old, r in updates:
-            if old is not None:
+            if r is None:
                 fh.write(f"D {uid}\n")
-            if r is not None:
-                fh.write(f"A {uid} {r.x_lo} {r.x_hi} {r.y_lo} {r.y_hi}\n")
-            events.append(events[-1] + (old is not None) + (r is not None))
+            else:
+                tag = "A" if old is None else "M"
+                fh.write(f"{tag} {uid} {r.x_lo} {r.x_hi} {r.y_lo} {r.y_hi}\n")
         for pos in query_pos:
-            fh.write(f"Q {events[pos]}\n")
+            fh.write(f"Q {pos}\n")
 
 
 def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
                                    list[Update], list[int]]:
     """Box, preloaded rectangles, moves and query positions of a trace file.
 
-    The whole file is checked, so the engines can trust what it returns:
-    every rectangle is non-empty and lies in the box, an "I" or "A" names a
-    dead id, and a "D" a live one. The first fault raises :class:`MalformedTrace`.
+    Each event line is one move. The whole file is checked, so the engines
+    can trust what it returns: every rectangle is non-empty and lies in the
+    box, an "I" or "A" names a dead id, and a "D" or "M" a live one. The
+    first fault raises :class:`MalformedTrace`.
     """
     def fields(parts: list[str]) -> list[int]:
         """The integers after a line's tag."""
@@ -309,7 +309,7 @@ def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
     if min(box_cells) < 1:
         raise MalformedTrace(f"box {nx} x {ny} has no cells")
     initial: list[tuple[int, RankRect]] = []
-    events: list[Update] = []  # one per event line
+    moves: list[Update] = []
     query_pos: list[int] = []
     current: dict[int, RankRect] = {}
     for parts in lines[1:]:
@@ -321,15 +321,15 @@ def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
             query_pos.append(nums[0])
             continue
         uid = nums[0]
-        if tag == "D":
-            if uid not in current:
-                raise MalformedTrace(f"delete of dead id {uid!r}")
-            events.append((uid, current.pop(uid), None))
-            continue
-        if tag == "I" and events:
+        if tag == "I" and moves:
             raise MalformedTrace(f"preloaded rectangle {line!r} after the first event")
-        if uid in current:
-            raise MalformedTrace(f"duplicate id {uid!r}")
+        if (uid in current) != (tag in ("D", "M")):
+            raise MalformedTrace(f"duplicate id {uid!r}" if uid in current else
+                                 f"{'delete' if tag == 'D' else 'move'} of dead id {uid!r}")
+        old = current.pop(uid, None)
+        if tag == "D":
+            moves.append((uid, old, None))
+            continue
         r = current[uid] = RankRect(*nums[1:])
         if r.x_lo > r.x_hi or r.y_lo > r.y_hi:
             raise MalformedTrace(f"empty rectangle {line!r}")
@@ -338,23 +338,7 @@ def read_trace(path: str) -> tuple[tuple[int, int], list[tuple[int, RankRect]],
         if tag == "I":
             initial.append((uid, r))
         else:
-            events.append((uid, None, r))
-    if query_pos != sorted(query_pos) or any(not 0 <= p <= len(events) for p in query_pos):
+            moves.append((uid, old, r))
+    if query_pos != sorted(query_pos) or any(not 0 <= p <= len(moves) for p in query_pos):
         raise MalformedTrace("query positions must be ascending and within the events")
-    if not query_pos:
-        return box_cells, initial, events, list(range(1, len(events) + 1))
-    queried = set(query_pos)
-    moves: list[Update] = []
-    at = [0]  # moves read before each event line
-    i = 0
-    while i < len(events):
-        uid, old, new = events[i]
-        if (old is not None and i + 1 < len(events) and i + 1 not in queried
-                and events[i + 1][0] == uid and events[i + 1][2] is not None):
-            new = events[i + 1][2]
-            i += 1
-            at.append(None)  # no query reads the state between the two lines
-        moves.append((uid, old, new))
-        at.append(len(moves))
-        i += 1
-    return box_cells, initial, moves, [at[p] for p in query_pos]
+    return box_cells, initial, moves, query_pos or list(range(1, len(moves) + 1))

@@ -93,8 +93,9 @@ def random_trace(rng: random.Random, n: int, length: int, width: int) -> TracePr
 
 
 def split_moves(updates, positions=()):
-    """Moves as the plain deletes and adds of a trace file, one per rectangle
-    change, and the positions counted in them."""
+    """Moves as plain deletes and adds, one per rectangle change, and the
+    positions counted in them: a move with both rectangles is its delete and
+    then its add."""
     events, at = [], [0]
     for key, old, new in updates:
         if old is not None:
@@ -103,6 +104,10 @@ def split_moves(updates, positions=()):
             events.append((key, None, new))
         at.append(len(events))
     return events, [at[p] for p in positions]
+
+
+# a U: a pattern that is not star-shaped, no point of it sees the whole of it
+U_SHAPE = validate_polygon([(0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)])
 
 
 def _comb(q):

@@ -148,13 +148,12 @@ def test_maxscale_trace_out_and_dyncover(tmp_path, capsys, monkeypatch):
     full = tmp_path / "full.txt"
     assert run(["maxscale", "--p", str(p), "--q", str(q), "--baseline",
                 "--trace-out", str(trace)]) == 0
-    write_trace(str(full), whole.box_cells, whole.updates, whole.initial, whole.query_pos)
+    write_trace(str(full), whole.box_cells, whole.initial, whole.updates, whole.query_pos)
     assert trace.read_text() == full.read_text()
 
 
 def test_maxscale_trace_out_is_pinned(tmp_path):
-    # trace files list every move as plain deletes and adds: a move with both
-    # rectangles is its delete and then its add, and queries count those lines.
+    # trace files hold one line per move, and queries count those lines.
     # The streamed prefix is pinned too: the plan is pulled a critical at a
     # time until it holds the next query position. Both engines pull it by
     # that one rule, so the random pair, answered early, dumps the same
@@ -166,13 +165,13 @@ def test_maxscale_trace_out_is_pinned(tmp_path):
     comb = (unit_square(), comb_polygon(50, random.Random(50)))
     gadget = gen_foursum([0], [3], [1], [4])
     foursum = (gadget.pattern, gadget.target)
-    foursum_digest = "a6c9a6ce1d5dc1f44f54e9a3cfa95d7ed5f3865c6602ad8419c8fd933126d0a8"
-    pair_digest = "42c2b8a1c5a01ec5078e223c1cadb84e46d31a64e49821201a76e069f8150ecb"
+    foursum_digest = "7b211da8dfbf3e8aa5b50a93eff54d54ca6a6385f3ce87e072ba61aac6683a09"
+    pair_digest = "2d2b879668e91104143090cc1a5c0db4fd862d59c5c942f34f581cab2dacef62"
     p, q, trace = tmp_path / "p.json", tmp_path / "q.json", tmp_path / "trace.txt"
     for (pattern, target), extra, digest in (
-            (comb, [], "bcc62717c04eb5b0f2a937f222649602d1ab143d407f7d5a77dcda0d5a02d1bf"),
+            (comb, [], "cd20b1931c46a0f627878ce0747072757f398abe5e4927778f6c030980e0358a"),
             (comb, ["--baseline"],
-             "838e7080d7ef7da12e015d89ed897ae3347f6cd80bdde4c45553a037c9781684"),
+             "0bcbcd1dd3691a0a9c0ea1a4c22ef8bbf87214ed4c7a55004661a38bd83d7b1f"),
             (pair, ["--impl", "naive"], pair_digest),
             (pair, ["--impl", "oy"], pair_digest),
             (foursum, ["--impl", "naive"], foursum_digest),
@@ -182,6 +181,22 @@ def test_maxscale_trace_out_is_pinned(tmp_path):
         assert run(["maxscale", "--p", str(p), "--q", str(q),
                     "--trace-out", str(trace)] + extra) == 0
         assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest, extra
+
+
+def test_maxscale_trace_out_writes_a_line_per_move(tmp_path):
+    # the dump holds one event line per move of the plan the solve ran, and
+    # its "Q" values are the plan's query positions as they are
+    gadget = gen_foursum([0], [3], [1], [4])
+    p, q, trace = tmp_path / "p.json", tmp_path / "q.json", tmp_path / "trace.txt"
+    for (pattern, target), moves in (((unit_square(), comb_polygon(50, random.Random(50))), 559),
+                                     ((gadget.pattern, gadget.target), 598)):
+        save_polygon(str(p), pattern)
+        save_polygon(str(q), target)
+        assert run(["maxscale", "--p", str(p), "--q", str(q), "--trace-out", str(trace)]) == 0
+        _, plan = polyplace.solver._max_scale_and_plan(pattern, target, "naive")
+        lines = [ln.split() for ln in trace.read_text().splitlines()]
+        assert sum(ln[0] in ("A", "D", "M") for ln in lines) == len(plan.updates) == moves
+        assert [int(ln[1]) for ln in lines if ln[0] == "Q"] == plan.query_pos
 
 
 def test_dyncover_example(tmp_path, capsys):
@@ -195,8 +210,15 @@ def test_dyncover_malformed_trace(tmp_path, capsys):
     trace = tmp_path / "t.txt"
     cases = [
         ("N 3 3\nD 5\n", "delete of dead id"),
-        # read as one move with the add after it, it would be a plain add
+        # the add after it does not make a delete of a dead id one move
         ("N 3 3\nI 0 1 3 1 3\nD 5\nA 5 1 3 1 3\nQ 2\n", "delete of dead id"),
+        # a move of a dead id, of one already deleted, with a missing side,
+        # past the box and inverted
+        ("N 3 3\nI 0 1 3 1 3\nM 5 1 3 1 3\n", "move of dead id 5"),
+        ("N 3 3\nI 0 1 3 1 3\nD 0\nM 0 1 3 1 3\nQ 2\n", "move of dead id 0"),
+        ("N 3 3\nI 0 1 3 1 3\nM 0 1 3 1\n", "bad trace line 'M 0 1 3 1'"),
+        ("N 3 3\nI 0 1 3 1 3\nM 0 1 4 1 3\n", "rectangle 'M 0 1 4 1 3' outside box 3 x 3"),
+        ("N 3 3\nI 0 1 3 1 3\nM 0 3 1 1 3\n", "empty rectangle 'M 0 3 1 1 3'"),
         ("N 3 3\nA 0 1 3 1 3\nA 0 1 3 1 3\n", "duplicate id"),  # an add of a live id
         ("N 3 3\nI 0 1 3 1 3\nI 0 1 3 1 3\n", "duplicate id"),  # a repeated preloaded id
         # a second delete of one id, after a first that leaves the box covered
@@ -229,33 +251,52 @@ def test_dyncover_malformed_trace(tmp_path, capsys):
 
 
 R = RankRect
-PAIRING = [
-    # each "D k" directly followed by "A k" is one move: queries count moves
-    ("N 2 1\nI 0 1 2 1 1\nA 1 2 2 1 1\nD 0\nA 0 1 1 1 1\nD 1\nA 1 1 1 1 1\n"
-     "Q 1\nQ 3\nQ 5\n",
-     [(1, None, R(2, 2, 1, 1)), (0, R(1, 2, 1, 1), R(1, 1, 1, 1)),
-      (1, R(2, 2, 1, 1), R(1, 1, 1, 1))], [1, 2, 3], "3"),
-    # a query between the two lines keeps them apart
-    ("N 2 1\nI 0 1 2 1 1\nD 0\nA 0 1 2 1 1\nQ 0\nQ 1\nQ 2\n",
-     [(0, R(1, 2, 1, 1), None), (0, None, R(1, 2, 1, 1))], [0, 1, 2], "2"),
-    # a delete and the add of another id
-    ("N 2 1\nI 0 1 2 1 1\nD 0\nA 1 1 2 1 1\nQ 2\n",
-     [(0, R(1, 2, 1, 1), None), (1, None, R(1, 2, 1, 1))], [2], "none"),
-    # without "Q" lines every event line is queried
-    ("N 2 1\nI 0 1 2 1 1\nD 0\nA 0 1 2 1 1\n",
-     [(0, R(1, 2, 1, 1), None), (0, None, R(1, 2, 1, 1))], [1, 2], "1"),
+MOVE_LINES = [
+    # files that write a move as its "D" and then its "A" line read as the
+    # plain deletes and adds, with the queries counted in those lines
+    pytest.param("N 2 1\nI 0 1 2 1 1\nA 1 2 2 1 1\nD 0\nA 0 1 1 1 1\nD 1\nA 1 1 1 1 1\n"
+                 "Q 1\nQ 3\nQ 5\n",
+                 [(1, None, R(2, 2, 1, 1)), (0, R(1, 2, 1, 1), None), (0, None, R(1, 1, 1, 1)),
+                  (1, R(2, 2, 1, 1), None), (1, None, R(1, 1, 1, 1))], [1, 3, 5], "3",
+                 id="delete-add-pairs"),
+    pytest.param("N 2 1\nI 0 1 2 1 1\nD 0\nA 0 1 2 1 1\nQ 0\nQ 1\nQ 2\n",
+                 [(0, R(1, 2, 1, 1), None), (0, None, R(1, 2, 1, 1))], [0, 1, 2], "2",
+                 id="query-between-delete-and-add"),
+    pytest.param("N 2 1\nI 0 1 2 1 1\nD 0\nA 1 1 2 1 1\nQ 2\n",
+                 [(0, R(1, 2, 1, 1), None), (1, None, R(1, 2, 1, 1))], [2], "none",
+                 id="delete-then-add-of-another-id"),
+    # without "Q" lines every move is queried
+    pytest.param("N 2 1\nI 0 1 2 1 1\nD 0\nA 0 1 2 1 1\n",
+                 [(0, R(1, 2, 1, 1), None), (0, None, R(1, 2, 1, 1))], [1, 2], "1",
+                 id="delete-add-without-queries"),
+    # an "M" line is one move of a live id
+    pytest.param("N 2 1\nI 0 1 2 1 1\nA 1 2 2 1 1\nM 0 1 1 1 1\nM 1 1 1 1 1\n"
+                 "Q 1\nQ 2\nQ 3\n",
+                 [(1, None, R(2, 2, 1, 1)), (0, R(1, 2, 1, 1), R(1, 1, 1, 1)),
+                  (1, R(2, 2, 1, 1), R(1, 1, 1, 1))], [1, 2, 3], "3", id="moves"),
+    pytest.param("N 2 1\nI 0 1 2 1 1\nM 0 1 1 1 1\nD 0\nA 0 1 2 1 1\nM 0 2 2 1 1\n"
+                 "Q 0\nQ 3\n",
+                 [(0, R(1, 2, 1, 1), R(1, 1, 1, 1)), (0, R(1, 1, 1, 1), None),
+                  (0, None, R(1, 2, 1, 1)), (0, R(1, 2, 1, 1), R(2, 2, 1, 1))], [0, 3], "none",
+                 id="move-delete-add-move"),
+    pytest.param("N 2 1\nI 0 1 2 1 1\nM 0 1 2 1 1\nM 0 2 2 1 1\n",
+                 [(0, R(1, 2, 1, 1), R(1, 2, 1, 1)), (0, R(1, 2, 1, 1), R(2, 2, 1, 1))],
+                 [1, 2], "2", id="moves-without-queries"),
 ]
 
 
-@pytest.mark.parametrize("text, moves, positions, answer", PAIRING)
-def test_dyncover_pairs_a_delete_with_its_add(tmp_path, capsys, text, moves, positions,
-                                              answer):
-    trace = tmp_path / "t.txt"
+@pytest.mark.parametrize("text, moves, positions, answer", MOVE_LINES)
+def test_dyncover_reads_a_move_per_line(tmp_path, capsys, text, moves, positions, answer):
+    trace, copy = tmp_path / "t.txt", tmp_path / "copy.txt"
     trace.write_text(text)
-    assert read_trace(str(trace)) == ((2, 1), [(0, R(1, 2, 1, 1))], moves, positions)
+    read = read_trace(str(trace))
+    assert read == ((2, 1), [(0, R(1, 2, 1, 1))], moves, positions)
     for impl in ("naive", "oy"):
         assert run(["dyncover", "--trace", str(trace), "--impl", impl]) == 0
         assert capsys.readouterr().out.strip() == answer
+    # writing what was read copies the file, its queries made explicit
+    write_trace(str(copy), *read)
+    assert copy.read_text() == text + "".join(f"Q {p}\n" for p in positions if "Q" not in text)
 
 
 def test_gen_writes_instance(tmp_path, capsys):
@@ -296,6 +337,28 @@ def test_gen_and_plot_bad_input(tmp_path, capsys):
                 "--svg", str(tmp_path / "a.svg")]) == 1
     assert capsys.readouterr().err == "error: bad placement 1 1/0 0: zero denominator in '1/0'\n"
     assert not (tmp_path / "out").exists() and not (tmp_path / "a.svg").exists()
+
+
+@pytest.mark.parametrize("command", ["maxscale-trace-out", "maxscale-svg", "plot-svg", "gen"])
+def test_unwritable_output_is_a_one_line_error(tmp_path, capsys, command):
+    p, q = _paths(tmp_path)
+    missing = tmp_path / "missing"  # a directory that does not exist
+    plain = tmp_path / "plain.txt"  # a regular file where a directory should be
+    plain.write_text("")
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps({"A": [1, 2, 3]}))
+    argv, bad = {
+        "maxscale-trace-out": (["maxscale", "--p", p, "--q", q, "--trace-out"], missing / "t.txt"),
+        "maxscale-svg": (["maxscale", "--p", p, "--q", q, "--svg"], missing / "x.svg"),
+        "plot-svg": (["plot", "--q", q, "--svg"], missing / "x.svg"),
+        "gen": (["gen", "average", "--input", str(sets), "--out-dir"], plain / "inst"),
+    }[command]
+    assert run(argv + [str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and str(bad.parent) in err, err
+    assert len(err.strip().splitlines()) == 1
+    # an --svg that cannot be written comes after the answer is printed
+    assert ("lambda = 2/1" in out) == (command == "maxscale-svg"), out
 
 
 def test_decompose_dump(tmp_path, capsys):

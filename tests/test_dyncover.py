@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import _comb, _transposed_comb, random_trace, split_moves
+from conftest import U_SHAPE, _comb, _transposed_comb, random_trace, split_moves
 from oracles import (TraceProblem, _minus, area_after_each, covered_cells, first_uncover,
                      trace_problem)
 from polyplace.cli import run
@@ -140,7 +140,7 @@ def test_oy_slab_cuts(rng):
 def _written(tmp_path, box, updates, initial=()):
     """The path of a trace file holding an in-memory trace, queried after every move."""
     path = tmp_path / "t.txt"
-    write_trace(str(path), box, updates, initial, range(len(updates) + 1))
+    write_trace(str(path), box, initial, updates, range(len(updates) + 1))
     return str(path)
 
 
@@ -156,6 +156,8 @@ def test_malformed_delete(tmp_path):
 @pytest.mark.parametrize("bad, message", [
     pytest.param(M(1, (1, 3, 1, 3), (1, 3, 1, 2)), "dead id", id="bad1-dead id"),  # of a dead id
     pytest.param(A(0, 1, 3, 1, 3), "duplicate id", id="bad3-duplicate id"),      # of a live id
+    pytest.param(M(0, (1, 3, 1, 3), (1, 4, 1, 3)), "outside box 3 x 3", id="move-outside box"),
+    pytest.param(M(0, (1, 3, 1, 3), (3, 1, 1, 3)), "empty rectangle", id="move-inverted"),
 ])
 def test_malformed_move(tmp_path, capsys, impl, bad, message):
     # the file is refused when it is read, before either engine runs
@@ -163,7 +165,9 @@ def test_malformed_move(tmp_path, capsys, impl, bad, message):
     with pytest.raises(MalformedTrace, match=message):
         read_trace(path)
     assert run(["dyncover", "--trace", path, "--impl", impl]) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad trace file") and message in err, err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_malformed_out_of_box(tmp_path):
@@ -432,6 +436,7 @@ def test_hole_only_in_a_shrink_strip(impl):
 @pytest.mark.parametrize("make", [
     lambda: (unit_square(), _comb(50)),
     lambda: (unit_square(), _transposed_comb(50)),
+    lambda: (U_SHAPE, _comb(50)),
     lambda: (lambda g: (g.pattern, g.target))(gen_foursum([0], [3], [1], [4])),
 ])
 def test_seed_plans_agree_across_engines(make):
@@ -440,7 +445,7 @@ def test_seed_plans_agree_across_engines(make):
     got = [run_plan(plan.box_cells, plan.live_bound, plan.initial, plan.updates,
                     plan.query_pos, impl) for impl in ("naive", "oy")]
     assert got[0][0] is not None and got[0] == got[1]
-    # replayed as the plain deletes and adds of its trace file, it fails at the same query
+    # replayed as plain deletes and adds, one per rectangle change, it fails at the same query
     events, pos = split_moves(plan.updates, plan.query_pos)
     for impl in ("naive", "oy"):
         assert run_plan(plan.box_cells, plan.live_bound, plan.initial, events, pos,

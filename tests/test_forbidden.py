@@ -384,12 +384,11 @@ def test_trace_file_round_trip(tmp_path, rng):
     P, Q = random_instance_pair(rng, 12, 12, 15)
     plan = build_sweep(_Problem(P, Q).cs).drain()
     path = tmp_path / "trace.txt"
-    write_trace(str(path), plan.box_cells, plan.updates, plan.initial, plan.query_pos)
+    write_trace(str(path), plan.box_cells, plan.initial, plan.updates, plan.query_pos)
     box, initial, updates, query_pos = read_trace(str(path))
     assert box == plan.box_cells
     assert initial == plan.initial
-    # a move with both rectangles is written as its delete and its add and
-    # read back as one move, with the query positions counted in moves
+    # every move is one line, so the query positions are written as they are
     assert (updates, query_pos) == (plan.updates, plan.query_pos)
     first = path.read_text().splitlines()[0]
     assert first == f"N {plan.box_cells[0]} {plan.box_cells[1]}"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyplace.solver
-from conftest import _comb, _transposed_comb, split_moves
+from conftest import U_SHAPE, _comb, _transposed_comb, split_moves
 from oracles import check_moves, covers_box, rank_snapshot, walk_reference
 from polyplace import dyncover
 from polyplace.forbidden import Descent, build_sweep, critical_values
@@ -105,8 +105,9 @@ def test_deep_2d_sweeps_agree_across_engines_and_the_baseline():
     pairs = [random_instance_pair(random.Random(s), 24, 60, 80)
              for s in (6, 9, 16, 91, 93, 112, 228, 250)]
     assert all(len(_Problem(pat, tgt).pcov.rects) >= 4 for pat, tgt in pairs)
-    # and the transposed combs, which sweep nearly all their criticals
-    pairs += [(SQ, _transposed_comb(q)) for q in (50, 100)]
+    # and the transposed combs, which sweep nearly all their criticals, and a
+    # U in the comb, answered at query 444 of 446
+    pairs += [(SQ, _transposed_comb(q)) for q in (50, 100)] + [(U_SHAPE, _comb(50))]
     for pat, tgt in pairs:
         base = max_scale_baseline(pat, tgt)
         assert base.stats.queries >= 50
