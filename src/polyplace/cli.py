@@ -34,6 +34,9 @@ def _load(path: str) -> OrthoPolygon:
 
 def _emit_result(res: PlacementResult, as_json: bool, svg_path: str | None,
                  pattern: OrthoPolygon, target: OrthoPolygon) -> None:
+    if svg_path and res.feasible:  # first, so an unwritable path fails before any output
+        with open(svg_path, "w", encoding="utf-8") as fh:
+            fh.write(svg.render_placement(pattern, target, res.lambda_star, res.witness))
     if as_json:
         print(json.dumps(res.to_obj()))
     elif res.feasible:
@@ -45,9 +48,6 @@ def _emit_result(res: PlacementResult, as_json: bool, svg_path: str | None,
     else:
         sup = rat_str(res.lambda_sup) if res.lambda_sup is not None else "none"
         print(f"infeasible (smallest critical scale {sup})")
-    if svg_path and res.feasible:
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(svg.render_placement(pattern, target, res.lambda_star, res.witness))
 
 
 def _cmd_validate(args) -> int:

@@ -2,8 +2,9 @@
 
 Given an offline trace of closed rank-space rectangles inside a box and
 ascending query positions in it, report the first query that finds the box
-not fully covered. An update is a move (id, old, new) from the id's live
-rectangle ``old`` to ``new``, None standing for no rectangle.
+not fully covered, and its position. An update is a move (id, old, new)
+from the id's live rectangle ``old`` to ``new``, None standing for no
+rectangle.
 The trace may be streamed: the engine asks for more only when it needs a
 query position past what it holds. The engines trust the trace they run: a
 solve's plan is built consistent, and a trace file is checked in full,
@@ -227,26 +228,20 @@ def run_plan(box: tuple[int, int], capacity: int,
              initial: Sequence[tuple[object, RankRect]],
              updates: Sequence[Update],
              query_positions: Sequence[int],
-             impl: str, more: Callable[[], bool] | None = None) -> tuple[int | None, dict | None]:
+             impl: str, more: Callable[[], bool] | None = None) -> tuple[int | None, int | None]:
     """Run a preloaded trace, querying coverage at given update-prefix lengths.
 
     The ``impl`` engine is built once over the box, and the trace is trusted
     (see :func:`_execute`). Returns (index into query_positions of the first
-    query that found the box uncovered, live id->rect map at that moment),
-    or (None, None). With ``more``, the trace is streamed: ``updates`` and
-    ``query_positions`` are lists that ``more()`` extends until they hold
-    the next query position, for either engine, so a plan is built only as
-    far as the engine runs it.
+    query that found the box uncovered, its position: the number of updates
+    applied), or (None, None). With ``more``, the trace is streamed:
+    ``updates`` and ``query_positions`` are lists that ``more()`` extends
+    until they hold the next query position, for either engine, so a plan
+    is built only as far as the engine runs it.
     """
     for qi, struct in _execute(box, capacity, initial, updates, query_positions, impl, more):
         if struct.has_hole():
-            live = dict(initial)
-            for uid, _, new in updates[:query_positions[qi]]:
-                if new is None:
-                    del live[uid]
-                else:
-                    live[uid] = new
-            return qi, live
+            return qi, query_positions[qi]
     return None, None
 
 

@@ -323,9 +323,9 @@ class _AxisState:
     A tie of two nodes, the common critical, takes a direct path both ways:
     :meth:`tie_pair` reads their two positions and checks adjacency and the
     one equal value, and :meth:`reorder_below` puts them in order and splits
-    the shared interval without a sort or a rerank. :meth:`tie_groups` takes
-    it for two involved nodes, and :class:`Descent` for each of a critical's
-    meets on an axis when no two of them share a node.
+    the shared interval without a sort or a rerank. :class:`Descent` takes
+    it for each of a critical's meets on an axis when no two of them share a
+    node, and :meth:`tie_groups` for the rest.
     """
 
     __slots__ = ("axis", "order", "pos", "lo", "hi")
@@ -352,9 +352,8 @@ class _AxisState:
     def tie_pair(self, a: int, b: int, num: int, den: int) -> tuple[int, tuple[int, int]]:
         """The tie of two nodes at num/den, sharing its ranks, as the group (start, (a, b)).
 
-        The direct path of :meth:`tie_groups` for a pair: it reads the two
-        positions, checks their adjacency and the one equal value, and puts
-        the nodes in their order.
+        It reads the two positions, checks their adjacency and the one equal
+        value, and puts the nodes in their order.
         """
         alphas, betas, pos = self.axis.alphas, self.axis.betas, self.pos
         if alphas[a] * num + betas[a] * den != alphas[b] * num + betas[b] * den:
@@ -373,8 +372,6 @@ class _AxisState:
         Returns the groups as (start, nodes), ``start`` the position of the
         group's first node.
         """
-        if len(involved) == 2:
-            return (self.tie_pair(*involved, num, den),)
         alphas, betas, pos, lo, hi = self.axis.alphas, self.axis.betas, self.pos, self.lo, self.hi
         byval: dict[int, list[int]] = {}
         for node in involved:
@@ -576,10 +573,11 @@ class SweepPlan:
     the first swept critical, as (key, rect) pairs; each update is a move
     (key, old, new) of a key whose rectangle changed, None standing for no
     rectangle. After ``query_pos[i]`` updates the structure holds the
-    snapshot at criticals[i] exactly, and after ``below_pos[i]`` the one
-    just below it. When the sweep was started below a cap,
-    ``skipped_above`` counts the dropped larger criticals; ``total`` counts
-    the criticals of the whole walk, skipped ones included.
+    snapshot at criticals[i] exactly, and the updates that the same
+    :meth:`extend` appends after those bring it to the one just below. When
+    the sweep was started below a cap, ``skipped_above`` counts the dropped
+    larger criticals; ``total`` counts the criticals of the whole walk,
+    skipped ones included.
 
     The lists grow one critical per :meth:`extend`, in walk order, so a
     partly extended plan is a prefix of the whole one; :meth:`drain` extends
@@ -591,7 +589,6 @@ class SweepPlan:
     initial: list[tuple[int, RankRect]]
     updates: list[Move]
     query_pos: list[int]
-    below_pos: list[int]
     live_bound: int
     skipped_above: int = 0
     total: int = 0
@@ -634,7 +631,6 @@ def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan
     criticals: list[tuple[int, int]] = []
     updates: list[Move] = []
     query_pos: list[int] = []
-    below_pos: list[int] = []
 
     def emit(keys: list[int]) -> None:
         for key in keys:
@@ -656,10 +652,8 @@ def build_sweep(cs: CoordSets, start_below: Rational | None = None) -> SweepPlan
             emit(keys)
             query_pos.append(len(updates))
             emit(sorted(walk.below()))
-            below_pos.append(len(updates))
             yield
 
     return SweepPlan(criticals=criticals, box_cells=cs.rank_box, initial=initial,
-                     updates=updates, query_pos=query_pos, below_pos=below_pos,
-                     live_bound=cs.n_rects + 4, skipped_above=walk.skipped,
-                     total=walk.total, _steps=steps())
+                     updates=updates, query_pos=query_pos, live_bound=cs.n_rects + 4,
+                     skipped_above=walk.skipped, total=walk.total, _steps=steps())

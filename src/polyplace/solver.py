@@ -257,9 +257,9 @@ def _max_scale_and_plan(pattern: OrthoPolygon, target: OrthoPolygon,
     plan = build_sweep(prob.cs, start_below=prob.bbox_cap)
     stats = SolveStats(criticals=plan.total, skipped=plan.skipped_above)
 
-    failed, _ = dyncover.run_plan(plan.box_cells, plan.live_bound,
-                                  plan.initial, plan.updates,
-                                  plan.query_pos, impl, more=plan.extend)
+    failed, applied = dyncover.run_plan(plan.box_cells, plan.live_bound,
+                                        plan.initial, plan.updates,
+                                        plan.query_pos, impl, more=plan.extend)
     if failed is None:
         stats.queries = len(plan.query_pos)
         stats.updates = len(plan.updates)
@@ -267,7 +267,7 @@ def _max_scale_and_plan(pattern: OrthoPolygon, target: OrthoPolygon,
         return PlacementResult("infeasible", stats=stats, lambda_sup=sup), plan
 
     stats.queries = failed + 1
-    stats.updates = plan.query_pos[failed]
+    stats.updates = applied
     lam = Fraction(*plan.criticals[failed])
     tau = find_hole(prob, lam)
     if tau is None:

@@ -12,9 +12,10 @@
   walk's integer keys, node sets and order of the caller's events are
   checked.
 * Whole-trace replays of the dynamic cover engines: the first update that
-  uncovers the box, and the covered cells after every update. The cells of
-  one rectangle outside another as grid slices, against which the naive
-  grid's overlapping move is checked.
+  uncovers the box, the covered cells after every update, and the live set
+  after a prefix of the moves. The cells of one rectangle outside another
+  as grid slices, against which the naive grid's overlapping move is
+  checked.
 * Per-move checks of an in-memory trace, which the engines do not make,
   against which the solver's plans are checked: every move starts from its
   id's live rectangle, and the live set stays in the box and within twice
@@ -246,6 +247,18 @@ def area_after_each(tp: TraceProblem, impl: str = "naive") -> list[int]:
     """Covered-cell count after each update prefix."""
     return [covered_cells(struct) for _, struct in
             _execute(tp.box, tp.n, [], tp.updates, range(1, len(tp.updates) + 1), impl)]
+
+
+def live_after(initial: Sequence[tuple[object, RankRect]], updates: Sequence[Move],
+               k: int) -> dict[object, RankRect]:
+    """The live id->rect map after the preloaded set and the first k moves."""
+    live = dict(initial)
+    for uid, _, new in updates[:k]:
+        if new is None:
+            del live[uid]
+        else:
+            live[uid] = new
+    return live
 
 
 def check_moves(box: tuple[int, int], capacity: int,

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import U_SHAPE, _comb, _transposed_comb, random_trace, split_moves
 from oracles import (TraceProblem, _minus, area_after_each, covered_cells, first_uncover,
-                     trace_problem)
+                     live_after, trace_problem)
 from polyplace.cli import run
 from polyplace.dyncover import (MalformedTrace, _execute, _NaiveGrid, _SlabCover, read_trace,
                                 run_plan, write_trace)
@@ -182,7 +182,7 @@ def test_run_plan_queries(rng):
     full = 36
     areas = area_after_each(tp, "naive")
     positions = list(range(len(tp.updates) + 1))
-    failed, live = run_plan(tp.box, tp.n, [], tp.updates, positions, "naive")
+    failed, _ = run_plan(tp.box, tp.n, [], tp.updates, positions, "naive")
     expected = next((k + 1 for k, a in enumerate(areas) if a < full), None)
     if expected is None:
         if areas and areas[0] == full:
@@ -258,8 +258,8 @@ def test_uncovered_preload_covered_before_first_query(impl):
     # removing the preloaded rectangle then opens it again
     initial = [(0, RankRect(1, 1, 1, 1))]
     updates = [A(1, 2, 2, 1, 1), A(2, 1, 1, 1, 1), D(2, 1, 1, 1, 1), D(0, 1, 1, 1, 1)]
-    failed, live = run_plan((2, 1), 3, initial, updates, [2, 3, 4], impl)
-    assert failed == 2 and set(live) == {1}
+    failed, applied = run_plan((2, 1), 3, initial, updates, [2, 3, 4], impl)
+    assert failed == 2 and set(live_after(initial, updates, applied)) == {1}
 
 
 def test_count_type_boundary():
@@ -425,8 +425,9 @@ def test_hole_only_in_a_shrink_strip(impl):
     # top row, which nothing else covers, while the rest keeps its count
     initial = [(0, RankRect(1, 4, 1, 2)), (1, RankRect(1, 4, 1, 1))]
     updates = [M(0, (1, 4, 1, 2), (1, 4, 1, 1)), M(0, (1, 4, 1, 1), (1, 4, 1, 2))]
-    assert run_plan((4, 2), 2, initial, updates, [0, 1, 2], impl) == (
-        1, {0: RankRect(1, 4, 1, 1), 1: RankRect(1, 4, 1, 1)})
+    failed, applied = run_plan((4, 2), 2, initial, updates, [0, 1, 2], impl)
+    assert failed == 1 and live_after(initial, updates, applied) == {
+        0: RankRect(1, 4, 1, 1), 1: RankRect(1, 4, 1, 1)}
     # a strip opened and closed again between two queries is no hole
     updates = [M(0, (1, 4, 1, 2), (1, 3, 1, 2)), M(1, (1, 4, 1, 1), (1, 4, 1, 1)),
                M(1, (1, 4, 1, 1), (4, 4, 1, 2))]
@@ -445,8 +446,11 @@ def test_seed_plans_agree_across_engines(make):
     got = [run_plan(plan.box_cells, plan.live_bound, plan.initial, plan.updates,
                     plan.query_pos, impl) for impl in ("naive", "oy")]
     assert got[0][0] is not None and got[0] == got[1]
-    # replayed as plain deletes and adds, one per rectangle change, it fails at the same query
+    live = live_after(plan.initial, plan.updates, got[0][1])
+    # replayed as plain deletes and adds, one per rectangle change, it fails at
+    # the same query with the same live set
     events, pos = split_moves(plan.updates, plan.query_pos)
     for impl in ("naive", "oy"):
-        assert run_plan(plan.box_cells, plan.live_bound, plan.initial, events, pos,
-                        impl) == got[0]
+        failed, applied = run_plan(plan.box_cells, plan.live_bound, plan.initial, events,
+                                   pos, impl)
+        assert failed == got[0][0] and live_after(plan.initial, events, applied) == live

@@ -177,7 +177,10 @@ def test_sweep_matches_snapshots(rng):
     for _ in range(8):
         P, Q = random_instance_pair(rng, 16, 16, 25)
         prob = _Problem(P, Q)
-        plan = build_sweep(prob.cs).drain()
+        plan = build_sweep(prob.cs)
+        below_pos = []  # the updates applied just below each critical
+        while plan.extend():
+            below_pos.append(len(plan.updates))
         crits = [F(db, da) for db, da in plan.criticals]
         live = dict(plan.initial)
         pos = 0
@@ -201,7 +204,7 @@ def test_sweep_matches_snapshots(rng):
         for ci, lam in enumerate(crits):
             play_to(plan.query_pos[ci])
             assert live == rank_snapshot(prob.cs, lam)
-            play_to(plan.below_pos[ci])
+            play_to(below_pos[ci])
             below = (lam + crits[ci + 1]) / 2 if ci + 1 < len(crits) else lam / 2
             assert live == rank_snapshot(prob.cs, below)
         assert pos == len(plan.updates)
@@ -278,15 +281,16 @@ def test_tie_group_faults_raise():
     # two nodes whose values differ at the critical
     state = _axis_state([(0, 0), (1, 1)], 1, 1)
     with pytest.raises(RuntimeError, match="coinciding pair"):
-        state.tie_groups({0, 1}, 1, 1)
+        state.tie_pair(0, 1, 1, 1)
     # at scale 2 the order is d, b, c, a (values 4, 6, 7, 8); at scale 1, a, b
     # and d all take the value 4 while c, between them, takes 7
     a, b, c, d = range(4)
     forms = [(4, 0), (2, 2), (0, 7), (0, 4)]
     assert _axis_state(forms, 2, 1).order == [d, b, c, a]
-    for nodes in ({a, b}, {a, b, d}):
-        with pytest.raises(RuntimeError, match="tie group not contiguous"):
-            _axis_state(forms, 2, 1).tie_groups(nodes, 1, 1)
+    with pytest.raises(RuntimeError, match="tie group not contiguous"):
+        _axis_state(forms, 2, 1).tie_pair(a, b, 1, 1)
+    with pytest.raises(RuntimeError, match="tie group not contiguous"):
+        _axis_state(forms, 2, 1).tie_groups({a, b, d}, 1, 1)
 
 
 _INVARIANTS = """
@@ -298,13 +302,13 @@ from polyplace.instances import comb_polygon, random_instance_pair, unit_square
 from polyplace.solver import max_scale, max_scale_x
 
 print("optimize", sys.flags.optimize)
-for forms, nodes in (([(0, 0), (1, 1)], {0, 1}),  # unequal values at scale 1
-                     ([(4, 0), (2, 2), (0, 7), (0, 4)], {0, 1})):  # a and b, not adjacent
+for forms, pair in (([(0, 0), (1, 1)], (0, 1)),  # unequal values at scale 1
+                    ([(4, 0), (2, 2), (0, 7), (0, 4)], (0, 1))):  # a and b, not adjacent
     owners = [(side, i) for i in range(len(forms)) for side in ("lo", "hi")]
     axis = _Axis([(LinearForm(Fraction(a), Fraction(b)), owner)
                   for (a, b), owner in zip(forms, owners)], 1, 0)
     try:
-        _AxisState(axis, 2, 1).tie_groups(nodes, 1, 1)
+        _AxisState(axis, 2, 1).tie_pair(*pair, 1, 1)
         print("no error")
     except RuntimeError as exc:
         print(exc)
@@ -336,7 +340,7 @@ def test_two_node_tie_shares_and_swaps():
     # b and d meet at scale 1, adjacent in the order d, b, c, a of scale 2
     a, b, c, d = range(4)
     state = _axis_state([(4, 0), (2, 2), (0, 7), (0, 4)], 2, 1)
-    groups = state.tie_groups({b, d}, 1, 1)
+    groups = (state.tie_pair(b, d, 1, 1),)
     assert [(start, sorted(nodes)) for start, nodes in groups] == [(0, [b, d])]
     assert (state.lo[b], state.hi[b], state.lo[d], state.hi[d]) == (1, 2, 1, 2)
     moved = set()

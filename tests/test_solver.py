@@ -382,14 +382,33 @@ def _foursum_gadgets(rng, count):
         yield inst.pattern, inst.target
 
 
-def _solve_over_drained_plan(monkeypatch, pattern, target, impl):
-    """max_scale with the whole plan built first and run without streaming."""
+def _solve_recording_below(monkeypatch, pattern, target, impl, drained):
+    """max_scale, its plan, and the updates applied just below each critical
+    the plan took. With ``drained``, the whole plan is built first and run
+    without streaming."""
+    below = []
+
+    def recording_sweep(cs, start_below=None):
+        plan = build_sweep(cs, start_below)
+        extend = plan.extend
+
+        def recording() -> bool:
+            if not extend():
+                return False
+            below.append(len(plan.updates))
+            return True
+
+        plan.extend = recording
+        while drained and plan.extend():
+            pass
+        return plan
+
     real_run_plan = dyncover.run_plan
     with monkeypatch.context() as m:
-        m.setattr(polyplace.solver, "build_sweep",
-                  lambda cs, start_below=None: build_sweep(cs, start_below).drain())
-        m.setattr(dyncover, "run_plan", lambda *args, more=None: real_run_plan(*args))
-        return _max_scale_and_plan(pattern, target, impl)
+        m.setattr(polyplace.solver, "build_sweep", recording_sweep)
+        if drained:
+            m.setattr(dyncover, "run_plan", lambda *args, more=None: real_run_plan(*args))
+        return (*_max_scale_and_plan(pattern, target, impl), below)
 
 
 def test_streamed_plan_matches_the_drained_plan(monkeypatch):
@@ -400,15 +419,18 @@ def test_streamed_plan_matches_the_drained_plan(monkeypatch):
     batches = 0
     for pattern, target in cases:
         for impl in ("naive", "oy"):
-            got, plan = _max_scale_and_plan(pattern, target, impl)
-            want, whole = _solve_over_drained_plan(monkeypatch, pattern, target, impl)
+            got, plan, below = _solve_recording_below(monkeypatch, pattern, target, impl,
+                                                      drained=False)
+            want, whole, whole_below = _solve_recording_below(monkeypatch, pattern, target,
+                                                              impl, drained=True)
             assert (got.status, got.lambda_star, got.witness, got.lambda_sup, got.stats) == \
                 (want.status, want.lambda_star, want.witness, want.lambda_sup, want.stats)
             assert plan.initial == whole.initial
             assert (plan.total, plan.skipped_above) == (whole.total, whole.skipped_above)
-            for name in ("criticals", "updates", "query_pos", "below_pos"):
+            for name in ("criticals", "updates", "query_pos"):
                 part, full = getattr(plan, name), getattr(whole, name)
                 assert part == full[:len(part)], name
+            assert below == whole_below[:len(below)]
             if impl == "oy":
                 changes = len(split_moves(plan.updates[:got.stats.updates])[0])
                 batches = max(batches, changes // plan.live_bound)

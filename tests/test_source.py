@@ -106,6 +106,32 @@ def test_src_holds_no_test_only_code():
     assert not unreached, f"no solve, CLI command or perfbench code reaches {unreached}"
 
 
+def test_every_record_field_has_a_reader():
+    # a field of a dataclass or NamedTuple in the package is read somewhere in
+    # the package or perfbench, as an attribute or as a string, which getattr
+    # may look up; its declaration and its writes do not count
+    fields = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(cls, ast.ClassDef) and (
+                    any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                        == "dataclass" for d in cls.decorator_list)
+                    or any(getattr(base, "id", None) == "NamedTuple" for base in cls.bases)):
+                fields += [(f"{path.stem}.{cls.name}", node.target.id) for node in cls.body
+                           if isinstance(node, ast.AnnAssign)
+                           and isinstance(node.target, ast.Name)]
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    assert len(fields) > 40  # SolveStats, SweepPlan, RankRect, Point, ...
+    unread = [f"{owner}.{name}" for owner, name in fields if name not in read]
+    assert not unread, f"record fields that nothing in src/ or perfbench/ reads: {unread}"
+
+
 def test_malformed_trace_is_raised_only_by_the_reader():
     # the engines trust what they run: a solve's plan is built consistent, and
     # a trace file is checked in full, once, when dyncover.read_trace reads it
