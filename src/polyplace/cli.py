@@ -18,7 +18,7 @@ from .forbidden import build_sweep
 from .geometry import (OrthoPolygon, PolygonError, Point, load_polygon,
                        normalize_center, rat, rat_json, rat_str, save_polygon)
 from .solver import (PlacementResult, _max_scale_and_plan, _Problem, contains_fixed,
-                     max_scale_baseline, max_scale_x)
+                     max_scale, max_scale_baseline, max_scale_x)
 
 
 class CliError(Exception):
@@ -76,8 +76,10 @@ def _cmd_maxscale(args) -> int:
     pattern, target = _load(args.p), _load(args.q)
     if args.baseline:
         res = max_scale_baseline(pattern, target)
+    elif args.trace_out:  # the dump is the sweep's plan, so the solve sweeps
+        res, plan = _max_scale_and_plan(pattern, target, args.impl or "naive")
     else:
-        res, plan = _max_scale_and_plan(pattern, target, args.impl)
+        res = max_scale(pattern, target, args.impl)
     if args.trace_out:
         if args.baseline:  # the baseline runs no sweep: dump max_scale's whole plan
             prob = _Problem(pattern, target)
@@ -185,7 +187,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--baseline", action="store_true")
-    p.add_argument("--impl", choices=("naive", "oy"), default="naive")
+    p.add_argument("--impl", choices=("naive", "oy"),
+                   help="sweep with this engine; by default a star-shaped pattern "
+                   "is bisected and any other is swept with naive")
     p.add_argument("--svg")
     p.add_argument("--json", action="store_true")
     p.add_argument("--trace-out", help="dump the rank-space update trace the solve ran "

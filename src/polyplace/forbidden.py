@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby, islice, product, repeat
 from operator import rshift
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .decompose import RectCover
 from .geometry import AxisRect, Rational
@@ -249,20 +249,41 @@ def _key_scale(xaxis: _Axis, yaxis: _Axis) -> int:
     return span * span
 
 
+def critical_keys(cs: CoordSets) -> tuple[list[int], Callable[[int], Fraction]]:
+    """The exact keys (see :func:`_key_scale`) of all positive scales where
+    two same-axis forms meet, strictly descending, and the map from a key to
+    its scale.
+
+    Only the keys are built for every critical; a ``Fraction`` is built for
+    each key the map is asked for, so a search that reads a few criticals
+    pays for those alone.
+    """
+    m = _key_scale(cs.xaxis, cs.yaxis)
+    axes = cs.xaxis, cs.yaxis
+    n = max(len(axis.alphas) for axis in axes)
+    nn = n * n
+    shift = (2 * nn).bit_length()
+    first: dict[int, int] = {}  # key -> its first meet, packed as in Descent
+    for s, axis in enumerate(axes):
+        for ev in _meets(axis, m, shift, s * nn, n):
+            key = ev >> shift
+            if key not in first:
+                first[key] = ev
+    mask = (1 << shift) - 1
+
+    def scale(key: int) -> Fraction:
+        s, ij = divmod(first[key] & mask, nn)
+        i, j = divmod(ij, n)
+        alphas, betas = axes[s].alphas, axes[s].betas
+        return Fraction(betas[j] - betas[i], alphas[i] - alphas[j])
+
+    return sorted(first, reverse=True), scale
+
+
 def critical_values(cs: CoordSets) -> list[Rational]:
     """All positive scales where two same-axis forms meet, strictly descending."""
-    m = _key_scale(cs.xaxis, cs.yaxis)
-    scales: dict[int, Fraction] = {}
-    for axis in (cs.xaxis, cs.yaxis):
-        alphas, betas = axis.alphas, axis.betas
-        n = len(alphas)
-        shift = (n * n).bit_length()
-        for ev in _meets(axis, m, shift, 0, n):
-            key = ev >> shift
-            if key not in scales:
-                i, j = divmod(ev - (key << shift), n)
-                scales[key] = Fraction(betas[j] - betas[i], alphas[i] - alphas[j])
-    return [scales[key] for key in sorted(scales, reverse=True)]
+    keys, scale = critical_keys(cs)
+    return [scale(key) for key in keys]
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,33 @@ def normalize_center(poly: OrthoPolygon) -> tuple[OrthoPolygon, Point]:
     return poly.translated(ORIGIN - offset), offset
 
 
+def kernel(poly: OrthoPolygon) -> AxisRect | None:
+    """The polygon's kernel, the closed set of points that see all of it, or
+    None when it is empty.
+
+    The kernel of a simple polygon is the intersection of its edges' closed
+    inner half-planes; for a rectilinear polygon that is an axis-aligned
+    rectangle, found in O(p). A segment or a single point is still a
+    kernel. Either orientation of the vertex cycle is read.
+    """
+    box = poly.bounding_box()
+    x0, x1, y0, y1 = box.x0, box.x1, box.y0, box.y1
+    ccw = poly.area() > 0
+    for a, b in poly.edges():
+        if a.y == b.y:
+            if (a.x < b.x) == ccw:  # the interior lies above the edge
+                y0 = max(y0, a.y)
+            else:
+                y1 = min(y1, a.y)
+        elif (a.y < b.y) == ccw:  # the interior lies left of the edge
+            x1 = min(x1, a.x)
+        else:
+            x0 = max(x0, a.x)
+    if x0 > x1 or y0 > y1:
+        return None
+    return AxisRect(x0, x1, y0, y1)
+
+
 def transform(poly: OrthoPolygon, placement: Placement) -> OrthoPolygon:
     """Scale about the polygon's own bounding-box center, then translate."""
     if placement.scale <= 0:

@@ -5,9 +5,12 @@ Five user-facing entry points:
 * :func:`verify_containment`: direct O(p'q') pairwise check of a placement.
 * :func:`contains_fixed`: can the pattern be translated (scale 1) into the
   target? Returns a feasible translation or None.
-* :func:`max_scale`: the largest feasible scale, found by sweeping the
-  critical scales in descending order while an offline dynamic cover
-  structure tracks the rank-space forbidden rectangles.
+* :func:`max_scale`: the largest feasible scale. For a star-shaped pattern
+  (a nonempty :func:`~polyplace.geometry.kernel`), feasibility is downward
+  closed in the scale, so a binary search over the critical scales with
+  the exact static test finds it. Otherwise, or when an engine is named,
+  it sweeps the critical scales in descending order while an offline
+  dynamic cover structure tracks the rank-space forbidden rectangles.
 * :func:`max_scale_baseline`: same answer via an independent route, running
   the exact static coverage test (:func:`find_hole`, prefix sums over a
   difference grid of the split values that each forbidden rectangle marks
@@ -36,15 +39,17 @@ import numpy as np
 from . import dyncover
 from .decompose import cover_complement, cover_interior, padded_frame
 from .forbidden import (CoordSets, Descent, SweepPlan, build_sweep, coordinate_functions,
-                        critical_values)
+                        critical_keys, critical_values)
 from .geometry import (AxisRect, NonPositiveScale, OrthoPolygon, Point,
-                       Rational, normalize_center, rat, rat_str)
+                       Rational, kernel, normalize_center, rat, rat_str)
 
 
 @dataclass
 class SolveStats:
     criticals: int = 0
-    updates: int = 0  # max_scale only: the plan's moves up to the failing query, or all
+    # max_scale's sweep: the plan's moves up to the failing query, or all;
+    # 0 when max_scale bisects, and in the other solvers
+    updates: int = 0
     queries: int = 0
     skipped: int = 0  # criticals above the bbox-fit cap, infeasible without a query
 
@@ -228,31 +233,76 @@ def contains_fixed(pattern: OrthoPolygon, target: OrthoPolygon) -> Point | None:
 
 
 def max_scale(pattern: OrthoPolygon, target: OrthoPolygon,
-              impl: str = "naive") -> PlacementResult:
+              impl: str | None = None) -> PlacementResult:
     """Largest scale at which the pattern fits into the target.
 
-    Streams the descending-sweep trace of rank-space rectangles into the
-    offline dynamic cover structure (``impl``: "naive", the query-driven
-    counting grid, or "oy", Overmars-Yap slabs), which stops at the first
-    critical whose snapshot leaves a hole. The plan is extended only as far
-    as the engine asks, one critical at a time until it holds the next query
-    position, and the engine trusts it without re-checking its moves. Both
-    engines are built once, with an nx x ny count over the rank box. The
-    naive grid is the default because it is the faster engine on the comb
-    family, whose answers sit at the last critical. The witness is the
-    translation that the exact static test (:func:`find_hole`) finds at
-    that scale.
+    With no engine named and a star-shaped pattern, one with a
+    :func:`~polyplace.geometry.kernel` point c, feasibility is downward
+    closed: if lam * P + tau fits, so does lam' * P + tau + (lam - lam') * c
+    for every lam' < lam, as it lies inside lam * P + tau. The answer is
+    then the largest critical at most the bbox-fit cap where the exact
+    static test (:func:`find_hole`) finds a hole, and a binary search over
+    the descending criticals finds it in O(log N) static tests.
 
-    ``stats.criticals`` counts every critical of the walk and
-    ``stats.updates`` the plan's moves up to the failing query, or all of
-    them when the instance is infeasible.
+    Otherwise (a pattern with an empty kernel, or ``impl`` named) it
+    streams the descending-sweep trace of rank-space rectangles into the
+    offline dynamic cover structure (``impl``: "naive", the default, the
+    query-driven counting grid, or "oy", Overmars-Yap slabs), which stops
+    at the first critical whose snapshot leaves a hole. The plan is
+    extended only as far as the engine asks, one critical at a time until
+    it holds the next query position, and the engine trusts it without
+    re-checking its moves. Both engines are built once, with an nx x ny
+    count over the rank box. The naive grid is the default engine because
+    it is the faster one on the comb family, whose answers sit at the last
+    critical.
+
+    Both routes return the same status, scale, witness and ``lambda_sup``:
+    the witness is the translation that :func:`find_hole` finds at the
+    answer's scale, checked pairwise. ``stats.criticals`` counts every
+    critical and ``stats.queries`` the static tests or the engine's
+    queries; ``stats.updates`` counts the plan's moves up to the failing
+    query, or all of them when the instance is infeasible, and is 0 on the
+    binary search.
     """
-    return _max_scale_and_plan(pattern, target, impl)[0]
+    if impl is None and kernel(pattern) is not None:
+        return _bisect(_Problem(pattern, target))
+    return _max_scale_and_plan(pattern, target, impl or "naive")[0]
+
+
+def _bisect(prob: _Problem) -> PlacementResult:
+    """:func:`max_scale` of a star-shaped pattern, by binary search over the
+    criticals at most the bbox-fit cap."""
+    keys, scale = critical_keys(prob.cs)
+    # the keys descend: those of the criticals above the bbox-fit cap come first
+    lo = bisect_left(keys, -prob.bbox_cap, key=lambda key: -scale(key))
+    hi = len(keys)
+    stats = SolveStats(criticals=hi, skipped=lo)
+    found = None
+    while lo < hi:  # no hole before lo; a hole at hi, when found
+        mid = (lo + hi) // 2
+        lam = scale(keys[mid])
+        stats.queries += 1
+        tau = find_hole(prob, lam)
+        if tau is None:
+            lo = mid + 1
+        else:
+            hi, found = mid, (lam, tau)
+    if found is None:
+        sup = scale(keys[-1]) if stats.skipped < len(keys) else None
+        return PlacementResult("infeasible", stats=stats, lambda_sup=sup)
+    return _checked(prob, *found, stats)
+
+
+def _checked(prob: _Problem, lam: Rational, tau: Point, stats: SolveStats) -> PlacementResult:
+    """The feasible result, once the witness passes the pairwise check."""
+    if not _fits(prob.pcov.rects, prob.qcov.rects, prob.fit_box(lam), lam, tau):
+        raise RuntimeError("internal inconsistency: witness fails verification")
+    return PlacementResult("feasible", lam, tau, stats)
 
 
 def _max_scale_and_plan(pattern: OrthoPolygon, target: OrthoPolygon,
                         impl: str) -> tuple[PlacementResult, SweepPlan]:
-    """:func:`max_scale`, also returning the sweep plan as far as it was built."""
+    """:func:`max_scale`'s sweep, also returning the plan as far as it was built."""
     prob = _Problem(pattern, target)
     plan = build_sweep(prob.cs, start_below=prob.bbox_cap)
     stats = SolveStats(criticals=plan.total, skipped=plan.skipped_above)
@@ -273,9 +323,7 @@ def _max_scale_and_plan(pattern: OrthoPolygon, target: OrthoPolygon,
     if tau is None:
         raise RuntimeError("internal inconsistency: the sweep reported a hole "
                            "the static test cannot find")
-    if not _fits(prob.pcov.rects, prob.qcov.rects, prob.fit_box(lam), lam, tau):
-        raise RuntimeError("internal inconsistency: witness fails verification")
-    return PlacementResult("feasible", lam, tau, stats), plan
+    return _checked(prob, lam, tau, stats), plan
 
 
 def max_scale_baseline(pattern: OrthoPolygon, target: OrthoPolygon) -> PlacementResult:

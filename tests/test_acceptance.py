@@ -21,7 +21,7 @@ import pytest
 from conftest import random_trace, split_moves
 from oracles import area_after_each, covers_box, first_uncover, rank_snapshot, union_area
 from polyplace.forbidden import build_sweep, critical_values
-from polyplace.geometry import AxisRect, OrthoPolygon, Placement, Point, transform
+from polyplace.geometry import AxisRect, OrthoPolygon, Placement, Point, kernel, transform
 from polyplace.hardness import brute_solve, gen_average, gen_foursum, gen_ov
 from polyplace.instances import comb_polygon, random_instance_pair, unit_square
 from polyplace.solver import (PlacementResult, _Problem, contains_fixed,
@@ -41,35 +41,58 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 class SolvedInstance:
     pattern: OrthoPolygon
     target: OrthoPolygon
-    fast: PlacementResult
+    fast: PlacementResult  # max_scale's default: bisection for a star-shaped pattern
+    sweep: PlacementResult  # max_scale's sweep, with the naive engine
     base: PlacementResult
 
 
 @pytest.fixture(scope="session")
 def core_batch() -> list[SolvedInstance]:
-    """Criterion 1's 500 random instances, solved both ways."""
+    """Criterion 1's 500 random instances, solved three ways."""
     rng = random.Random(SEED)
     batch = []
     for _ in range(500):
         pattern, target = random_instance_pair(rng, max_p=20, max_q=20, span=50)
         batch.append(SolvedInstance(pattern, target,
                                     max_scale(pattern, target),
+                                    max_scale(pattern, target, impl="naive"),
                                     max_scale_baseline(pattern, target)))
     return batch
 
 
 def test_criterion_1_oracle_equivalence(core_batch):
+    # both routes of max_scale against the baseline, so the sweep stays
+    # checked on the star-shaped patterns that the default bisects
     bad = 0
     for inst in core_batch:
-        ok = (inst.fast.status == inst.base.status == "feasible"
-              and inst.fast.lambda_star == inst.base.lambda_star
-              and verify_containment(inst.pattern, inst.target,
-                                     inst.fast.lambda_star, inst.fast.witness)
-              and verify_containment(inst.pattern, inst.target,
-                                     inst.base.lambda_star, inst.base.witness))
+        ok = (inst.fast.status == inst.sweep.status == inst.base.status == "feasible"
+              and inst.fast.lambda_star == inst.sweep.lambda_star == inst.base.lambda_star
+              and all(verify_containment(inst.pattern, inst.target,
+                                         res.lambda_star, res.witness)
+                      for res in (inst.fast, inst.sweep, inst.base)))
         bad += not ok
     _report("criterion 1 (oracle equivalence, 500 instances)", bad == 0,
             f"{bad} disagreement(s)")
+
+
+def test_bisection_matches_the_sweep(core_batch):
+    # a star-shaped pattern is bisected: same answer, criticals and skipped
+    # as the sweep; any other pattern is swept, so its stats are the sweep's
+    star = bad = 0
+    for inst in core_batch:
+        fast, sweep = inst.fast, inst.sweep
+        same = ((fast.status, fast.lambda_star, fast.witness, fast.lambda_sup,
+                 fast.stats.criticals, fast.stats.skipped)
+                == (sweep.status, sweep.lambda_star, sweep.witness, sweep.lambda_sup,
+                    sweep.stats.criticals, sweep.stats.skipped))
+        if kernel(inst.pattern) is not None:
+            star += 1
+            same = same and fast.stats.updates == 0
+        else:
+            same = same and fast.stats == sweep.stats
+        bad += not same
+    _report("bisection vs sweep on criterion 1's instances", bad == 0 and star > 400,
+            f"{bad} disagreement(s) over {star} star-shaped patterns")
 
 
 def test_criterion_2a_average_round_trip():

@@ -20,10 +20,12 @@ def test_traced_solves_record_every_hooked_layer():
     rec = SpanRecorder()
     with rec.installed():
         with rec.root("max_scale", 0) as fast_root:
-            fast = max_scale(unit_square(), TARGET)
+            fast = max_scale(unit_square(), TARGET, impl="naive")
         with rec.root("max_scale_baseline", 0) as base_root:
             base = max_scale_baseline(unit_square(), TARGET)
-    assert fast.feasible and fast.lambda_star == base.lambda_star
+        with rec.root("max_scale", 0) as star_root:
+            star = max_scale(unit_square(), TARGET)
+    assert fast.feasible and fast.lambda_star == base.lambda_star == star.lambda_star
 
     fast_spans = {span.name: span for span in rec.children(fast_root)}
     assert {"coordinate_functions", "build_sweep", "run_plan",
@@ -34,3 +36,8 @@ def test_traced_solves_record_every_hooked_layer():
 
     base_names = {span.name for span in rec.children(base_root)}
     assert {"coordinate_functions", "critical_values", "find_hole"} <= base_names
+
+    # a star-shaped pattern with no engine named bisects: static tests only
+    star_names = {span.name for span in rec.children(star_root)}
+    assert {"coordinate_functions", "find_hole"} <= star_names
+    assert not {"build_sweep", "run_plan"} & star_names

@@ -108,6 +108,20 @@ def test_maxscale_baseline_agrees(tmp_path, capsys):
     assert fast["lambda"] == base["lambda"]
 
 
+def test_maxscale_bisects_unless_an_engine_is_named(tmp_path, capsys):
+    # a square is star-shaped: by default it is bisected and applies no moves
+    p, q = _paths(tmp_path)
+    stats = {}
+    for impl in ([], ["--impl", "naive"], ["--impl", "oy"]):
+        assert run(["maxscale", "--p", p, "--q", q, "--json"] + impl) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["lambda"] == "2/1"
+        stats[tuple(impl)] = obj["stats"]
+    assert stats[()]["updates"] == 0
+    assert stats[("--impl", "naive")] == stats[("--impl", "oy")]
+    assert stats[("--impl", "naive")]["updates"] > 0
+
+
 def test_maxscale_x(tmp_path, capsys):
     p, q = _paths(tmp_path)
     assert run(["maxscale-x", "--p", p, "--q", q]) == 0

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import U_SHAPE
 from oracles import clean_cycle, edges_meet, simple_violation
 from polyplace.geometry import (AxisRect, DegenerateEdge, NonPositiveScale,
-                                NonRectilinear, Placement, Point, PolygonError,
-                                SelfIntersecting, TooFewVertices, _check_simple,
-                                _clean_cycle, normalize_center, polygon_from_obj,
+                                NonRectilinear, OrthoPolygon, Placement, Point,
+                                PolygonError, SelfIntersecting, TooFewVertices,
+                                _check_simple, _clean_cycle, kernel,
+                                normalize_center, polygon_from_obj,
                                 polygon_to_obj, rat, rat_str, transform,
                                 validate_polygon)
 from polyplace.instances import comb_polygon
@@ -316,3 +318,40 @@ def test_rat_parsing():
     assert rat_str(Fraction(2)) == "2/1"
     with pytest.raises(TypeError):
         rat(0.5)
+
+
+def _box(x0, x1, y0, y1):
+    return AxisRect(Fraction(x0), Fraction(x1), Fraction(y0), Fraction(y1))
+
+
+STAIRCASE = [(0, 0), (4, 0), (4, 1), (3, 1), (3, 2), (2, 2), (2, 3), (1, 3), (1, 4), (0, 4)]
+PLUS = [(1, 0), (2, 0), (2, 1), (3, 1), (3, 2), (2, 2), (2, 3), (1, 3), (1, 2), (0, 2),
+        (0, 1), (1, 1)]
+# [0, 2] x [0, 1] and [1, 3] x [1, 2], which share the segment [1, 2] x {1}
+STEP = [(0, 0), (2, 0), (2, 1), (3, 1), (3, 2), (1, 2), (1, 1), (0, 1)]
+# the square [0, 2]^2 with an arm on each side, turning around its center
+PINWHEEL = [(0, -1), (1, -1), (1, 0), (3, 0), (3, 1), (2, 1), (2, 3), (1, 3), (1, 2),
+            (-1, 2), (-1, 1), (0, 1)]
+
+
+@pytest.mark.parametrize("verts, want", [
+    (UNIT, _box(0, 1, 0, 1)),
+    (LSHAPE, _box(0, 1, 0, 1)),
+    (STAIRCASE, _box(0, 1, 0, 1)),
+    (PLUS, _box(1, 2, 1, 2)),
+    (STEP, _box(1, 2, 1, 1)),  # a segment
+    (PINWHEEL, _box(1, 1, 1, 1)),  # a point
+    (U_SHAPE.vertices, None),
+    (comb_polygon(50, random.Random(50)).vertices, None),
+], ids=["square", "L", "staircase", "plus", "segment", "point", "U", "comb"])
+def test_kernel(verts, want):
+    poly = validate_polygon(verts)
+    assert kernel(poly) == want
+    # a clockwise cycle, validated or taken as it is, has the same kernel
+    backwards = list(reversed(poly.vertices))
+    assert kernel(validate_polygon(backwards)) == want
+    assert kernel(OrthoPolygon(backwards)) == want
+    shifted = kernel(poly.translated(Point(Fraction(7, 2), Fraction(-3))))
+    assert shifted == (None if want is None else
+                       _box(want.x0 + Fraction(7, 2), want.x1 + Fraction(7, 2),
+                            want.y0 - 3, want.y1 - 3))

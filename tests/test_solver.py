@@ -14,7 +14,7 @@ from conftest import U_SHAPE, _comb, _transposed_comb, split_moves
 from oracles import check_moves, covers_box, rank_snapshot, walk_reference
 from polyplace import dyncover
 from polyplace.forbidden import Descent, build_sweep, critical_values
-from polyplace.geometry import (Placement, Point, transform, validate_polygon)
+from polyplace.geometry import Placement, Point, kernel, transform, validate_polygon
 from polyplace.hardness import gen_average, gen_foursum
 from polyplace.instances import comb_polygon, random_instance_pair, unit_square
 from polyplace.solver import (PlacementResult, SolveStats, _max_scale_and_plan, _Problem,
@@ -123,7 +123,7 @@ def test_deep_2d_sweeps_agree_across_engines_and_the_baseline():
 def test_oracle_equivalence_small(rng):
     for _ in range(30):
         pat, tgt = random_instance_pair(rng, 20, 20, 50)
-        fast = max_scale(pat, tgt)
+        fast = max_scale(pat, tgt, impl="naive")
         base = max_scale_baseline(pat, tgt)
         assert fast.status == base.status == "feasible"
         assert fast.lambda_star == base.lambda_star
@@ -135,12 +135,75 @@ def test_oracle_equivalence_small(rng):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_sweep_and_baseline_give_the_same_witness(seed):
     pat, tgt = random_instance_pair(random.Random(seed), 12, 12, 20)
-    fast = max_scale(pat, tgt)
+    fast = max_scale(pat, tgt, impl="naive")
     base = max_scale_baseline(pat, tgt)
     assert (fast.status, fast.lambda_star, fast.witness) == \
         (base.status, base.lambda_star, base.witness)
     if fast.feasible:
         assert verify_containment(pat, tgt, fast.lambda_star, fast.witness)
+
+
+def _answer(res):
+    return res.status, res.lambda_star, res.witness, res.lambda_sup
+
+
+def test_bisection_matches_the_sweep_on_combs():
+    # the unit square in the comb and the transposed comb answers at the last
+    # critical; U is not star-shaped, so it sweeps, stats and all
+    for pat, tgt in [(SQ, comb(q)) for comb in (_comb, _transposed_comb)
+                     for q in (50, 100, 200, 400)]:
+        got, want = max_scale(pat, tgt), max_scale(pat, tgt, impl="naive")
+        assert _answer(got) == _answer(want)
+        assert (got.stats.criticals, got.stats.skipped) == \
+            (want.stats.criticals, want.stats.skipped)
+        assert got.stats.updates == 0 and want.stats.updates > 0
+        assert 2 ** (got.stats.queries - 1) <= got.stats.criticals - got.stats.skipped
+    assert kernel(U_SHAPE) is None
+    got, want = max_scale(U_SHAPE, _comb(50)), max_scale(U_SHAPE, _comb(50), impl="naive")
+    assert (_answer(got), got.stats) == (_answer(want), want.stats)
+
+
+def test_star_feasibility_is_monotone():
+    # with a kernel point, the static test finds a hole at every critical at
+    # most lambda* and at none above it up to the bbox-fit cap; the deep
+    # tests' distribution answers most pairs past their first critical
+    rng = random.Random(20261022)
+    star = deep = 0
+    while star < 30:
+        pat, tgt = random_instance_pair(rng, 24, 60, 80)
+        if kernel(pat) is None:
+            continue
+        star += 1
+        prob = _Problem(pat, tgt)
+        lam_star = max_scale(pat, tgt).lambda_star
+        crits = [c for c in critical_values(prob.cs) if c <= prob.bbox_cap]
+        k = crits.index(lam_star)
+        assert all(find_hole(prob, lam) is None for lam in crits[:k])
+        assert all(find_hole(prob, lam) is not None for lam in crits[k:])
+        deep += k > 0
+    assert deep >= 20
+
+
+def test_bisection_reports_no_hole_as_the_baseline_does(monkeypatch):
+    # with a static test that never finds a hole, the bisection ends
+    # infeasible at the smallest critical, as the baseline does, and a
+    # witness that fails the pairwise check raises
+    monkeypatch.setattr(polyplace.solver, "find_hole", lambda prob, lam: None)
+    got, want = max_scale(SQ, ARM), max_scale_baseline(SQ, ARM)
+    assert (got.status, got.lambda_sup, got.stats.criticals, got.stats.skipped) == \
+        ("infeasible", want.lambda_sup, want.stats.criticals, want.stats.skipped)
+    assert 1 <= got.stats.queries < want.stats.queries
+    monkeypatch.setattr(polyplace.solver, "find_hole", lambda prob, lam: P(100, 100))
+    with pytest.raises(RuntimeError, match="witness fails verification"):
+        max_scale(SQ, ARM)
+
+
+def test_gadget_patterns_have_no_kernel():
+    # the hardness gadgets are not star-shaped, so max_scale sweeps them
+    rng = random.Random(7)
+    for _ in range(5):
+        assert kernel(gen_foursum(*(rng.sample(range(-6, 7), 3) for _ in range(4))).pattern) is None
+        assert kernel(_average_gadget(rng, 0).pattern) is None
 
 
 def test_feasibility_persists_below(rng):
@@ -709,6 +772,7 @@ def test_dumbbell_feasibility_is_not_monotone():
     # into one square again only once its width 30 * lambda is at most 10
     bell = validate_polygon([(0, 0), (10, 0), (10, 4), (20, 4), (20, 0), (30, 0),
                              (30, 10), (20, 10), (20, 6), (10, 6), (10, 10), (0, 10)])
+    assert kernel(bell) is None  # so max_scale sweeps it
     for res in (max_scale(bell, bell), max_scale_baseline(bell, bell)):
         assert res.feasible and res.lambda_star == 1
         assert verify_containment(bell, bell, res.lambda_star, res.witness)
