@@ -77,7 +77,7 @@ def _cmd_maxscale(args) -> int:
     if args.baseline:
         res = max_scale_baseline(pattern, target)
     elif args.trace_out:  # the dump is the sweep's plan, so the solve sweeps
-        res, plan = _max_scale_and_plan(pattern, target, args.impl or "naive")
+        res, plan = _max_scale_and_plan(pattern, target, args.impl)
     else:
         res = max_scale(pattern, target, args.impl)
     if args.trace_out:
@@ -187,9 +187,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--baseline", action="store_true")
-    p.add_argument("--impl", choices=("naive", "oy"),
-                   help="sweep with this engine; by default a star-shaped pattern "
-                   "is bisected and any other is swept with naive")
+    p.add_argument("--impl", choices=("naive", "oy"), default="naive",
+                   help="the sweep's engine: for a pattern that is not star-shaped "
+                   "(a star-shaped one is bisected), or with --trace-out")
     p.add_argument("--svg")
     p.add_argument("--json", action="store_true")
     p.add_argument("--trace-out", help="dump the rank-space update trace the solve ran "

@@ -249,6 +249,16 @@ def _key_scale(xaxis: _Axis, yaxis: _Axis) -> int:
     return span * span
 
 
+def _meet_scale(axes: Sequence[_Axis], n: int, code: int) -> tuple[int, int]:
+    """The scale (db, da), da > 0, of the meet of nodes i < j on ``axes[s]``,
+    coded (s * n + i) * n + j as :class:`Descent` codes it."""
+    s, ij = divmod(code, n * n)
+    i, j = divmod(ij, n)
+    alphas, betas = axes[s].alphas, axes[s].betas
+    da, db = alphas[i] - alphas[j], betas[j] - betas[i]
+    return (db, da) if da > 0 else (-db, -da)
+
+
 def critical_keys(cs: CoordSets) -> tuple[list[int], Callable[[int], Fraction]]:
     """The exact keys (see :func:`_key_scale`) of all positive scales where
     two same-axis forms meet, strictly descending, and the map from a key to
@@ -272,10 +282,7 @@ def critical_keys(cs: CoordSets) -> tuple[list[int], Callable[[int], Fraction]]:
     mask = (1 << shift) - 1
 
     def scale(key: int) -> Fraction:
-        s, ij = divmod(first[key] & mask, nn)
-        i, j = divmod(ij, n)
-        alphas, betas = axes[s].alphas, axes[s].betas
-        return Fraction(betas[j] - betas[i], alphas[i] - alphas[j])
+        return Fraction(*_meet_scale(axes, n, first[key] & mask))
 
     return sorted(first, reverse=True), scale
 
@@ -503,15 +510,11 @@ class Descent:
 
     def _scale(self, ev: int) -> tuple[int, int]:
         """The scale (db, da), da > 0, of the event ``ev``."""
-        code, n = ev & ((1 << self._shift) - 1), self._stride
+        code = ev & ((1 << self._shift) - 1)
         if code >= self._xtra:
             extra = self._extra[code - self._xtra]
             return extra[0], extra[1]
-        s, ij = divmod(code, n * n)
-        i, j = divmod(ij, n)
-        alphas, betas = self.axes[s].alphas, self.axes[s].betas
-        da, db = alphas[i] - alphas[j], betas[j] - betas[i]
-        return (db, da) if da > 0 else (-db, -da)
+        return _meet_scale(self.axes, self._stride, code)
 
     def __iter__(self):
         states, extra = self.states, self._extra

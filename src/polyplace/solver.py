@@ -8,9 +8,9 @@ Five user-facing entry points:
 * :func:`max_scale`: the largest feasible scale. For a star-shaped pattern
   (a nonempty :func:`~polyplace.geometry.kernel`), feasibility is downward
   closed in the scale, so a binary search over the critical scales with
-  the exact static test finds it. Otherwise, or when an engine is named,
-  it sweeps the critical scales in descending order while an offline
-  dynamic cover structure tracks the rank-space forbidden rectangles.
+  the exact static test finds it. Any other pattern is swept: the
+  critical scales in descending order, while an offline dynamic cover
+  structure tracks the rank-space forbidden rectangles.
 * :func:`max_scale_baseline`: same answer via an independent route, running
   the exact static coverage test (:func:`find_hole`, prefix sums over a
   difference grid of the split values that each forbidden rectangle marks
@@ -233,10 +233,10 @@ def contains_fixed(pattern: OrthoPolygon, target: OrthoPolygon) -> Point | None:
 
 
 def max_scale(pattern: OrthoPolygon, target: OrthoPolygon,
-              impl: str | None = None) -> PlacementResult:
+              impl: str = "naive") -> PlacementResult:
     """Largest scale at which the pattern fits into the target.
 
-    With no engine named and a star-shaped pattern, one with a
+    For a star-shaped pattern, one with a
     :func:`~polyplace.geometry.kernel` point c, feasibility is downward
     closed: if lam * P + tau fits, so does lam' * P + tau + (lam - lam') * c
     for every lam' < lam, as it lies inside lam * P + tau. The answer is
@@ -244,10 +244,10 @@ def max_scale(pattern: OrthoPolygon, target: OrthoPolygon,
     static test (:func:`find_hole`) finds a hole, and a binary search over
     the descending criticals finds it in O(log N) static tests.
 
-    Otherwise (a pattern with an empty kernel, or ``impl`` named) it
-    streams the descending-sweep trace of rank-space rectangles into the
-    offline dynamic cover structure (``impl``: "naive", the default, the
-    query-driven counting grid, or "oy", Overmars-Yap slabs), which stops
+    A pattern with an empty kernel is swept: its descending-sweep trace of
+    rank-space rectangles streams into the offline dynamic cover structure
+    (``impl``: "naive", the query-driven counting grid, or "oy",
+    Overmars-Yap slabs; star-shaped patterns ignore it), which stops
     at the first critical whose snapshot leaves a hole. The plan is
     extended only as far as the engine asks, one critical at a time until
     it holds the next query position, and the engine trusts it without
@@ -264,9 +264,9 @@ def max_scale(pattern: OrthoPolygon, target: OrthoPolygon,
     query, or all of them when the instance is infeasible, and is 0 on the
     binary search.
     """
-    if impl is None and kernel(pattern) is not None:
+    if kernel(pattern) is not None:
         return _bisect(_Problem(pattern, target))
-    return _max_scale_and_plan(pattern, target, impl or "naive")[0]
+    return _max_scale_and_plan(pattern, target, impl)[0]
 
 
 def _bisect(prob: _Problem) -> PlacementResult:
@@ -302,7 +302,8 @@ def _checked(prob: _Problem, lam: Rational, tau: Point, stats: SolveStats) -> Pl
 
 def _max_scale_and_plan(pattern: OrthoPolygon, target: OrthoPolygon,
                         impl: str) -> tuple[PlacementResult, SweepPlan]:
-    """:func:`max_scale`'s sweep, also returning the plan as far as it was built."""
+    """:func:`max_scale`'s sweep, for any pattern, also returning the plan as
+    far as it was built."""
     prob = _Problem(pattern, target)
     plan = build_sweep(prob.cs, start_below=prob.bbox_cap)
     stats = SolveStats(criticals=plan.total, skipped=plan.skipped_above)

@@ -11,6 +11,7 @@ from oracles import TraceProblem
 from polyplace.forbidden import RankRect
 from polyplace.geometry import AxisRect, OrthoPolygon, Point, validate_polygon
 from polyplace.instances import comb_polygon
+from polyplace.solver import PlacementResult, _max_scale_and_plan
 
 
 def point_on_boundary(poly: OrthoPolygon, p: Point) -> bool:
@@ -117,6 +118,13 @@ def _comb(q):
 def _transposed_comb(q):
     """The comb with x and y swapped."""
     return validate_polygon([(v.y, v.x) for v in _comb(q).vertices])
+
+
+def sweep(pattern: OrthoPolygon, target: OrthoPolygon,
+          impl: str = "naive") -> PlacementResult:
+    """max_scale's sweep with the named engine, which max_scale itself runs
+    only for patterns that are not star-shaped."""
+    return _max_scale_and_plan(pattern, target, impl)[0]
 
 
 @pytest.fixture

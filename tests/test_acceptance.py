@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_trace, split_moves
+from conftest import random_trace, split_moves, sweep
 from oracles import area_after_each, covers_box, first_uncover, rank_snapshot, union_area
 from polyplace.forbidden import build_sweep, critical_values
 from polyplace.geometry import AxisRect, OrthoPolygon, Placement, Point, kernel, transform
@@ -55,7 +55,7 @@ def core_batch() -> list[SolvedInstance]:
         pattern, target = random_instance_pair(rng, max_p=20, max_q=20, span=50)
         batch.append(SolvedInstance(pattern, target,
                                     max_scale(pattern, target),
-                                    max_scale(pattern, target, impl="naive"),
+                                    sweep(pattern, target),
                                     max_scale_baseline(pattern, target)))
     return batch
 
@@ -229,7 +229,7 @@ def test_criterion_6_scaling_demonstration(tmp_path):
         best_f = best_b = math.inf
         for _ in range(reps):
             t0 = time.perf_counter()
-            fast = max_scale(pattern, target, impl="oy")
+            fast = sweep(pattern, target, "oy")
             t1 = time.perf_counter()
             base = max_scale_baseline(pattern, target)
             t2 = time.perf_counter()

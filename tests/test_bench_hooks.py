@@ -11,7 +11,7 @@ from spans import SpanRecorder  # noqa: E402
 
 from polyplace.geometry import validate_polygon  # noqa: E402
 from polyplace.instances import unit_square  # noqa: E402
-from polyplace.solver import max_scale, max_scale_baseline  # noqa: E402
+from polyplace.solver import _max_scale_and_plan, max_scale, max_scale_baseline  # noqa: E402
 
 TARGET = validate_polygon([(0, 0), (6, 0), (6, 1), (4, 1), (4, 3), (0, 3)])
 
@@ -20,7 +20,7 @@ def test_traced_solves_record_every_hooked_layer():
     rec = SpanRecorder()
     with rec.installed():
         with rec.root("max_scale", 0) as fast_root:
-            fast = max_scale(unit_square(), TARGET, impl="naive")
+            fast = _max_scale_and_plan(unit_square(), TARGET, "naive")[0]
         with rec.root("max_scale_baseline", 0) as base_root:
             base = max_scale_baseline(unit_square(), TARGET)
         with rec.root("max_scale", 0) as star_root:
@@ -37,7 +37,7 @@ def test_traced_solves_record_every_hooked_layer():
     base_names = {span.name for span in rec.children(base_root)}
     assert {"coordinate_functions", "critical_values", "find_hole"} <= base_names
 
-    # a star-shaped pattern with no engine named bisects: static tests only
+    # max_scale bisects a star-shaped pattern: static tests only
     star_names = {span.name for span in rec.children(star_root)}
     assert {"coordinate_functions", "find_hole"} <= star_names
     assert not {"build_sweep", "run_plan"} & star_names

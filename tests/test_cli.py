@@ -108,18 +108,18 @@ def test_maxscale_baseline_agrees(tmp_path, capsys):
     assert fast["lambda"] == base["lambda"]
 
 
-def test_maxscale_bisects_unless_an_engine_is_named(tmp_path, capsys):
-    # a square is star-shaped: by default it is bisected and applies no moves
+def test_maxscale_bisects_a_star_pattern_unless_it_traces(tmp_path, capsys):
+    # a square is star-shaped: it is bisected, applying no moves, whichever
+    # engine is named; --trace-out dumps the sweep's plan, so it sweeps
     p, q = _paths(tmp_path)
     stats = {}
-    for impl in ([], ["--impl", "naive"], ["--impl", "oy"]):
-        assert run(["maxscale", "--p", p, "--q", q, "--json"] + impl) == 0
+    for args in ([], ["--impl", "oy"], ["--trace-out", str(tmp_path / "t.txt")]):
+        assert run(["maxscale", "--p", p, "--q", q, "--json"] + args) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["lambda"] == "2/1"
-        stats[tuple(impl)] = obj["stats"]
-    assert stats[()]["updates"] == 0
-    assert stats[("--impl", "naive")] == stats[("--impl", "oy")]
-    assert stats[("--impl", "naive")]["updates"] > 0
+        stats[args[0] if args else None] = obj["stats"]
+    assert stats[None] == stats["--impl"]
+    assert stats[None]["updates"] == 0 and stats["--trace-out"]["updates"] > 0
 
 
 def test_maxscale_x(tmp_path, capsys):

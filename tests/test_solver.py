@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyplace.solver
-from conftest import U_SHAPE, _comb, _transposed_comb, split_moves
+from conftest import U_SHAPE, _comb, _transposed_comb, split_moves, sweep
 from oracles import check_moves, covers_box, rank_snapshot, walk_reference
 from polyplace import dyncover
 from polyplace.forbidden import Descent, build_sweep, critical_values
@@ -69,22 +69,27 @@ def test_max_scale_arm_width():
     assert verify_containment(SQ, ARM, res.lambda_star, res.witness)
 
 
+# the star-shaped patterns that max_scale bisects are checked on the sweep too
+SOLVERS = (max_scale, sweep)
+
+
 def test_max_scale_structured_shapes():
     spiral = validate_polygon([(0, 0), (10, 0), (10, 10), (2, 10), (2, 4),
                                (4, 4), (4, 8), (8, 8), (8, 2), (0, 2)])
-    res = max_scale(SQ, spiral)
-    assert res.lambda_star == max_scale_baseline(SQ, spiral).lambda_star == 2
     h = validate_polygon([(0, 0), (3, 0), (3, 4), (7, 4), (7, 0), (10, 0),
                           (10, 10), (7, 10), (7, 6), (3, 6), (3, 10), (0, 10)])
-    assert max_scale(SQ, h).lambda_star == 3  # room width, corridor too thin
     wide = validate_polygon([(0, 0), (8, 0), (8, 1), (0, 1)])
     slim = validate_polygon([(0, 0), (4, 0), (4, 3), (0, 3)])
-    assert max_scale(wide, slim).lambda_star == F(1, 2)
     mirror = validate_polygon([(0, 0), (2, 0), (2, 2), (1, 2), (1, 1), (0, 1)])
     lshape = validate_polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
-    res = max_scale(lshape, mirror)
-    assert res.lambda_star == max_scale_baseline(lshape, mirror).lambda_star
-    assert verify_containment(lshape, mirror, res.lambda_star, res.witness)
+    for solve in SOLVERS:
+        res = solve(SQ, spiral)
+        assert res.lambda_star == max_scale_baseline(SQ, spiral).lambda_star == 2
+        assert solve(SQ, h).lambda_star == 3  # room width, corridor too thin
+        assert solve(wide, slim).lambda_star == F(1, 2)
+        res = solve(lshape, mirror)
+        assert res.lambda_star == max_scale_baseline(lshape, mirror).lambda_star
+        assert verify_containment(lshape, mirror, res.lambda_star, res.witness)
 
 
 def test_max_scale_impls_agree(rng):
@@ -94,8 +99,8 @@ def test_max_scale_impls_agree(rng):
     gadget = gen_foursum([0], [3], [1], [4])
     pairs += [(SQ, comb_polygon(50, random.Random(50))), (gadget.pattern, gadget.target)]
     for pat, tgt in pairs:
-        a = max_scale(pat, tgt, impl="oy")
-        b = max_scale(pat, tgt, impl="naive")
+        a = sweep(pat, tgt, "oy")
+        b = sweep(pat, tgt, "naive")
         assert ((a.status, a.lambda_star, a.stats.queries)
                 == (b.status, b.lambda_star, b.stats.queries))
 
@@ -112,7 +117,7 @@ def test_deep_2d_sweeps_agree_across_engines_and_the_baseline():
         base = max_scale_baseline(pat, tgt)
         assert base.stats.queries >= 50
         for impl in ("naive", "oy"):
-            fast = max_scale(pat, tgt, impl=impl)
+            fast = sweep(pat, tgt, impl)
             assert (fast.status, fast.lambda_star, fast.witness) == \
                 (base.status, base.lambda_star, base.witness)
             assert ((fast.stats.criticals, fast.stats.skipped, fast.stats.queries)
@@ -123,7 +128,7 @@ def test_deep_2d_sweeps_agree_across_engines_and_the_baseline():
 def test_oracle_equivalence_small(rng):
     for _ in range(30):
         pat, tgt = random_instance_pair(rng, 20, 20, 50)
-        fast = max_scale(pat, tgt, impl="naive")
+        fast = sweep(pat, tgt)
         base = max_scale_baseline(pat, tgt)
         assert fast.status == base.status == "feasible"
         assert fast.lambda_star == base.lambda_star
@@ -135,7 +140,7 @@ def test_oracle_equivalence_small(rng):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_sweep_and_baseline_give_the_same_witness(seed):
     pat, tgt = random_instance_pair(random.Random(seed), 12, 12, 20)
-    fast = max_scale(pat, tgt, impl="naive")
+    fast = sweep(pat, tgt)
     base = max_scale_baseline(pat, tgt)
     assert (fast.status, fast.lambda_star, fast.witness) == \
         (base.status, base.lambda_star, base.witness)
@@ -152,14 +157,14 @@ def test_bisection_matches_the_sweep_on_combs():
     # critical; U is not star-shaped, so it sweeps, stats and all
     for pat, tgt in [(SQ, comb(q)) for comb in (_comb, _transposed_comb)
                      for q in (50, 100, 200, 400)]:
-        got, want = max_scale(pat, tgt), max_scale(pat, tgt, impl="naive")
+        got, want = max_scale(pat, tgt), sweep(pat, tgt)
         assert _answer(got) == _answer(want)
         assert (got.stats.criticals, got.stats.skipped) == \
             (want.stats.criticals, want.stats.skipped)
         assert got.stats.updates == 0 and want.stats.updates > 0
         assert 2 ** (got.stats.queries - 1) <= got.stats.criticals - got.stats.skipped
     assert kernel(U_SHAPE) is None
-    got, want = max_scale(U_SHAPE, _comb(50)), max_scale(U_SHAPE, _comb(50), impl="naive")
+    got, want = max_scale(U_SHAPE, _comb(50)), sweep(U_SHAPE, _comb(50))
     assert (_answer(got), got.stats) == (_answer(want), want.stats)
 
 
@@ -209,29 +214,30 @@ def test_gadget_patterns_have_no_kernel():
 def test_feasibility_persists_below(rng):
     for _ in range(6):
         pat, tgt = random_instance_pair(rng, 14, 14, 25)
-        res = max_scale(pat, tgt)
-        half = res.lambda_star / 2
         prob = _Problem(pat, tgt)
-        tau = find_hole(prob, half)
-        assert tau is not None
-        assert verify_containment(pat, tgt, half, tau)
+        for solve in SOLVERS:
+            half = solve(pat, tgt).lambda_star / 2
+            tau = find_hole(prob, half)
+            assert tau is not None
+            assert verify_containment(pat, tgt, half, tau)
 
 
 def test_maximality(rng):
     for _ in range(8):
         pat, tgt = random_instance_pair(rng, 14, 14, 25)
-        res = max_scale(pat, tgt)
         prob = _Problem(pat, tgt)
         crits = critical_values(prob.cs)
-        above = [c for c in crits if c > res.lambda_star]
-        for lam in above:
-            if lam <= prob.bbox_cap:
-                assert find_hole(prob, lam) is None
-        # the midpoint of the region just above the answer is infeasible too
-        if above:
-            mid = (res.lambda_star + min(above)) / 2
-            if mid <= prob.bbox_cap:
-                assert find_hole(prob, mid) is None
+        for solve in SOLVERS:
+            res = solve(pat, tgt)
+            above = [c for c in crits if c > res.lambda_star]
+            for lam in above:
+                if lam <= prob.bbox_cap:
+                    assert find_hole(prob, lam) is None
+            # the midpoint of the region just above the answer is infeasible too
+            if above:
+                mid = (res.lambda_star + min(above)) / 2
+                if mid <= prob.bbox_cap:
+                    assert find_hole(prob, mid) is None
 
 
 def _first_hole_by_enumeration(prob, lam):
@@ -303,14 +309,15 @@ def test_find_hole_returns_the_first_uncovered_item():
 def test_transformation_invariance(rng):
     for _ in range(5):
         pat, tgt = random_instance_pair(rng, 14, 14, 20)
-        lam = max_scale(pat, tgt).lambda_star
         moved_p = pat.translated(P(13, -7))
         moved_q = tgt.translated(P(-4, 9))
-        assert max_scale(moved_p, moved_q).lambda_star == lam
         scaled_q = transform(tgt, Placement(F(3), P(0, 0)))
-        assert max_scale(pat, scaled_q).lambda_star == 3 * lam
         scaled_p = transform(pat, Placement(F(3), P(0, 0)))
-        assert max_scale(scaled_p, tgt).lambda_star == lam / 3
+        for solve in SOLVERS:
+            lam = solve(pat, tgt).lambda_star
+            assert solve(moved_p, moved_q).lambda_star == lam
+            assert solve(pat, scaled_q).lambda_star == 3 * lam
+            assert solve(scaled_p, tgt).lambda_star == lam / 3
 
 
 def test_monotone_in_target(rng):
@@ -756,13 +763,13 @@ def test_stats_contract(rng):
 
 
 def test_result_serialization():
-    res = max_scale(SQ, WIDE)
-    obj = res.to_obj()
-    assert obj["lambda"] == "2/1"
-    assert obj["status"] == "feasible"
-    lam = Fraction(obj["lambda"])
-    tau = Point(Fraction(obj["tau"][0]), Fraction(obj["tau"][1]))
-    assert verify_containment(SQ, WIDE, lam, tau)
+    for solve in SOLVERS:
+        obj = solve(SQ, WIDE).to_obj()
+        assert obj["lambda"] == "2/1"
+        assert obj["status"] == "feasible"
+        lam = Fraction(obj["lambda"])
+        tau = Point(Fraction(obj["tau"][0]), Fraction(obj["tau"][1]))
+        assert verify_containment(SQ, WIDE, lam, tau)
 
 
 def test_dumbbell_feasibility_is_not_monotone():
